@@ -115,6 +115,8 @@ def _merge_manifest(task: str, args: argparse.Namespace) -> dict:
     if "task" in manifest and manifest["task"] != task:
         raise _CliError(f"manifest task {manifest['task']!r} does not match subcommand {task!r}")
     manifest["task"] = task
+    if isinstance(manifest.get("group"), str):
+        manifest["group"] = _parse_group(manifest["group"])
     overrides = {
         "group": getattr(args, "group", None) and _parse_group(args.group),
         "p": getattr(args, "p", None),
@@ -209,23 +211,25 @@ def _write_outputs(args, manifest: dict, results: dict, csv_rows: Tuple[List[str
     }
     out = getattr(args, "out", None)
     fmt = getattr(args, "format", "json") or "json"
-    if out:
-        if fmt == "json":
-            with open(out, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        else:
-            colnames, rows = csv_rows
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(f"# pharmonic {__version__}\n")
-                fh.write(f"# task: {manifest['task']}\n")
-                fh.write(f"# manifest_sha256: {_manifest_sha256(manifest)}\n")
-                fh.write(",".join(colnames) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+    if out and out != "-":
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            _write_report(fh, fmt, manifest, report, csv_rows)
     else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        _write_report(sys.stdout, fmt, manifest, report, csv_rows)
+
+
+def _write_report(fh, fmt: str, manifest: dict, report: dict, csv_rows: Tuple[List[str], List[list]]) -> None:
+    if fmt == "json":
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    else:
+        colnames, rows = csv_rows
+        fh.write(f"# pharmonic {__version__}\n")
+        fh.write(f"# task: {manifest['task']}\n")
+        fh.write(f"# manifest_sha256: {_manifest_sha256(manifest)}\n")
+        fh.write(",".join(colnames) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _rows_from_dicts(dicts: Sequence[dict], columns: Sequence[str]) -> Tuple[List[str], List[list]]:
@@ -255,9 +259,16 @@ def _run_describe(manifest: dict):
 
 def _boundary_values(manifest: dict, model: GroupModel, ball) -> Dict[int, float]:
     boundary = manifest.get("boundary", {"preset": "marked"})
+    if not isinstance(boundary, dict):
+        raise _CliError(f"manifest 'boundary' must be an object, got {boundary!r}")
     clamps: Dict[int, float] = {}
     if "clamps" in boundary:
-        for pair in boundary["clamps"]:
+        pairs = boundary["clamps"]
+        if not isinstance(pairs, list):
+            raise _CliError("boundary 'clamps' must be a list of [vertex, value] pairs")
+        for pair in pairs:
+            if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[1], (int, float))):
+                raise _CliError(f"boundary clamp {pair!r} is not a [vertex, value] pair")
             g = model.element_from_obj(pair[0])
             if g not in ball.index:
                 raise _CliError(f"clamped vertex {pair[0]} is outside the ball")
@@ -378,6 +389,8 @@ def _run_massive(manifest: dict):
     radii = [int(r) for r in _require(manifest, "radii")]
     config = _config_from(manifest)
     sub = _require(manifest, "subset")
+    if not isinstance(sub, dict):
+        raise _CliError(f"manifest 'subset' must be an object with a 'kind', got {sub!r}")
     kind = sub.get("kind")
     if kind == "half_space":
         subset = half_space_subset(model, int(sub.get("coordinate", -1)))
@@ -434,7 +447,7 @@ def _run_roughiso(manifest: dict):
     scope_r = psi.domain.radius
     roundtrip_error = None
     if scope_r >= 3:
-        fwd_radii = [scope_r - 1, scope_r] if scope_r >= 4 else [scope_r - 1, scope_r]
+        fwd_radii = [scope_r - 1, scope_r]
         phi_fwd, t1 = transport_harmonic(h, psi, p, fwd_radii, config, budget)
         back_ball = base_model.ball(scope_r, budget)
         back_map = CoarseMap.fit(back_ball, phi_fwd.ball, lambda g: g, seed)

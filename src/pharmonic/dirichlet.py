@@ -47,6 +47,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .energy import ScalarField, check_exponent, phi_p
 from .groups import CayleyBall, Element, GroupModel
@@ -137,20 +138,16 @@ class DirichletProblem:
         return cls(ball, {ball.index[g]: v for g, v in clamped.items()}, p)
 
     def _check_free_reaches_clamps(self) -> None:
-        # every free vertex must be connected through free vertices to a clamp
-        adj = self.ball.adj
-        free_set = set(int(i) for i in self.free)
-        seeds = [i for i in free_set if any(int(j) in self.clamped for j in adj[i])]
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                j = int(j)
-                if j in free_set and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != len(free_set):
+        # every free vertex must be connected through free vertices to a
+        # clamp: one component on the free subgraph plus one merged clamp node
+        n_free = self.free.size
+        local = np.full(len(self.ball), n_free, dtype=np.int64)
+        local[self.free] = np.arange(n_free)
+        nbrs = local[self.ball.adj[self.free]]
+        rows = np.repeat(np.arange(n_free, dtype=np.int64), nbrs.shape[1])
+        graph = sp.csr_matrix((np.ones(rows.size), (rows, nbrs.ravel())), shape=(n_free + 1, n_free + 1))
+        _, labels = connected_components(graph, directed=False)
+        if np.any(labels[:n_free] != labels[n_free]):
             raise ValueError("a free region is not edge-connected to any clamped vertex")
 
     def clamped_values(self) -> np.ndarray:
@@ -165,32 +162,16 @@ class DirichletProblem:
 
 
 def linear_dirichlet(problem: DirichletProblem) -> np.ndarray:
-    """Direct sparse solve of the p = 2 problem (also the warm start)."""
-    ball = problem.ball
-    free = problem.free
-    local = -np.ones(len(ball), dtype=np.int64)
-    local[free] = np.arange(free.size)
-    deg = ball.model.degree
-    rows: List[int] = []
-    cols: List[int] = []
-    data: List[float] = []
-    rhs = np.zeros(free.size)
-    for li, i in enumerate(free):
-        rows.append(li)
-        cols.append(li)
-        data.append(float(deg))
-        for j in ball.adj[i]:
-            lj = local[int(j)]
-            if lj >= 0:
-                rows.append(li)
-                cols.append(int(lj))
-                data.append(-1.0)
-            else:
-                rhs[li] += problem.clamped[int(j)]
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(free.size, free.size))
-    sol = spla.spsolve(mat.tocsc(), rhs)
-    u = problem.clamped_values()
-    u[free] = sol
+    """Direct sparse solve of the p = 2 problem (also the warm start): the
+    unit-weight Laplacian, clamped neighbor values summed in generator-slot
+    order on the right-hand side."""
+    system = _NewtonStep(problem)
+    u = problem.clamped_values()  # zero at the free vertices
+    nbr_vals = u[system.nbrs]
+    rhs = np.zeros(system.n_free)
+    for slot in range(nbr_vals.shape[1]):
+        rhs += nbr_vals[:, slot]
+    u[problem.free] = system.solve(np.ones(system.nbrs.shape), 0.0, rhs)
     return u
 
 
@@ -259,11 +240,6 @@ def _minimize_rows(nbr_vals: np.ndarray, p: float, t0: np.ndarray, ftol: float) 
     return t
 
 
-def _residual(u: np.ndarray, free: np.ndarray, nbrs: np.ndarray, p: float) -> float:
-    diffs = u[nbrs] - u[free, None]
-    return float(np.max(np.abs(np.sum(phi_p(diffs, p), axis=1)))) if free.size else 0.0
-
-
 def _convergence(u: np.ndarray, free: np.ndarray, nbrs: np.ndarray, p: float, tol: float, energy: float):
     """Sup residual plus an at-machine-resolution verdict.
 
@@ -293,7 +269,8 @@ def _convergence(u: np.ndarray, free: np.ndarray, nbrs: np.ndarray, p: float, to
 class _NewtonStep:
     """One damped Newton step on the free values, reusing a fixed sparsity
     pattern. The linearized system is the mu-regularized weighted Laplacian;
-    steps are accepted only under a strict energy decrease."""
+    steps are accepted only under a strict energy decrease. The same
+    assembly with unit weights is the p = 2 system of ``linear_dirichlet``."""
 
     def __init__(self, problem: DirichletProblem):
         ball = problem.ball
@@ -312,6 +289,14 @@ class _NewtonStep:
         self.arcs = ball.arcs()
         self.n_total = len(ball)
 
+    def solve(self, w: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
+        """Solve with the Laplacian of arc weights w (one row per free
+        vertex, one column per generator slot), diagonal shifted by shift."""
+        diag = w.sum(axis=1) + shift
+        data = np.concatenate([diag, -w[self.off_mask]])
+        mat = sp.csr_matrix((data, (self.rows, self.cols)), shape=(self.n_free, self.n_free))
+        return spla.spsolve(mat.tocsc(), rhs)
+
     def attempt(self, u: np.ndarray, energy: float) -> Tuple[bool, float]:
         p = self.p
         d = u[self.nbrs] - u[self.free, None]
@@ -320,12 +305,9 @@ class _NewtonStep:
             return False, energy
         mu = 1e-8 * scale
         w = (d * d + mu * mu) ** (0.5 * (p - 2.0))
-        diag = w.sum(axis=1) + 1e-14 * float(np.max(w))
-        data = np.concatenate([diag, -w[self.off_mask]])
-        mat = sp.csr_matrix((data, (self.rows, self.cols)), shape=(self.n_free, self.n_free))
         rhs = np.sum(phi_p(d, p), axis=1) / (p - 1.0)
         try:
-            step = spla.spsolve(mat.tocsc(), rhs)
+            step = self.solve(w, 1e-14 * float(np.max(w)), rhs)
         except Exception:
             return False, energy
         if not np.all(np.isfinite(step)):

@@ -97,11 +97,12 @@ class ScalarField:
         return float(np.sum(np.abs(self.values) ** p) ** (1.0 / p))
 
     def restrict(self, sub: CayleyBall) -> "ScalarField":
-        """Restriction to a smaller ball of the same model."""
-        if sub.radius > self.ball.radius:
+        """Restriction to a smaller ball of the same model, which is a prefix."""
+        if sub.model.spec != self.ball.model.spec:
+            raise ValueError("restriction target is a ball of another group")
+        if len(sub) > len(self.ball):
             raise ValueError("restriction target must not be larger than the source ball")
-        vals = np.array([self.values[self.ball.index[g]] for g in sub.vertices])
-        return ScalarField(sub, vals)
+        return ScalarField(sub, self.values[: len(sub)].copy())
 
     # -- arithmetic --------------------------------------------------------------
     def _check_same_ball(self, other: "ScalarField") -> None:

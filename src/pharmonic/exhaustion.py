@@ -28,6 +28,7 @@ from math import log
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .dirichlet import DirichletProblem, SolveReport, SolverConfig, capacity, solve_dirichlet
 from .energy import ScalarField, check_exponent
@@ -553,29 +554,17 @@ def inner_potential(
         a_idx = np.flatnonzero(in_a)
         if a_idx.size == 0:
             raise ValueError(f"subset {subset.name!r} misses the ball of radius {radius}")
-        sphere_in_a = [i for i in range(ball.n_interior, len(ball)) if in_a[i]]
-        if not sphere_in_a:
+        sphere_in_a = ball.n_interior + np.flatnonzero(in_a[ball.n_interior :])
+        if sphere_in_a.size == 0:
             raise ValueError(f"subset {subset.name!r} misses the sphere of radius {radius}")
         # boundary and connectivity use all ball edges, including those
-        # between two sphere vertices, so walk neighbors at the element level
-        a_elems = {ball.vertices[int(i)] for i in a_idx}
-        boundary = set()
-        for g in a_elems:
-            for h in model.neighbors(g):
-                if h in ball.index and h not in a_elems:
-                    boundary.add(h)
-        if not boundary:
+        # between two sphere vertices
+        graph = ball.csr()
+        boundary_count = int(np.count_nonzero((graph @ in_a.astype(np.float64) > 0) & ~in_a))
+        if boundary_count == 0:
             raise ValueError(f"subset {subset.name!r} has empty boundary in the ball of radius {radius}")
-        start = ball.vertices[int(a_idx[0])]
-        seen = {start}
-        stack = [start]
-        while stack:
-            g = stack.pop()
-            for h in model.neighbors(g):
-                if h in a_elems and h not in seen:
-                    seen.add(h)
-                    stack.append(h)
-        connected = len(seen) == len(a_elems)
+        n_parts, _ = connected_components(graph[a_idx][:, a_idx], directed=False)
+        connected = bool(n_parts == 1)
         if not connected:
             raise ValueError(
                 f"subset {subset.name!r} is disconnected inside the ball of radius {radius}"
@@ -584,8 +573,7 @@ def inner_potential(
         clamped: Dict[int, float] = {int(i): 0.0 for i in np.flatnonzero(~in_a)}
         for i in sphere_in_a:
             clamped[int(i)] = 1.0
-        free_exists = any(in_a[i] and i not in clamped for i in range(ball.n_interior))
-        if not free_exists:
+        if not np.any(in_a[: ball.n_interior]):
             raise ValueError(f"subset {subset.name!r} has no free interior vertex at radius {radius}")
         problem = DirichletProblem(ball, clamped, p)
         init = None
@@ -603,8 +591,8 @@ def inner_potential(
                 radius=radius,
                 core_sup=float(np.max(np.abs(core_vals))),
                 core_stab=stab,
-                boundary_count=len(boundary),
-                sphere_count=len(sphere_in_a),
+                boundary_count=boundary_count,
+                sphere_count=int(sphere_in_a.size),
                 connected=connected,
                 energy=rep.final_energy,
                 iterations=rep.iterations,

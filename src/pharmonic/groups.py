@@ -16,25 +16,32 @@ group:
   inverse. Word length is the word length.
 * ``lamplighter`` (Z2 wr Z): elements are pairs (lamps, cursor) where lamps
   is the sorted tuple of lit positions; generating set [t, t-, a] (cursor
-  moves and the involutive toggle at the cursor). Word lengths come from a
-  cached breadth-first search, there is no closed form.
+  moves and the involutive toggle at the cursor). There is no closed form
+  for the word length; it is read off the model's cached ball.
 
 Any base family can be wrapped with extra generators given as words over the
 base generating set (``extra_generators`` in the spec params); the wrapped
-model carries the enlarged symmetric generating set and a BFS word metric.
+model carries the enlarged symmetric generating set, and its word lengths
+are read off its cached ball as well.
 
 All enumeration is deterministic: breadth-first from the identity, expanding
 each vertex g through its neighbor list [g s^{-1} for s in S] in the fixed
-generator order and appending unseen vertices in encounter order.
+generator order and appending unseen vertices in encounter order. The pass
+records each expanded vertex's adjacency row as it goes. A model keeps the
+largest ball it has built: a larger ball continues that ball's pass, and a
+smaller one is a prefix view of it. This module is the only place that walks
+the Cayley graph by hand; every other traversal runs on ``CayleyBall.csr()``
+through ``scipy.sparse.csgraph``.
 """
 
 from __future__ import annotations
 
-import itertools
+from array import array
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 Element = tuple
 
@@ -82,53 +89,19 @@ def _require_int(params: Mapping, key: str, lo: int, hi: int, default=None) -> i
     return value
 
 
-class _BfsMetric:
-    """Word lengths from a lazily grown breadth-first search, budget guarded."""
-
-    def __init__(self, model: "GroupModel", budget: int = DEFAULT_VERTEX_BUDGET):
-        self.model = model
-        self.budget = budget
-        e = model.identity()
-        self.dist: Dict[Element, int] = {e: 0}
-        self.frontier: List[Element] = [e]
-        self.radius = 0
-
-    def expand_to(self, radius: int) -> None:
-        while self.radius < radius and self.frontier:
-            nxt: List[Element] = []
-            for g in self.frontier:
-                for h in self.model.neighbors(g):
-                    if h not in self.dist:
-                        self.dist[h] = self.radius + 1
-                        nxt.append(h)
-                        if len(self.dist) > self.budget:
-                            raise BudgetError(
-                                f"word-length search for {self.model.name} exceeded the vertex budget "
-                                f"{self.budget} at radius {self.radius + 1}"
-                            )
-            self.frontier = nxt
-            self.radius += 1
-
-    def length(self, g: Element, max_radius: int = 64) -> int:
-        while g not in self.dist:
-            if self.radius >= max_radius or not self.frontier:
-                raise ValueError(f"element {g!r} not reached within radius {max_radius}")
-            self.expand_to(self.radius + 1)
-        return self.dist[g]
-
-
 class GroupModel:
     """Base class: a group with a fixed symmetric generating set.
 
     Subclasses fill in ``name``, ``spec``, ``gen_labels``, the label-inverse
     table and the element operations. Everything else (neighbors, balls,
-    vertex boundaries, describe) is generic.
+    word lengths without a closed form, describe) is generic.
     """
 
     name: str
     spec: GroupSpec
     gen_labels: Tuple[str, ...]
     _inv_label: Dict[str, str]
+    _cached_ball: Optional["CayleyBall"] = None  # the largest ball built so far
 
     # -- element operations supplied by subclasses --------------------------
     def identity(self) -> Element:
@@ -142,9 +115,6 @@ class GroupModel:
         raise NotImplementedError
 
     def inv(self, g: Element) -> Element:
-        raise NotImplementedError
-
-    def word_length(self, g: Element) -> int:
         raise NotImplementedError
 
     def element_to_obj(self, g: Element):
@@ -182,6 +152,10 @@ class GroupModel:
         return None
 
     def ball(self, n: int, budget: Optional[int] = None) -> "CayleyBall":
+        """The closed ball of radius n: a prefix view of the cached ball when
+        that is at least as large, else the cached ball's pass continued."""
+        if n < 1:
+            raise ValueError(f"ball radius must be >= 1, got {n}")
         budget = DEFAULT_VERTEX_BUDGET if budget is None else int(budget)
         projected = self.ball_size(n)
         if projected is not None and projected > budget:
@@ -189,17 +163,26 @@ class GroupModel:
                 f"ball of radius {n} on {self.name} has {projected} vertices, "
                 f"over the budget {budget}"
             )
-        return CayleyBall(self, n, budget)
+        cached = self._cached_ball
+        if cached is not None:
+            # the vertices a fresh enumeration would have counted against the budget
+            if np.searchsorted(cached.depth, n, side="right") > budget:
+                raise _over_budget(self, n, budget, int(cached.depth[budget]))
+            if n <= cached.radius:
+                return cached._prefix(n)
+        ball = _enumerate(self, n, budget, cached)
+        self._cached_ball = ball
+        return ball
 
-    def vertex_boundary(self, elems: Iterable[Element]) -> Set[Element]:
-        """{g not in A : some neighbor of g lies in A} for A = elems."""
-        inside = set(elems)
-        out: Set[Element] = set()
-        for g in inside:
-            for h in self.neighbors(g):
-                if h not in inside:
-                    out.add(h)
-        return out
+    def word_length(self, g: Element) -> int:
+        """Depth of g in the cached ball, enlarged one layer at a time up to
+        radius 64. Families with a closed form override this."""
+        ball = self._cached_ball if self._cached_ball is not None else self.ball(1)
+        while g not in ball.index:
+            if ball.radius >= 64:
+                raise ValueError(f"element {g!r} not reached within radius 64")
+            ball = self.ball(ball.radius + 1)
+        return int(ball.depth[ball.index[g]])
 
     def distance(self, g: Element, h: Element) -> int:
         return self.word_length(self.mul(self.inv(g), h))
@@ -410,7 +393,6 @@ class LamplighterModel(GroupModel):
         self.spec = GroupSpec("lamplighter", {})
         self.gen_labels = ("t", "t-", "a")
         self._inv_label = {"t": "t-", "t-": "t", "a": "a"}
-        self._metric: Optional[_BfsMetric] = None
 
     def identity(self) -> Element:
         return ((), 0)
@@ -434,11 +416,6 @@ class LamplighterModel(GroupModel):
     def inv(self, g: Element) -> Element:
         lamps, c = g
         return (tuple(sorted(x - c for x in lamps)), -c)
-
-    def word_length(self, g: Element) -> int:
-        if self._metric is None:
-            self._metric = _BfsMetric(self)
-        return self._metric.length(g)
 
     def element_to_obj(self, g: Element):
         lamps, cursor = g
@@ -490,7 +467,6 @@ class ExtendedGeneratorModel(GroupModel):
         self._steps = steps
         extra_desc = ",".join("".join(w) for w in extra_words)
         self.name = f"{base.name}+[{extra_desc}]"
-        self._metric: Optional[_BfsMetric] = None
 
     def identity(self) -> Element:
         return self.base.identity()
@@ -508,16 +484,50 @@ class ExtendedGeneratorModel(GroupModel):
     def inv(self, g: Element) -> Element:
         return self.base.inv(g)
 
-    def word_length(self, g: Element) -> int:
-        if self._metric is None:
-            self._metric = _BfsMetric(self)
-        return self._metric.length(g)
-
     def element_to_obj(self, g: Element):
         return self.base.element_to_obj(g)
 
     def element_from_obj(self, obj) -> Element:
         return self.base.element_from_obj(obj)
+
+
+def _over_budget(model: GroupModel, radius: int, budget: int, r: int) -> BudgetError:
+    return BudgetError(
+        f"ball of radius {radius} on {model.name} exceeds the vertex budget "
+        f"{budget} (already {budget + 1} vertices at radius {r})"
+    )
+
+
+def _enumerate(model: GroupModel, radius: int, budget: int, start: Optional["CayleyBall"]) -> "CayleyBall":
+    """The one breadth-first pass, from the identity or from the sphere of a
+    smaller enumerated ball, recording the adjacency row of each expanded
+    vertex into a flat buffer."""
+    if start is None:
+        e = model.identity()
+        vertices, index = [e], {e: 0}
+        depth, rows = array("i", [0]), array("q")
+        done, first = 0, 1
+    else:
+        vertices, index = list(start.vertices), dict(start.index)
+        depth, rows = array("i", start.depth.tobytes()), array("q", start.adj.tobytes())
+        done, first = start.n_interior, start.radius + 1
+    neighbors = model.neighbors
+    for r in range(first, radius + 1):
+        end = len(vertices)
+        for k in range(done, end):
+            for h in neighbors(vertices[k]):
+                j = index.get(h)
+                if j is None:
+                    j = index[h] = len(vertices)
+                    if j >= budget:
+                        raise _over_budget(model, radius, budget, r)
+                    vertices.append(h)
+                    depth.append(r)
+                rows.append(j)
+        done = end
+    depth_arr = np.frombuffer(depth, dtype=np.intc).astype(np.int32, copy=False)
+    adj = np.frombuffer(rows, dtype=np.int64).reshape(-1, model.degree)
+    return CayleyBall(model, radius, vertices, index, depth_arr, adj)
 
 
 class CayleyBall:
@@ -529,46 +539,28 @@ class CayleyBall:
     interior ``i``; every neighbor of an interior vertex stays in the ball.
     ``arcs()`` returns the directed arc multiset used by truncated energy
     sums: both directions of every edge having at least one interior
-    endpoint (sphere-to-sphere edges are excluded).
+    endpoint (sphere-to-sphere edges are excluded). ``csr()`` is the whole
+    induced graph, sphere-to-sphere edges included, for ``scipy.sparse.csgraph``.
+
+    Balls come from ``GroupModel.ball`` and are never modified; a smaller
+    ball shares the arrays of the larger one it is a prefix of.
     """
 
-    def __init__(self, model: GroupModel, radius: int, budget: int = DEFAULT_VERTEX_BUDGET):
-        if radius < 1:
-            raise ValueError(f"ball radius must be >= 1, got {radius}")
+    def __init__(self, model: GroupModel, radius: int, vertices: List[Element], index: Dict[Element, int],
+                 depth: np.ndarray, rows: np.ndarray):
         self.model = model
         self.radius = radius
-        e = model.identity()
-        vertices: List[Element] = [e]
-        index: Dict[Element, int] = {e: 0}
-        depth: List[int] = [0]
-        frontier = [e]
-        for r in range(1, radius + 1):
-            nxt: List[Element] = []
-            for g in frontier:
-                for h in model.neighbors(g):
-                    if h not in index:
-                        index[h] = len(vertices)
-                        vertices.append(h)
-                        depth.append(r)
-                        nxt.append(h)
-                        if len(vertices) > budget:
-                            raise BudgetError(
-                                f"ball of radius {radius} on {model.name} exceeds the vertex budget "
-                                f"{budget} (already {len(vertices)} vertices at radius {r})"
-                            )
-            frontier = nxt
         self.vertices = vertices
         self.index = index
-        self.depth = np.asarray(depth, dtype=np.int32)
-        self.n_interior = int(np.sum(self.depth < radius))
-        deg = model.degree
-        adj = np.empty((self.n_interior, deg), dtype=np.int64)
-        for i in range(self.n_interior):
-            for j, h in enumerate(model.neighbors(vertices[i])):
-                adj[i, j] = index[h]
-        self.adj = adj
+        self.depth = depth
+        self.n_interior = int(np.searchsorted(depth, radius))
+        # full adjacency rows of the first len(rows) vertices; a prefix view
+        # has them for its sphere too, pointing past the ball where it ends
+        self._rows = rows
+        self.adj = rows[: self.n_interior]
         self._arcs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._full_adj: Optional[np.ndarray] = None
+        self._csr: Optional[sp.csr_matrix] = None
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -577,8 +569,14 @@ class CayleyBall:
     def n_boundary(self) -> int:
         return len(self.vertices) - self.n_interior
 
-    def interior_elements(self) -> List[Element]:
-        return self.vertices[: self.n_interior]
+    def _prefix(self, radius: int) -> "CayleyBall":
+        """The ball of a radius no larger than this one's, as a prefix view."""
+        if radius == self.radius:
+            return self
+        size = int(np.searchsorted(self.depth, radius, side="right"))
+        vertices = self.vertices[:size]
+        return CayleyBall(self.model, radius, vertices, dict(zip(vertices, range(size))), self.depth[:size],
+                          self._rows[:size])
 
     def boundary_elements(self) -> List[Element]:
         return self.vertices[self.n_interior :]
@@ -593,14 +591,27 @@ class CayleyBall:
         """Adjacency rows for every vertex, sphere included; -1 marks a
         neighbor that falls outside the ball."""
         if self._full_adj is None:
-            deg = self.model.degree
-            full = np.full((len(self.vertices), deg), -1, dtype=np.int64)
-            full[: self.n_interior] = self.adj
-            for i in range(self.n_interior, len(self.vertices)):
+            n = len(self.vertices)
+            full = np.full((n, self.model.degree), -1, dtype=np.int64)
+            known = len(self._rows)
+            full[:known] = self._rows
+            full[full >= n] = -1
+            for i in range(known, n):
                 for j, h in enumerate(self.model.neighbors(self.vertices[i])):
                     full[i, j] = self.index.get(h, -1)
             self._full_adj = full
         return self._full_adj
+
+    def csr(self) -> sp.csr_matrix:
+        """Unit-weight adjacency matrix of the ball's induced Cayley graph."""
+        if self._csr is None:
+            full = self.full_adj()
+            inside = full >= 0
+            indptr = np.zeros(len(self) + 1, dtype=np.int64)
+            np.cumsum(inside.sum(axis=1), out=indptr[1:])
+            n = len(self)
+            self._csr = sp.csr_matrix((np.ones(int(indptr[-1])), full[inside], indptr), shape=(n, n))
+        return self._csr
 
     def arcs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Directed arc arrays (src, dst) of the truncated energy sums."""

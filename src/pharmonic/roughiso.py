@@ -29,6 +29,7 @@ from math import ceil
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .dirichlet import SolverConfig
 from .energy import ScalarField, check_exponent, seminorm_p
@@ -40,65 +41,31 @@ B_GRID = tuple(range(0, 9))
 HEAD_PAIR_COUNT = 50
 RANDOM_SOURCES = 64
 RANDOM_TARGETS = 16
+SOURCE_BLOCK = 16
 
 
 class FitError(ValueError):
     """No grid constants (or no coverage radius) satisfy the sampled data."""
 
 
-def _bfs_distances(ball: CayleyBall, sources: np.ndarray) -> np.ndarray:
-    """Graph distances in the ball from a set of source vertices (-1 if unreached)."""
-    full = ball.full_adj()
-    dist = np.full(len(ball), -1, dtype=np.int64)
-    frontier = np.unique(np.asarray(sources, dtype=np.int64))
-    dist[frontier] = 0
-    d = 0
-    while frontier.size:
-        cand = full[frontier].ravel()
-        cand = cand[cand >= 0]
-        cand = cand[dist[cand] < 0]
-        frontier = np.unique(cand)
-        d += 1
-        dist[frontier] = d
-    return dist
+def _hops(dist: np.ndarray) -> np.ndarray:
+    """csgraph distances as integers, -1 where unreached."""
+    return np.where(np.isfinite(dist), dist, -1).astype(np.int64)
 
 
 def _bfs_parents(ball: CayleyBall, source: int) -> Tuple[np.ndarray, np.ndarray]:
     """Distances and deterministic BFS parents from one source.
 
-    Ties resolve to the smallest parent index, then the smallest generator
-    slot, so shortest paths are reproducible across runs.
+    The parent of a vertex is its smallest-index neighbor one step closer to
+    the source, so shortest paths are reproducible across runs.
     """
+    dist = _hops(dijkstra(ball.csr(), indices=source, unweighted=True))
     full = ball.full_adj()
-    n, deg = full.shape
-    dist = np.full(n, -1, dtype=np.int64)
-    parent = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    d = 0
-    slots = np.arange(deg, dtype=np.int64)
-    while frontier.size:
-        u = np.repeat(frontier, deg)
-        v = full[frontier].ravel()
-        s = np.tile(slots, frontier.size)
-        ok = (v >= 0) & (dist[v] < 0)
-        u, v, s = u[ok], v[ok], s[ok]
-        if v.size == 0:
-            break
-        order = np.lexsort((s, u, v))
-        v, u = v[order], u[order]
-        first = np.ones(v.size, dtype=bool)
-        first[1:] = v[1:] != v[:-1]
-        v, u = v[first], u[first]
-        d += 1
-        dist[v] = d
-        parent[v] = u
-        frontier = v
+    n = len(ball)
+    closer = (full >= 0) & (dist[full] == dist[:, None] - 1) & (dist[:, None] > 0)
+    parent = np.where(closer, full, n).min(axis=1)
+    parent[parent == n] = -1
     return dist, parent
-
-
-def _distance_rows(ball: CayleyBall, sources: np.ndarray) -> Dict[int, np.ndarray]:
-    return {int(s): _bfs_distances(ball, np.array([s])) for s in np.unique(sources)}
 
 
 def _sample_pairs(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -122,13 +89,16 @@ def _sample_pairs(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_distances(ball: CayleyBall, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    rows = _distance_rows(ball, ia)
-    out = np.empty(ia.size, dtype=np.int64)
-    for k in range(ia.size):
-        out[k] = rows[int(ia[k])][int(ib[k])]
-    if np.any(out < 0):
+    sources, row = np.unique(ia, return_inverse=True)
+    out = np.empty(ia.size)
+    # a block of sources at a time bounds the distance matrix held in memory
+    for lo in range(0, sources.size, SOURCE_BLOCK):
+        pick = (row >= lo) & (row < lo + SOURCE_BLOCK)
+        dist = dijkstra(ball.csr(), indices=sources[lo : lo + SOURCE_BLOCK], unweighted=True)
+        out[pick] = dist[row[pick] - lo, ib[pick]]
+    if not np.all(np.isfinite(out)):
         raise FitError("sampled vertices are not connected inside the ball")
-    return out
+    return out.astype(np.int64)
 
 
 @dataclass
@@ -178,7 +148,8 @@ def fit_rough_constants(
 def coverage_radius(codomain: CayleyBall, images: np.ndarray) -> int:
     """Smallest c >= 1 with every vertex of depth <= R - c within distance c
     of the image set."""
-    dist = _bfs_distances(codomain, np.unique(np.asarray(images, dtype=np.int64)))
+    sources = np.unique(np.asarray(images, dtype=np.int64))
+    dist = _hops(dijkstra(codomain.csr(), indices=sources, unweighted=True, min_only=True))
     radius = codomain.radius
     for c in range(1, radius + 1):
         inside = codomain.depth <= radius - c
@@ -307,40 +278,24 @@ def rough_inverse(cmap: CoarseMap, seed: int = 0) -> Tuple[CoarseMap, InverseRep
         raise FitError(f"coverage radius {cmap.c} leaves no room inside radius {cmap.codomain.radius}")
     scope = cmap.codomain.model.ball(scope_radius)
     n_scope = len(scope)
-    if scope.vertices != cmap.codomain.vertices[:n_scope]:
-        raise AssertionError("ball enumeration is not prefix-stable")
 
-    # multi-source BFS carrying the smallest domain preimage index
-    full = cmap.codomain.full_adj()
-    n, deg = full.shape
-    dist = np.full(n, -1, dtype=np.int64)
-    label = np.full(n, -1, dtype=np.int64)
+    # distance to the image set, and layer by layer the smallest domain
+    # preimage label among the neighbors one step closer to it
     order = np.argsort(cmap.images, kind="stable")
     ys = cmap.images[order]
     first = np.ones(ys.size, dtype=bool)
     first[1:] = ys[1:] != ys[:-1]
     sources = ys[first]
-    source_labels = order[first]  # smallest domain index mapping to each source
-    dist[sources] = 0
-    label[sources] = source_labels
-    frontier = np.sort(sources)
-    d = 0
-    while frontier.size:
-        v = full[frontier].ravel()
-        lab = np.repeat(label[frontier], deg)
-        ok = (v >= 0) & (dist[v] < 0)
-        v, lab = v[ok], lab[ok]
-        if v.size == 0:
-            break
-        srt = np.lexsort((lab, v))
-        v, lab = v[srt], lab[srt]
-        keep = np.ones(v.size, dtype=bool)
-        keep[1:] = v[1:] != v[:-1]
-        v, lab = v[keep], lab[keep]
-        d += 1
-        dist[v] = d
-        label[v] = lab
-        frontier = v
+    dist = _hops(dijkstra(cmap.codomain.csr(), indices=sources, unweighted=True, min_only=True))
+    label = np.full(len(cmap.codomain), -1, dtype=np.int64)
+    label[sources] = order[first]  # smallest domain index mapping to each source
+    full = cmap.codomain.full_adj()
+    no_label = np.iinfo(np.int64).max
+    for d in range(1, int(dist.max(initial=0)) + 1):
+        layer = np.flatnonzero(dist == d)
+        nbrs = full[layer]
+        closer = (nbrs >= 0) & (dist[nbrs] == d - 1)
+        label[layer] = np.where(closer, label[nbrs], no_label).min(axis=1)
 
     scope_dist = dist[:n_scope]
     scope_label = label[:n_scope]
@@ -359,9 +314,7 @@ def rough_inverse(cmap: CoarseMap, seed: int = 0) -> Tuple[CoarseMap, InverseRep
     moved = x_back != xs
     max_disp_dom = 0
     if np.any(moved):
-        rows = _distance_rows(cmap.domain, x_back[moved])
-        disp = [int(rows[int(s)][int(t)]) for s, t in zip(x_back[moved], xs[moved])]
-        max_disp_dom = max(disp)
+        max_disp_dom = int(_pair_distances(cmap.domain, x_back[moved], xs[moved]).max())
     bound_dom = cmap.a * (cmap.c + cmap.b)
     inv_report = InverseReport(
         n_scope=n_scope,

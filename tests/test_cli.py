@@ -131,3 +131,45 @@ def test_roughiso_command(tmp_path):
     assert report["results"]["pullback_all_hold"] is True
     assert report["results"]["validation"]["violations_forward"] == 0
     assert report["results"]["roundtrip_core_error"] <= 0.05
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_dash_writes_stdout(tmp_path, monkeypatch, capsys, fmt):
+    monkeypatch.chdir(tmp_path)
+    args = ["describe", "--group", "free:k=2", "--radius", "4", "--format", fmt, "--out", "-"]
+    assert run_cli(args) == 0
+    out = capsys.readouterr().out
+    assert not (tmp_path / "-").exists()
+    if fmt == "json":
+        assert json.loads(out)["results"]["sphere_sizes"] == [1, 4, 12, 36, 108]
+    else:
+        assert out.splitlines()[1] == "# task: describe"
+        assert out.splitlines()[-1] == "4,108,161"
+
+
+F2 = {"family": "free", "params": {"k": 2}}
+
+
+@pytest.mark.parametrize(
+    "task, manifest",
+    [
+        ("massive", {"group": F2, "p": 2.0, "radii": [3, 4], "subset": "subtree"}),
+        ("solve", {"group": F2, "p": 2.0, "radius": 3, "boundary": {"clamps": [[["a"]]]}}),
+    ],
+)
+def test_malformed_manifest_exits_1_with_one_line(tmp_path, capsys, task, manifest):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli([task, "--manifest", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_manifest_group_shorthand(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"group": "free:k=2", "p": 2.0, "radii": [3, 4]}))
+    out = tmp_path / "wit.json"
+    assert run_cli(["witness", "--manifest", str(path), "--out", str(out)]) == 0
+    report = load(out)
+    assert report["manifest"]["group"] == {"family": "free", "params": {"k": 2}}
+    assert report["results"]["model"] == "F_2"
