@@ -159,6 +159,38 @@ def _require(manifest: dict, key: str):
     return manifest[key]
 
 
+def _as_int(key: str, value) -> int:
+    """A JSON integer (or integral float) manifest value; anything else is exit 1."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _CliError(f"manifest {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _as_float(key: str, value) -> float:
+    """A JSON number manifest value; anything else is exit 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _CliError(f"manifest {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _int_from(manifest: dict, key: str, default: int) -> int:
+    return _as_int(key, manifest.get(key, default))
+
+
+def _radii_from(manifest: dict) -> List[int]:
+    radii = _require(manifest, "radii")
+    if not isinstance(radii, list):
+        raise _CliError(f"manifest 'radii' must be a list of integers, got {radii!r}")
+    return [_as_int("radii", r) for r in radii]
+
+
+def _budget_from(manifest: dict) -> Optional[int]:
+    budget = manifest.get("budget")
+    return None if budget is None else _as_int("budget", budget)
+
+
 def _model_from(manifest: dict) -> GroupModel:
     group = _require(manifest, "group")
     try:
@@ -170,9 +202,9 @@ def _model_from(manifest: dict) -> GroupModel:
 def _config_from(manifest: dict) -> SolverConfig:
     kwargs = {}
     if "tolerance" in manifest:
-        kwargs["tolerance"] = float(manifest["tolerance"])
+        kwargs["tolerance"] = _as_float("tolerance", manifest["tolerance"])
     if "max_sweeps" in manifest:
-        kwargs["max_sweeps"] = int(manifest["max_sweeps"])
+        kwargs["max_sweeps"] = _as_int("max_sweeps", manifest["max_sweeps"])
     try:
         return SolverConfig(**kwargs)
     except ValueError as exc:
@@ -180,7 +212,7 @@ def _config_from(manifest: dict) -> SolverConfig:
 
 
 def _exponent_from(manifest: dict) -> float:
-    p = float(_require(manifest, "p"))
+    p = _as_float("p", _require(manifest, "p"))
     from .energy import check_exponent
 
     try:
@@ -242,9 +274,9 @@ def _rows_from_dicts(dicts: Sequence[dict], columns: Sequence[str]) -> Tuple[Lis
 
 def _run_describe(manifest: dict):
     model = _model_from(manifest)
-    radius = int(manifest.get("radius", 6))
+    radius = _int_from(manifest, "radius", 6)
     try:
-        info = model.describe(radius, manifest.get("budget"))
+        info = model.describe(radius, _budget_from(manifest))
     except BudgetError as exc:
         raise _CliError(str(exc))
     sizes = info["sphere_sizes"]
@@ -280,7 +312,7 @@ def _boundary_values(manifest: dict, model: GroupModel, ball) -> Dict[int, float
         for i in range(ball.n_interior, len(ball)):
             clamps[i] = 1.0 if marking.contains(ball.vertices[i]) else 0.0
     elif preset == "random":
-        rng = np.random.default_rng(int(manifest.get("seed", 0)))
+        rng = np.random.default_rng(_int_from(manifest, "seed", 0))
         for i in range(ball.n_interior, len(ball)):
             clamps[i] = float(rng.uniform(-1.0, 1.0))
     else:
@@ -291,9 +323,9 @@ def _boundary_values(manifest: dict, model: GroupModel, ball) -> Dict[int, float
 def _run_solve(manifest: dict):
     model = _model_from(manifest)
     p = _exponent_from(manifest)
-    radius = int(_require(manifest, "radius"))
+    radius = _as_int("radius", _require(manifest, "radius"))
     config = _config_from(manifest)
-    ball = model.ball(radius, manifest.get("budget"))
+    ball = model.ball(radius, _budget_from(manifest))
     clamps = _boundary_values(manifest, model, ball)
     problem = DirichletProblem(ball, clamps, p)
     u, rep = solve_dirichlet(problem, config)
@@ -321,10 +353,10 @@ def _run_solve(manifest: dict):
 def _run_capacity(manifest: dict):
     model = _model_from(manifest)
     p = _exponent_from(manifest)
-    radii = [int(r) for r in _require(manifest, "radii")]
-    inner = int(manifest.get("inner_radius", 0))
+    radii = _radii_from(manifest)
+    inner = _int_from(manifest, "inner_radius", 0)
     config = _config_from(manifest)
-    profile = parabolicity_profile(model, radii, p, inner, config, manifest.get("budget"))
+    profile = parabolicity_profile(model, radii, p, inner, config, _budget_from(manifest))
     results = profile.to_dict()
     rows = _rows_from_dicts([r.to_dict() for r in profile.rows], ["radius", "capacity", "iterations", "residual", "converged"])
     return results, rows, all(r.converged for r in profile.rows)
@@ -333,9 +365,9 @@ def _run_capacity(manifest: dict):
 def _run_witness(manifest: dict):
     model = _model_from(manifest)
     p = _exponent_from(manifest)
-    radii = [int(r) for r in _require(manifest, "radii")]
+    radii = _radii_from(manifest)
     config = _config_from(manifest)
-    report = boundary_witness(model, p, radii, None, config, manifest.get("budget"))
+    report = boundary_witness(model, p, radii, None, config, _budget_from(manifest))
     results = report.to_dict()
     rows = _rows_from_dicts(
         [r.to_dict() for r in report.rows],
@@ -346,8 +378,12 @@ def _run_witness(manifest: dict):
 
 def _preset_field(manifest: dict, model: GroupModel, ball, p: float, config: SolverConfig) -> ScalarField:
     field_spec = manifest.get("field", {"preset": "witness"})
+    if not isinstance(field_spec, dict):
+        raise _CliError(f"manifest 'field' must be an object, got {field_spec!r}")
     if "values" in field_spec:
-        values = [float(v) for v in field_spec["values"]]
+        if not isinstance(field_spec["values"], list):
+            raise _CliError("field 'values' must be a list of numbers")
+        values = [_as_float("field.values", v) for v in field_spec["values"]]
         if len(values) != len(ball):
             raise _CliError(f"field values list has length {len(values)}, ball has {len(ball)} vertices")
         return ScalarField(ball, np.asarray(values))
@@ -369,11 +405,11 @@ def _preset_field(manifest: dict, model: GroupModel, ball, p: float, config: Sol
 def _run_royden(manifest: dict):
     model = _model_from(manifest)
     p = _exponent_from(manifest)
-    radii = [int(r) for r in _require(manifest, "radii")]
+    radii = _radii_from(manifest)
     config = _config_from(manifest)
-    ball = model.ball(max(radii), manifest.get("budget"))
+    ball = model.ball(max(radii), _budget_from(manifest))
     f = _preset_field(manifest, model, ball, p, config)
-    u, h, report = royden_decompose(model, f, p, radii, config, manifest.get("budget"))
+    u, h, report = royden_decompose(model, f, p, radii, config, _budget_from(manifest))
     results = report.to_dict()
     results["h_value_at_identity"] = h.value_at(model.identity())
     results["u_sup_norm"] = u.sup_norm()
@@ -386,19 +422,22 @@ def _run_royden(manifest: dict):
 def _run_massive(manifest: dict):
     model = _model_from(manifest)
     p = _exponent_from(manifest)
-    radii = [int(r) for r in _require(manifest, "radii")]
+    radii = _radii_from(manifest)
     config = _config_from(manifest)
     sub = _require(manifest, "subset")
     if not isinstance(sub, dict):
         raise _CliError(f"manifest 'subset' must be an object with a 'kind', got {sub!r}")
     kind = sub.get("kind")
     if kind == "half_space":
-        subset = half_space_subset(model, int(sub.get("coordinate", -1)))
+        subset = half_space_subset(model, _as_int("subset.coordinate", sub.get("coordinate", -1)))
     elif kind == "subtree":
-        subset = letter_subtree_subset(model, sub.get("letter", "a"))
+        letter = sub.get("letter", "a")
+        if not isinstance(letter, str):
+            raise _CliError(f"subset 'letter' must be a generator label, got {letter!r}")
+        subset = letter_subtree_subset(model, letter)
     else:
         raise _CliError(f"unknown subset kind {kind!r}; use half_space or subtree")
-    field, report = inner_potential(model, subset, radii, p, config, manifest.get("budget"))
+    field, report = inner_potential(model, subset, radii, p, config, _budget_from(manifest))
     results = report.to_dict()
     rows = _rows_from_dicts(
         [r.to_dict() for r in report.rows],
@@ -410,24 +449,26 @@ def _run_massive(manifest: dict):
 def _run_roughiso(manifest: dict):
     base_model = _model_from(manifest)
     p = _exponent_from(manifest)
-    radius = int(manifest.get("radius", 4))
-    seed = int(manifest.get("seed", 0))
+    radius = _int_from(manifest, "radius", 4)
+    seed = _int_from(manifest, "seed", 0)
     config = _config_from(manifest)
     word = manifest.get("extra_word", ["a", "b"])
+    if not (isinstance(word, list) and all(isinstance(letter, str) for letter in word)):
+        raise _CliError(f"manifest 'extra_word' must be a list of generator labels, got {word!r}")
     group_spec = dict(_require(manifest, "group"))
     params = dict(group_spec.get("params", {}))
     params["extra_generators"] = [list(word)]
     extended = build_group({"family": group_spec["family"], "params": params})
 
-    budget = manifest.get("budget")
+    budget = _budget_from(manifest)
     domain = base_model.ball(radius, budget)
     codomain = extended.ball(radius, budget)
     cmap = CoarseMap.fit(domain, codomain, lambda g: g, seed)
-    validation = validate_rough_map(cmap, n_pairs=int(manifest.get("n_pairs", 1000)), seed=seed + 1)
+    validation = validate_rough_map(cmap, n_pairs=_int_from(manifest, "n_pairs", 1000), seed=seed + 1)
     psi, inv_report = rough_inverse(cmap, seed)
 
     rng = np.random.default_rng(seed)
-    n_fields = int(manifest.get("n_fields", 20))
+    n_fields = _int_from(manifest, "n_fields", 20)
     pull_rows = []
     all_hold = True
     for i in range(n_fields):
@@ -480,9 +521,9 @@ def _run_roughiso(manifest: dict):
 def _run_tilf(manifest: dict):
     model = _model_from(manifest)
     p = _exponent_from(manifest)
-    radii = [int(r) for r in _require(manifest, "radii")]
+    radii = _radii_from(manifest)
     config = _config_from(manifest)
-    report = boundary_witness(model, p, radii, None, config, manifest.get("budget"))
+    report = boundary_witness(model, p, radii, None, config, _budget_from(manifest))
     h = report.field
     ball = h.ball
     converged = all(r.converged for r in report.rows)
@@ -506,7 +547,7 @@ def _run_tilf(manifest: dict):
     x = ball.vertices[1]  # first generator direction
     f = ScalarField.delta(ball, model.identity())
     for r in radii:
-        sub_rep = boundary_witness(model, p, [max(2, r - 1), r], None, config, manifest.get("budget"))
+        sub_rep = boundary_witness(model, p, [max(2, r - 1), r], None, config, _budget_from(manifest))
         h_r = sub_rep.field
         f_r = ScalarField.delta(h_r.ball, model.identity())
         defects.append({"radius": r, "defect": invariance_defect(h_r, f_r, x, p)})

@@ -8,16 +8,18 @@ maximum principle: solution values stay inside the clamped range.
 
 Solver: deterministic cyclic coordinate descent (nonlinear Gauss-Seidel)
 interleaved with damped Newton steps on the full system. Free vertices are
-greedily colored so that no two adjacent free vertices share a color; one
-sweep updates the color classes in order, and inside a color class all
-vertices are updated simultaneously (they do not interact, so the result
-equals a sequential cyclic pass in that order). Each vertex update
+colored greedily in index order (each takes the smallest color its earlier
+free neighbors do not use) so that no two adjacent free vertices share a
+color; one sweep updates the color classes in order, and inside a color
+class all vertices are updated simultaneously (they do not interact, so the
+result equals a sequential cyclic pass in that order). Each vertex update
 minimizes sum_s |u(neighbor_s) - t|^p exactly: a safeguarded Newton
 iteration on the strictly increasing derivative with bisection fallback on
-the neighbor bracket [min, max]. For p = 2 the minimizer is the neighbor
-mean; if all neighbors coincide the common value is taken (the kink case
-for p < 2). Default initialization solves the p = 2 problem by a direct
-sparse solve and warm-starts from it.
+the neighbor bracket [min, max], batched over the class and iterating only
+the rows still open. For p = 2 the minimizer is the neighbor mean; if all
+neighbors coincide the common value is taken (the kink case for p < 2).
+Default initialization solves the p = 2 problem by a direct sparse solve
+and warm-starts from it.
 
 Coordinate descent alone develops long plateaus when p drops toward 1 (the
 energy loses smoothness at equal neighbor values, and the p-Laplacian
@@ -176,25 +178,35 @@ def linear_dirichlet(problem: DirichletProblem) -> np.ndarray:
 
 
 def _greedy_coloring(adj: np.ndarray, free: np.ndarray) -> List[np.ndarray]:
-    """Deterministic coloring of the free vertices; classes are independent sets."""
-    n_total = int(adj.max()) + 1 if adj.size else 0
-    local = -np.ones(max(n_total, (int(free.max()) + 1) if free.size else 0), dtype=np.int64)
-    local[free] = np.arange(free.size)
-    color = -np.ones(free.size, dtype=np.int64)
-    for li, i in enumerate(free):
-        used = set()
-        for j in adj[int(i)]:
-            lj = local[int(j)] if int(j) < local.size else -1
-            if lj >= 0 and color[lj] >= 0:
-                used.add(int(color[lj]))
-        c = 0
-        while c in used:
-            c += 1
-        color[li] = c
-    classes = []
-    for c in range(int(color.max()) + 1 if color.size else 0):
-        classes.append(free[color == c])
-    return classes
+    """Greedy coloring of the free vertices in the order of ``free``: each
+    vertex takes the smallest color that its earlier free neighbors do not
+    use. Computed in rounds: a vertex is colored in the first round in which
+    all of its earlier free neighbors are, so vertices colored together are
+    never adjacent and see exactly the colors a one-by-one pass shows them.
+    Classes are independent sets."""
+    n_free = free.size
+    if n_free == 0:
+        return []
+    local = -np.ones(max(int(adj.max()) + 1, int(free.max()) + 1), dtype=np.int64)
+    local[free] = np.arange(n_free)
+    nbrs = local[adj[free]]
+    degree = nbrs.shape[1]
+    # earlier free neighbors by local index; slot n_free stands for "none"
+    # and reads as an already-colored vertex whose color no one can want
+    earlier = np.where((nbrs >= 0) & (nbrs < np.arange(n_free)[:, None]), nbrs, n_free)
+    color = -np.ones(n_free + 1, dtype=np.int64)
+    color[n_free] = degree + 1
+    pending = np.arange(n_free)
+    for _ in range(n_free):  # each round colors at least the first pending vertex
+        seen = color[earlier[pending]]
+        ready = np.all(seen >= 0, axis=1)
+        used = np.zeros((int(ready.sum()), degree + 2), dtype=bool)
+        used[np.arange(used.shape[0])[:, None], np.minimum(seen[ready], degree + 1)] = True
+        color[pending[ready]] = np.argmin(used, axis=1)
+        pending = pending[~ready]
+        if pending.size == 0:
+            break
+    return [free[color[:n_free] == c] for c in range(int(color[:n_free].max()) + 1)]
 
 
 def _minimize_rows(nbr_vals: np.ndarray, p: float, t0: np.ndarray, ftol: float) -> np.ndarray:
@@ -203,30 +215,41 @@ def _minimize_rows(nbr_vals: np.ndarray, p: float, t0: np.ndarray, ftol: float) 
     Safeguarded Newton on F(t) = sum_s sign(t - a_s)|t - a_s|^{p-1} with a
     bisection fallback on [min a, max a]; rows are independent. Rows whose
     neighbors all coincide take the common value (kink rule for p < 2).
+    Each iteration works only on the rows still open: a row that meets the
+    residual or bracket test is written out and dropped from the working
+    arrays, so the per-row arithmetic is that of a loop over all rows.
+    Rows still open after 200 iterations keep their last iterate.
     """
     lo = nbr_vals.min(axis=1)
     hi = nbr_vals.max(axis=1)
     if p == 2.0:
-        return nbr_vals.mean(axis=1)
+        # the rounded mean of equal values can land one ulp outside them
+        return np.clip(nbr_vals.mean(axis=1), lo, hi)
+    out = np.clip(t0, lo, hi)
     flat = lo == hi
-    t = np.clip(t0, lo, hi)
-    t = np.where(flat, lo, t)
-    done = flat.copy()
+    out[flat] = lo[flat]
+    act = np.flatnonzero(~flat)
+    if act.size == 0:
+        return out
+    vals, t, lo, hi = nbr_vals[act], out[act], lo[act], hi[act]
     pm1 = p - 1.0
     for _ in range(200):
-        gap = t[:, None] - nbr_vals
+        gap = t[:, None] - vals
         absg = np.abs(gap)
         powg = absg ** pm1
         F = np.sum(np.sign(gap) * powg, axis=1)
         scale = np.sum(powg, axis=1)
         neg = F < 0.0
-        lo = np.where(~done & neg, t, lo)
-        hi = np.where(~done & ~neg, t, hi)
-        newly = np.abs(F) <= np.maximum(ftol, 8.0 * _EPS * scale)
-        newly |= (hi - lo) <= 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)) + 1e-300
-        done |= newly
-        if done.all():
-            break
+        lo = np.where(neg, t, lo)
+        hi = np.where(neg, hi, t)
+        done = np.abs(F) <= np.maximum(ftol, 8.0 * _EPS * scale)
+        done |= (hi - lo) <= 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)) + 1e-300
+        if done.any():
+            out[act[done]] = t[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            act, vals, t, lo, hi, absg, F = act[keep], vals[keep], t[keep], lo[keep], hi[keep], absg[keep], F[keep]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             deriv = pm1 * np.sum(absg ** (p - 2.0), axis=1)
             step = np.where(deriv > 0.0, F / deriv, np.inf)
@@ -234,10 +257,10 @@ def _minimize_rows(nbr_vals: np.ndarray, p: float, t0: np.ndarray, ftol: float) 
         mid = 0.5 * (lo + hi)
         bad = ~np.isfinite(tn) | (tn <= lo) | (tn >= hi)
         tn = np.where(bad, mid, tn)
-        stuck = ~done & (np.abs(tn - t) <= _EPS * np.maximum(1.0, np.abs(t)))
-        tn = np.where(stuck, mid, tn)
-        t = np.where(done, t, tn)
-    return t
+        stuck = np.abs(tn - t) <= _EPS * np.maximum(1.0, np.abs(t))
+        t = np.where(stuck, mid, tn)
+    out[act] = t
+    return out
 
 
 def _convergence(u: np.ndarray, free: np.ndarray, nbrs: np.ndarray, p: float, tol: float, energy: float):

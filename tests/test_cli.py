@@ -173,3 +173,37 @@ def test_manifest_group_shorthand(tmp_path):
     report = load(out)
     assert report["manifest"]["group"] == {"family": "free", "params": {"k": 2}}
     assert report["results"]["model"] == "F_2"
+
+
+# one wrong-typed entry per manifest key; each used to end in a TypeError traceback
+@pytest.mark.parametrize(
+    "task, manifest, key",
+    [
+        ("witness", {"group": F2, "p": 2.0, "radii": 5}, "radii"),
+        ("witness", {"group": F2, "p": [2], "radii": [3, 4]}, "p"),
+        ("solve", {"group": F2, "p": 2.0, "radius": [3]}, "radius"),
+        ("capacity", {"group": F2, "p": 2.0, "radii": [2, 3], "inner_radius": [0]}, "inner_radius"),
+        ("solve", {"group": F2, "p": 2.0, "radius": 3, "boundary": {"preset": "random"}, "seed": [7]}, "seed"),
+        ("witness", {"group": F2, "p": 2.0, "radii": [3, 4], "tolerance": [1e-8]}, "tolerance"),
+        ("witness", {"group": F2, "p": 2.0, "radii": [3, 4], "max_sweeps": {"n": 10}}, "max_sweeps"),
+        ("witness", {"group": F2, "p": 2.0, "radii": [3, 4], "budget": [100]}, "budget"),
+        ("royden", {"group": F2, "p": 2.0, "radii": [3, 4], "field": "delta"}, "field"),
+        ("royden", {"group": F2, "p": 2.0, "radii": [3, 4], "field": {"values": 0.5}}, "field"),
+        ("roughiso", {"group": F2, "p": 2.0, "radius": 3, "extra_word": 5}, "extra_word"),
+        ("massive", {"group": F2, "p": 2.0, "radii": [3, 4], "subset": {"kind": "subtree", "letter": ["a"]}}, "letter"),
+    ],
+)
+def test_wrong_manifest_type_exits_1_naming_the_key(tmp_path, capsys, task, manifest, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli([task, "--manifest", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+
+
+def test_integral_float_manifest_entries_are_accepted(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"group": F2, "p": 2, "radii": [3.0, 4], "max_sweeps": 100.0}))
+    out = tmp_path / "wit.json"
+    assert run_cli(["witness", "--manifest", str(path), "--out", str(out)]) == 0
+    assert [row["radius"] for row in load(out)["results"]["rows"]] == [3, 4]

@@ -7,17 +7,20 @@ balls and closed forms on radially symmetric networks.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pharmonic import (
     DirichletProblem,
     ScalarField,
     SolverConfig,
+    build_group,
     capacity,
     linear_dirichlet,
     p_laplacian_interior,
     seminorm_p,
     solve_dirichlet,
 )
+from pharmonic.dirichlet import _greedy_coloring, _minimize_rows
 
 from conftest import dense_linear_solve, optimize_energy, radial_capacity, reference_energy
 
@@ -268,3 +271,131 @@ def test_capacity_small_ball_scipy_check(z2_model):
     expected = dense_linear_solve(prob)
     assert rep.converged
     assert cap == pytest.approx(reference_energy(prob.ball, expected, p), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the scalar root-find and the coloring against plain second routes
+
+EPS = float(np.finfo(np.float64).eps)
+
+
+# the kernel's earlier loop over every row of the batch, kept verbatim as the reference
+def full_array_minimize_rows(nbr_vals: np.ndarray, p: float, t0: np.ndarray, ftol: float) -> np.ndarray:
+    """Batched exact minimizers of sum_s |t - a_s|^p, one row per vertex.
+
+    Safeguarded Newton on F(t) = sum_s sign(t - a_s)|t - a_s|^{p-1} with a
+    bisection fallback on [min a, max a]; rows are independent. Rows whose
+    neighbors all coincide take the common value (kink rule for p < 2).
+    """
+    lo = nbr_vals.min(axis=1)
+    hi = nbr_vals.max(axis=1)
+    if p == 2.0:
+        return nbr_vals.mean(axis=1)
+    flat = lo == hi
+    t = np.clip(t0, lo, hi)
+    t = np.where(flat, lo, t)
+    done = flat.copy()
+    pm1 = p - 1.0
+    for _ in range(200):
+        gap = t[:, None] - nbr_vals
+        absg = np.abs(gap)
+        powg = absg ** pm1
+        F = np.sum(np.sign(gap) * powg, axis=1)
+        scale = np.sum(powg, axis=1)
+        neg = F < 0.0
+        lo = np.where(~done & neg, t, lo)
+        hi = np.where(~done & ~neg, t, hi)
+        newly = np.abs(F) <= np.maximum(ftol, 8.0 * EPS * scale)
+        newly |= (hi - lo) <= 4.0 * EPS * np.maximum(np.abs(lo), np.abs(hi)) + 1e-300
+        done |= newly
+        if done.all():
+            break
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            deriv = pm1 * np.sum(absg ** (p - 2.0), axis=1)
+            step = np.where(deriv > 0.0, F / deriv, np.inf)
+        tn = t - step
+        mid = 0.5 * (lo + hi)
+        bad = ~np.isfinite(tn) | (tn <= lo) | (tn >= hi)
+        tn = np.where(bad, mid, tn)
+        stuck = ~done & (np.abs(tn - t) <= EPS * np.maximum(1.0, np.abs(t)))
+        tn = np.where(stuck, mid, tn)
+        t = np.where(done, t, tn)
+    return t
+
+
+@st.composite
+def row_batches(draw):
+    """Neighbor rows with repeated values, fully flat rows and start points
+    inside and outside each row's bracket."""
+    p = draw(st.sampled_from([1.1, 1.2, 1.5, 2.0, 3.0, 8.0]))
+    degree = draw(st.integers(3, 8))
+    value = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(value, min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["flat", "repeats", "any"]))
+        if kind == "flat":
+            rows.append([draw(value)] * degree)
+        elif kind == "repeats":
+            rows.append(draw(st.lists(st.sampled_from(pool), min_size=degree, max_size=degree)))
+        else:
+            rows.append(draw(st.lists(value, min_size=degree, max_size=degree)))
+    t0 = draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=len(rows), max_size=len(rows)))
+    ftol = draw(st.sampled_from([5e-10, 1e-4]))
+    return np.array(rows, dtype=np.float64), p, np.array(t0, dtype=np.float64), ftol
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_batches())
+def test_minimize_rows_bitwise_equals_full_array_loop(batch):
+    nbr_vals, p, t0, ftol = batch
+    lo, hi = nbr_vals.min(axis=1), nbr_vals.max(axis=1)
+    got = _minimize_rows(nbr_vals.copy(), p, t0.copy(), ftol)
+    want = full_array_minimize_rows(nbr_vals, p, t0, ftol)
+    if p == 2.0:
+        want = np.clip(want, lo, hi)  # the one deliberate change: the p = 2 mean is kept in its bracket
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.all((lo <= got) & (got <= hi))
+
+
+COLORING_SPECS = [
+    ({"family": "free_abelian", "params": {"d": 2}}, 7),
+    ({"family": "free", "params": {"k": 2}}, 5),
+    ({"family": "free_product_z2", "params": {"m": 3}}, 6),
+    ({"family": "lamplighter", "params": {}}, 6),
+    ({"family": "lamplighter", "params": {"extra_generators": [["t", "a"]]}}, 5),
+]
+
+
+def sequential_greedy(model, ball, free):
+    """One vertex at a time in the order of free: the smallest color no
+    already-colored free neighbor has."""
+    color = {}
+    for i in free:
+        used = {color[ball.index[h]] for h in model.neighbors(ball.vertices[i]) if ball.index[h] in color}
+        c = 0
+        while c in used:
+            c += 1
+        color[int(i)] = c
+    return color
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(COLORING_SPECS), st.integers(0, 10**9), st.floats(0.1, 1.0))
+def test_greedy_coloring_matches_sequential_pass(spec_radius, seed, share):
+    spec, radius = spec_radius
+    model = build_group(spec)
+    ball = model.ball(radius)
+    rng = np.random.default_rng(seed)
+    free = np.flatnonzero(rng.random(ball.n_interior) < share)
+    classes = _greedy_coloring(ball.adj, free)
+    members = np.concatenate(classes) if classes else np.zeros(0, dtype=np.int64)
+    assert np.array_equal(np.sort(members), free)  # a partition of free
+    for cls in classes:
+        inside = set(cls.tolist())
+        for i in cls:
+            assert not any(ball.index[h] in inside for h in model.neighbors(ball.vertices[i]))
+    expected = sequential_greedy(model, ball, free)
+    assert [cls.tolist() for cls in classes] == [
+        [i for i in free.tolist() if expected[i] == c] for c in range(len(classes))
+    ]
