@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,7 +45,7 @@ from .exhaustion import (
 )
 from .groups import BudgetError, GroupModel, build_group
 from .roughiso import CoarseMap, FitError, pullback, rough_inverse, transport_harmonic, validate_rough_map
-from .tilf import difference_approximation, invariance_defect, tilf_evaluate, translate
+from .tilf import invariance_defect, tilf_evaluate
 
 TASKS = ("describe", "solve", "capacity", "witness", "royden", "massive", "roughiso", "tilf")
 
@@ -169,9 +170,9 @@ def _as_int(key: str, value) -> int:
 
 
 def _as_float(key: str, value) -> float:
-    """A JSON number manifest value; anything else is exit 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _CliError(f"manifest {key!r} must be a number, got {value!r}")
+    """A finite JSON number manifest value; anything else is exit 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise _CliError(f"manifest {key!r} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -289,34 +290,34 @@ def _run_describe(manifest: dict):
     return info, _rows_from_dicts(rows, ["radius", "sphere", "ball"]), True
 
 
-def _boundary_values(manifest: dict, model: GroupModel, ball) -> Dict[int, float]:
+def _boundary_values(manifest: dict, model: GroupModel, ball) -> np.ndarray:
+    """Clamp values for the solve task: a full-length array, NaN where free."""
     boundary = manifest.get("boundary", {"preset": "marked"})
     if not isinstance(boundary, dict):
         raise _CliError(f"manifest 'boundary' must be an object, got {boundary!r}")
-    clamps: Dict[int, float] = {}
+    clamps = np.full(len(ball), np.nan)
     if "clamps" in boundary:
         pairs = boundary["clamps"]
         if not isinstance(pairs, list):
             raise _CliError("boundary 'clamps' must be a list of [vertex, value] pairs")
         for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[1], (int, float))):
+            if not (isinstance(pair, list) and len(pair) == 2):
                 raise _CliError(f"boundary clamp {pair!r} is not a [vertex, value] pair")
-            g = model.element_from_obj(pair[0])
+            try:
+                g = model.element_from_obj(pair[0])
+            except ValueError as exc:
+                raise _CliError(f"boundary clamp vertex: {exc}")
             if g not in ball.index:
                 raise _CliError(f"clamped vertex {pair[0]} is outside the ball")
-            clamps[ball.index[g]] = float(pair[1])
+            clamps[ball.index[g]] = _as_float("boundary.clamps", pair[1])
         return clamps
     preset = boundary.get("preset", "marked")
     if preset == "marked":
-        marking = default_marking(model)
-        for i in range(ball.n_interior, len(ball)):
-            clamps[i] = 1.0 if marking.contains(ball.vertices[i]) else 0.0
-    elif preset == "random":
-        rng = np.random.default_rng(_int_from(manifest, "seed", 0))
-        for i in range(ball.n_interior, len(ball)):
-            clamps[i] = float(rng.uniform(-1.0, 1.0))
-    else:
+        return default_marking(model).sphere_clamps(ball)
+    if preset != "random":
         raise _CliError(f"unknown boundary preset {preset!r}")
+    rng = np.random.default_rng(_int_from(manifest, "seed", 0))
+    clamps[ball.n_interior :] = rng.uniform(-1.0, 1.0, ball.n_boundary)
     return clamps
 
 
@@ -390,10 +391,7 @@ def _preset_field(manifest: dict, model: GroupModel, ball, p: float, config: Sol
     preset = field_spec.get("preset", "witness")
     marking = default_marking(model)
     if preset == "witness":
-        clamps = {
-            i: (1.0 if marking.contains(ball.vertices[i]) else 0.0) for i in range(ball.n_interior, len(ball))
-        }
-        u, _ = solve_dirichlet(DirichletProblem(ball, clamps, p), config)
+        u, _ = solve_dirichlet(DirichletProblem(ball, marking.sphere_clamps(ball), p), config)
         return u
     if preset == "delta":
         return ScalarField.delta(ball, model.identity())
@@ -478,11 +476,7 @@ def _run_roughiso(manifest: dict):
         pull_rows.append({"field": i, "lhs": prep.lhs, "rhs": prep.rhs, "k": prep.k, "holds": prep.holds})
 
     # transport a witness potential out and back, compare on the core
-    marking = default_marking(base_model)
-    clamps = {
-        i: (1.0 if marking.contains(domain.vertices[i]) else 0.0)
-        for i in range(domain.n_interior, len(domain))
-    }
+    clamps = default_marking(base_model).sphere_clamps(domain)
     h, h_rep = solve_dirichlet(DirichletProblem(domain, clamps, p), config)
     converged = h_rep.converged
     scope_r = psi.domain.radius

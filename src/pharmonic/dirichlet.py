@@ -43,8 +43,8 @@ stalled reports converged=False with the residual it reached.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,8 +57,24 @@ from .groups import CayleyBall, Element, GroupModel
 _EPS = float(np.finfo(np.float64).eps)
 
 
+class Record:
+    """Base of the report dataclasses: ``to_dict`` returns the fields shown
+    in repr, converting nested records and lists of records as well."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.repr}
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
 @dataclass
-class SolverConfig:
+class SolverConfig(Record):
     """Knobs for the coordinate-descent solver."""
 
     tolerance: float = 1e-8
@@ -70,9 +86,6 @@ class SolverConfig:
             raise ValueError(f"tolerance must lie in (0, 1), got {self.tolerance}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be positive")
-
-    def to_dict(self) -> dict:
-        return {"tolerance": self.tolerance, "max_sweeps": self.max_sweeps, "warm_start": self.warm_start}
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "SolverConfig":
@@ -88,47 +101,64 @@ class SolverConfig:
 
 
 @dataclass
-class SolveReport:
+class SolveReport(Record):
     iterations: int
     final_energy: float
     residual: float
     converged: bool
     elapsed: float
 
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "final_energy": self.final_energy,
-            "residual": self.residual,
-            "converged": self.converged,
-            "elapsed": self.elapsed,
-        }
-
 
 class DirichletProblem:
-    """A ball, an exponent, and clamped vertex values covering the sphere."""
+    """A ball, an exponent, and clamped vertex values covering the sphere.
 
-    def __init__(self, ball: CayleyBall, clamped: Mapping[int, float], p: float):
+    ``clamped`` is either a full-length float array with NaN at the free
+    vertices, or a mapping from vertex index to clamped value (indices it
+    leaves out are free). Both forms say the same thing; on the 13-vertex
+    ball of Z^2 these two clamp the sphere to 0 and the identity to 1::
+
+        values = np.full(len(ball), np.nan)
+        values[ball.n_interior :] = 0.0
+        values[0] = 1.0
+        DirichletProblem(ball, values, p)
+        DirichletProblem(ball, {0: 1.0, **{i: 0.0 for i in range(ball.n_interior, len(ball))}}, p)
+
+    A mapping is turned into that array first. ``clamped`` is then the
+    array, ``clamped_mask`` marks its non-NaN entries and ``free`` lists
+    the rest. Every sphere vertex must be clamped, clamped values must be
+    finite, and every free vertex must reach a clamp through free vertices.
+    """
+
+    def __init__(self, ball: CayleyBall, clamped: Union[np.ndarray, Mapping[int, float]], p: float):
         self.ball = ball
         self.p = check_exponent(p)
-        clean: Dict[int, float] = {}
-        for i, v in clamped.items():
-            i = int(i)
-            if not 0 <= i < len(ball):
-                raise ValueError(f"clamped index {i} outside the ball")
-            v = float(v)
-            if not np.isfinite(v):
-                raise ValueError(f"clamped value at index {i} is not finite")
-            clean[i] = v
-        missing = [i for i in range(ball.n_interior, len(ball)) if i not in clean]
-        if missing:
+        n = len(ball)
+        if isinstance(clamped, Mapping):
+            idx = np.fromiter(map(int, clamped.keys()), dtype=np.int64, count=len(clamped))
+            vals = np.fromiter(map(float, clamped.values()), dtype=np.float64, count=len(clamped))
+            outside = (idx < 0) | (idx >= n)
+            bad = outside | ~np.isfinite(vals)
+            if bad.any():
+                k = int(np.argmax(bad))
+                if outside[k]:
+                    raise ValueError(f"clamped index {idx[k]} outside the ball")
+                raise ValueError(f"clamped value at index {idx[k]} is not finite")
+            values = np.full(n, np.nan)
+            values[idx] = vals
+        else:
+            values = np.array(clamped, dtype=np.float64)
+            if values.shape != (n,):
+                raise ValueError(f"clamped array must have shape ({n},), got {values.shape}")
+            inf = np.isinf(values)
+            if inf.any():
+                raise ValueError(f"clamped value at index {int(np.argmax(inf))} is not finite")
+        mask = ~np.isnan(values)
+        missing = ball.n_interior + np.flatnonzero(~mask[ball.n_interior :])
+        if missing.size:
             raise ValueError(
-                f"all sphere vertices must be clamped; {len(missing)} are not (first: {missing[:5]})"
+                f"all sphere vertices must be clamped; {missing.size} are not (first: {missing[:5].tolist()})"
             )
-        self.clamped = clean
-        mask = np.zeros(len(ball), dtype=bool)
-        idx = np.fromiter(clean.keys(), dtype=np.int64, count=len(clean))
-        mask[idx] = True
+        self.clamped = values
         self.clamped_mask = mask
         self.free = np.flatnonzero(~mask)
         if self.free.size == 0:
@@ -153,14 +183,12 @@ class DirichletProblem:
             raise ValueError("a free region is not edge-connected to any clamped vertex")
 
     def clamped_values(self) -> np.ndarray:
-        u = np.zeros(len(self.ball))
-        for i, v in self.clamped.items():
-            u[i] = v
-        return u
+        """The clamped values, 0 at the free vertices."""
+        return np.where(self.clamped_mask, self.clamped, 0.0)
 
     def clamped_range(self) -> Tuple[float, float]:
-        vals = list(self.clamped.values())
-        return (min(vals), max(vals))
+        vals = self.clamped[self.clamped_mask]
+        return (float(vals.min()), float(vals.max()))
 
 
 def linear_dirichlet(problem: DirichletProblem) -> np.ndarray:
@@ -390,7 +418,7 @@ def solve_dirichlet(
         elif initial == "zero":
             u[free] = 0.0
         elif initial == "clamped_mean":
-            u[free] = float(np.mean(list(problem.clamped.values())))
+            u[free] = float(np.mean(problem.clamped[problem.clamped_mask]))
         else:
             raise ValueError(f"unknown initialization {initial!r}")
     else:
@@ -474,17 +502,12 @@ def capacity(
     if inner_radius < 0 or inner_radius >= outer_radius:
         raise ValueError(f"need 0 <= inner_radius < outer_radius, got {inner_radius}, {outer_radius}")
     ball = model.ball(outer_radius, budget)
-    clamped: Dict[int, float] = {}
-    for i in np.flatnonzero(ball.depth <= inner_radius):
-        clamped[int(i)] = 1.0
-    for i in range(ball.n_interior, len(ball)):
-        clamped[i] = 0.0
-    if len(clamped) == len(ball):
+    clamped = np.where(ball.depth <= inner_radius, 1.0, np.nan)
+    clamped[ball.n_interior :] = 0.0
+    if not np.isnan(clamped).any():
         # adjacent shells leave nothing to solve; the potential is the clamps
-        values = np.zeros(len(ball))
-        values[ball.depth <= inner_radius] = 1.0
-        u = ScalarField(ball, values)
-        report = SolveReport(0, _energy(values, ball.arcs(), p), 0.0, True, 0.0)
+        u = ScalarField(ball, clamped)
+        report = SolveReport(0, _energy(clamped, ball.arcs(), p), 0.0, True, 0.0)
     else:
         problem = DirichletProblem(ball, clamped, p)
         u, report = solve_dirichlet(problem, config)

@@ -27,8 +27,7 @@ Exponents are restricted to the closed desk range [1.1, 8].
 from __future__ import annotations
 
 import csv
-import io
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from math import log
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .dirichlet import DirichletProblem, SolveReport, SolverConfig, capacity, solve_dirichlet
+from .dirichlet import DirichletProblem, Record, SolverConfig, capacity, solve_dirichlet
 from .energy import ScalarField, check_exponent
 from .groups import (
     CayleyBall,
@@ -83,6 +83,15 @@ class DirectionMarking:
     plus_probe: Element
     minus_probe: Element
 
+    def sphere_clamps(self, ball: CayleyBall) -> np.ndarray:
+        """Clamp values: 1 on the marked sphere vertices, 0 on the rest of the
+        sphere, NaN (free) inside."""
+        clamps = np.full(len(ball), np.nan)
+        clamps[ball.n_interior :] = np.fromiter(
+            map(self.contains, ball.boundary_elements()), dtype=np.float64, count=ball.n_boundary
+        )
+        return clamps
+
 
 def default_marking(model: GroupModel) -> DirectionMarking:
     """The standard direction marking of each family.
@@ -109,7 +118,7 @@ def default_marking(model: GroupModel) -> DirectionMarking:
 
 
 @dataclass
-class WitnessRow:
+class WitnessRow(Record):
     radius: int
     marked_count: int
     unmarked_count: int
@@ -121,26 +130,12 @@ class WitnessRow:
     residual: float
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "marked_count": self.marked_count,
-            "unmarked_count": self.unmarked_count,
-            "u_plus": self.u_plus,
-            "u_minus": self.u_minus,
-            "gap": self.gap,
-            "energy": self.energy,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-        }
-
 
 @dataclass
-class WitnessReport:
-    model_name: str
+class WitnessReport(Record):
+    model: str
     p: float
-    marking_name: str
+    marking: str
     rows: List[WitnessRow]
     verdict: str
     gap_first: float
@@ -148,19 +143,6 @@ class WitnessReport:
     stability_delta: float
     energy_growth: float
     field: Optional[ScalarField] = dc_field(default=None, repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model_name,
-            "p": self.p,
-            "marking": self.marking_name,
-            "rows": [r.to_dict() for r in self.rows],
-            "verdict": self.verdict,
-            "gap_first": self.gap_first,
-            "gap_last": self.gap_last,
-            "stability_delta": self.stability_delta,
-            "energy_growth": self.energy_growth,
-        }
 
 
 def boundary_witness(
@@ -193,15 +175,9 @@ def boundary_witness(
         ball = model.ball(radius, budget)
         if marking.plus_probe not in ball.index or marking.minus_probe not in ball.index:
             raise ValueError(f"probe vertices missing from ball of radius {radius}")
-        clamped: Dict[int, float] = {}
-        marked = unmarked = 0
-        for i in range(ball.n_interior, len(ball)):
-            if marking.contains(ball.vertices[i]):
-                clamped[i] = 1.0
-                marked += 1
-            else:
-                clamped[i] = 0.0
-                unmarked += 1
+        clamped = marking.sphere_clamps(ball)
+        marked = int(np.count_nonzero(clamped[ball.n_interior :]))
+        unmarked = ball.n_boundary - marked
         if marked == 0 or unmarked == 0:
             raise ValueError(
                 f"marking {marking.name!r} does not split the sphere of radius {radius}"
@@ -251,9 +227,9 @@ def boundary_witness(
         verdict = VERDICT_INCONCLUSIVE
 
     return WitnessReport(
-        model_name=model.name,
+        model=model.name,
         p=p,
-        marking_name=marking.name,
+        marking=marking.name,
         rows=rows,
         verdict=verdict,
         gap_first=gap_first,
@@ -265,41 +241,22 @@ def boundary_witness(
 
 
 @dataclass
-class CapacityRow:
+class CapacityRow(Record):
     radius: int
     capacity: float
     iterations: int
     residual: float
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "capacity": self.capacity,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-        }
-
 
 @dataclass
-class ParabolicityReport:
-    model_name: str
+class ParabolicityReport(Record):
+    model: str
     p: float
     inner_radius: int
     rows: List[CapacityRow]
     slope: float
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model_name,
-            "p": self.p,
-            "inner_radius": self.inner_radius,
-            "rows": [r.to_dict() for r in self.rows],
-            "slope": self.slope,
-            "verdict": self.verdict,
-        }
 
 
 def parabolicity_profile(
@@ -336,7 +293,7 @@ def parabolicity_profile(
 
 
 @dataclass
-class RoydenRow:
+class RoydenRow(Record):
     radius: int
     energy: float
     core_delta: float
@@ -344,37 +301,16 @@ class RoydenRow:
     residual: float
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "energy": self.energy,
-            "core_delta": self.core_delta,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-        }
-
 
 @dataclass
-class RoydenReport:
-    model_name: str
+class RoydenReport(Record):
+    model: str
     p: float
     radii: List[int]
     rows: List[RoydenRow]
     h_energy: float
     u_core_sup: float
     u_sphere_sup: float
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model_name,
-            "p": self.p,
-            "radii": self.radii,
-            "rows": [r.to_dict() for r in self.rows],
-            "h_energy": self.h_energy,
-            "u_core_sup": self.u_core_sup,
-            "u_sphere_sup": self.u_sphere_sup,
-        }
 
 
 def royden_decompose(
@@ -417,7 +353,8 @@ def royden_decompose(
     for radius in radii:
         ball = final_ball if radius == final else model.ball(radius, budget)
         n = len(ball)
-        clamped = {i: float(f_final.values[i]) for i in range(ball.n_interior, n)}
+        clamped = np.full(n, np.nan)
+        clamped[ball.n_interior :] = f_final.values[ball.n_interior : n]
         init = None
         if p != 2.0:
             init = f_final.values[:n].copy()
@@ -437,7 +374,7 @@ def royden_decompose(
     u_core = float(np.max(np.abs(u_field.values[core_idx])))
     u_sphere = float(np.max(np.abs(u_field.values[final_ball.n_interior :])))
     report = RoydenReport(
-        model_name=model.name,
+        model=model.name,
         p=p,
         radii=list(radii),
         rows=rows,
@@ -469,17 +406,14 @@ def half_space_subset(model: GroupModel, coordinate: int = -1) -> SubsetSpec:
 
 def letter_subtree_subset(model: GroupModel, letter: str = "a") -> SubsetSpec:
     """Reduced words starting with the given generator letter."""
-    if isinstance(model, FreeGroupModel):
-        code = model.letter_code(letter)
-        return SubsetSpec(f"subtree_{letter}", lambda g: len(g) > 0 and g[0] == code)
-    if isinstance(model, FreeProductZ2Model):
-        code = model.letter_code(letter)
-        return SubsetSpec(f"subtree_{letter}", lambda g: len(g) > 0 and g[0] == code)
-    raise ValueError("letter_subtree_subset expects a free group or free product model")
+    if not isinstance(model, (FreeGroupModel, FreeProductZ2Model)):
+        raise ValueError("letter_subtree_subset expects a free group or free product model")
+    code = model.letter_code(letter)
+    return SubsetSpec(f"subtree_{letter}", lambda g: len(g) > 0 and g[0] == code)
 
 
 @dataclass
-class MassiveRow:
+class MassiveRow(Record):
     radius: int
     core_sup: float
     core_stab: float
@@ -490,36 +424,14 @@ class MassiveRow:
     iterations: int
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "core_sup": self.core_sup,
-            "core_stab": self.core_stab,
-            "boundary_count": self.boundary_count,
-            "sphere_count": self.sphere_count,
-            "connected": self.connected,
-            "energy": self.energy,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
 
 @dataclass
-class MassiveReport:
-    model_name: str
+class MassiveReport(Record):
+    model: str
     p: float
-    subset_name: str
+    subset: str
     rows: List[MassiveRow]
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model_name,
-            "p": self.p,
-            "subset": self.subset_name,
-            "rows": [r.to_dict() for r in self.rows],
-            "verdict": self.verdict,
-        }
 
 
 def inner_potential(
@@ -570,9 +482,8 @@ def inner_potential(
                 f"subset {subset.name!r} is disconnected inside the ball of radius {radius}"
             )
 
-        clamped: Dict[int, float] = {int(i): 0.0 for i in np.flatnonzero(~in_a)}
-        for i in sphere_in_a:
-            clamped[int(i)] = 1.0
+        clamped = np.where(in_a, np.nan, 0.0)
+        clamped[sphere_in_a] = 1.0
         if not np.any(in_a[: ball.n_interior]):
             raise ValueError(f"subset {subset.name!r} has no free interior vertex at radius {radius}")
         problem = DirichletProblem(ball, clamped, p)

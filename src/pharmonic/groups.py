@@ -36,6 +36,7 @@ through ``scipy.sparse.csgraph``.
 
 from __future__ import annotations
 
+import numbers
 from array import array
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -89,6 +90,17 @@ def _require_int(params: Mapping, key: str, lo: int, hi: int, default=None) -> i
     return value
 
 
+def _int_tuple(obj, what: str) -> Tuple[int, ...]:
+    """The entries of a JSON list of integers (integral floats allowed) as a
+    tuple; ValueError naming ``what`` for any other shape."""
+    if not isinstance(obj, (list, tuple)) or not all(
+        (isinstance(x, numbers.Integral) and not isinstance(x, bool)) or (isinstance(x, float) and x.is_integer())
+        for x in obj
+    ):
+        raise ValueError(f"expected {what}, got {obj!r}")
+    return tuple(int(x) for x in obj)
+
+
 class GroupModel:
     """Base class: a group with a fixed symmetric generating set.
 
@@ -127,12 +139,6 @@ class GroupModel:
     @property
     def degree(self) -> int:
         return len(self.gen_labels)
-
-    def inverse_label(self, label: str) -> str:
-        try:
-            return self._inv_label[label]
-        except KeyError:
-            raise ValueError(f"unknown generator label {label!r} for {self.name}") from None
 
     def reduce(self, letters: Iterable[str]) -> Element:
         """Fold a word (sequence of generator labels) into canonical form."""
@@ -255,58 +261,57 @@ class FreeAbelianModel(GroupModel):
         return [int(a) for a in g]
 
     def element_from_obj(self, obj) -> Element:
-        if not isinstance(obj, (list, tuple)) or len(obj) != self.d:
-            raise ValueError(f"expected a length-{self.d} integer vector")
-        return tuple(int(a) for a in obj)
+        g = _int_tuple(obj, f"a length-{self.d} integer vector")
+        if len(g) != self.d:
+            raise ValueError(f"expected a length-{self.d} integer vector, got {obj!r}")
+        return g
 
 
-class FreeGroupModel(GroupModel):
-    """F_k with reduced words over letters a, b, c and their inverses."""
+class _ReducedWordModel(GroupModel):
+    """A free product of cyclic groups of order infinity or 2.
 
-    def __init__(self, k: int):
-        self.k = k
-        self.name = f"F_{k}"
-        self.spec = GroupSpec("free", {"k": k})
-        labels = []
-        for i in range(k):
-            labels += [_FREE_LETTERS[i], _FREE_LETTERS[i] + "-"]
-        self.gen_labels = tuple(labels)
-        self._inv_label = {}
-        self._codes = {}
-        for i in range(k):
-            a, ai = _FREE_LETTERS[i], _FREE_LETTERS[i] + "-"
-            self._inv_label[a] = ai
-            self._inv_label[ai] = a
-            self._codes[a] = i + 1
-            self._codes[ai] = -(i + 1)
-        self._labels_by_code = {c: l for l, c in self._codes.items()}
+    Built from (label, code, inverse label) triples. Elements are reduced
+    words stored as tuples of letter codes: no letter sits next to its
+    inverse, and an involutive letter is its own inverse.
+    """
+
+    def __init__(self, name: str, spec: GroupSpec, letters: Sequence[Tuple[str, int, str]]):
+        self.name = name
+        self.spec = spec
+        self.gen_labels = tuple(label for label, _, _ in letters)
+        self._inv_label = {label: inv for label, _, inv in letters}
+        self._codes = {label: code for label, code, _ in letters}
+        self._labels_by_code = {code: label for label, code, _ in letters}
+        self._inv_code = {code: self._codes[inv] for _, code, inv in letters}
 
     def identity(self) -> Element:
         return ()
 
     def apply_gen(self, g: Element, label: str) -> Element:
         code = self._codes[label]
-        if g and g[-1] == -code:
+        if g and g[-1] == self._inv_code[code]:
             return g[:-1]
         return g + (code,)
 
     def mul(self, g: Element, h: Element) -> Element:
+        inv_code = self._inv_code
         out = list(g)
         for code in h:
-            if out and out[-1] == -code:
+            if out and out[-1] == inv_code[code]:
                 out.pop()
             else:
                 out.append(code)
         return tuple(out)
 
     def inv(self, g: Element) -> Element:
-        return tuple(-c for c in reversed(g))
+        inv_code = self._inv_code
+        return tuple(inv_code[c] for c in reversed(g))
 
     def word_length(self, g: Element) -> int:
         return len(g)
 
     def ball_size(self, n: int) -> int:
-        q = 2 * self.k
+        q = self.degree
         if q == 2:
             return 2 * n + 1
         # 1 + q + q(q-1) + ... + q(q-1)^{n-1}
@@ -318,71 +323,33 @@ class FreeGroupModel(GroupModel):
         except KeyError:
             raise ValueError(f"unknown generator label {label!r} for {self.name}") from None
 
-    def letters_of(self, g: Element) -> List[str]:
+    def element_to_obj(self, g: Element):
         return [self._labels_by_code[c] for c in g]
 
-    def element_to_obj(self, g: Element):
-        return self.letters_of(g)
-
     def element_from_obj(self, obj) -> Element:
-        if not isinstance(obj, (list, tuple)):
-            raise ValueError("expected a list of generator labels")
+        if not isinstance(obj, (list, tuple)) or not all(isinstance(label, str) for label in obj):
+            raise ValueError(f"expected a list of generator labels, got {obj!r}")
         return self.reduce(obj)
 
 
-class FreeProductZ2Model(GroupModel):
+class FreeGroupModel(_ReducedWordModel):
+    """F_k with reduced words over letters a, b, c and their inverses."""
+
+    def __init__(self, k: int):
+        self.k = k
+        letters = []
+        for code, a in enumerate(_FREE_LETTERS[:k], start=1):
+            letters += [(a, code, a + "-"), (a + "-", -code, a)]
+        super().__init__(f"F_{k}", GroupSpec("free", {"k": k}), letters)
+
+
+class FreeProductZ2Model(_ReducedWordModel):
     """Free product of m copies of Z/2; every generator is an involution."""
 
     def __init__(self, m: int):
         self.m = m
-        self.name = "*".join(["Z2"] * m)
-        self.spec = GroupSpec("free_product_z2", {"m": m})
-        self.gen_labels = tuple(f"s{i}" for i in range(1, m + 1))
-        self._inv_label = {l: l for l in self.gen_labels}
-        self._codes = {f"s{i}": i for i in range(1, m + 1)}
-
-    def identity(self) -> Element:
-        return ()
-
-    def apply_gen(self, g: Element, label: str) -> Element:
-        code = self._codes[label]
-        if g and g[-1] == code:
-            return g[:-1]
-        return g + (code,)
-
-    def mul(self, g: Element, h: Element) -> Element:
-        out = list(g)
-        for code in h:
-            if out and out[-1] == code:
-                out.pop()
-            else:
-                out.append(code)
-        return tuple(out)
-
-    def inv(self, g: Element) -> Element:
-        return tuple(reversed(g))
-
-    def letter_code(self, label: str) -> int:
-        try:
-            return self._codes[label]
-        except KeyError:
-            raise ValueError(f"unknown generator label {label!r} for {self.name}") from None
-
-    def word_length(self, g: Element) -> int:
-        return len(g)
-
-    def ball_size(self, n: int) -> int:
-        if self.m == 2:
-            return 2 * n + 1
-        return 1 + self.m * ((self.m - 1) ** n - 1) // (self.m - 2)
-
-    def element_to_obj(self, g: Element):
-        return [f"s{c}" for c in g]
-
-    def element_from_obj(self, obj) -> Element:
-        if not isinstance(obj, (list, tuple)):
-            raise ValueError("expected a list of generator labels")
-        return self.reduce(obj)
+        letters = [(f"s{i}", i, f"s{i}") for i in range(1, m + 1)]
+        super().__init__("*".join(["Z2"] * m), GroupSpec("free_product_z2", {"m": m}), letters)
 
 
 class LamplighterModel(GroupModel):
@@ -423,9 +390,10 @@ class LamplighterModel(GroupModel):
 
     def element_from_obj(self, obj) -> Element:
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-            raise ValueError("expected [lamps, cursor]")
-        lamps, cursor = obj
-        return (tuple(sorted(int(x) for x in lamps)), int(cursor))
+            raise ValueError(f"expected [lamps, cursor], got {obj!r}")
+        lamps = _int_tuple(obj[0], "a list of integer lamp positions")
+        (cursor,) = _int_tuple(obj[1:], "an integer cursor")
+        return (tuple(sorted(lamps)), cursor)
 
 
 class ExtendedGeneratorModel(GroupModel):

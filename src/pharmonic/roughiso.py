@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .dirichlet import SolverConfig
+from .dirichlet import Record, SolverConfig
 from .energy import ScalarField, check_exponent, seminorm_p
 from .exhaustion import RoydenReport, royden_decompose
 from .groups import CayleyBall, Element, build_group
@@ -102,21 +102,12 @@ def _pair_distances(ball: CayleyBall, ia: np.ndarray, ib: np.ndarray) -> np.ndar
 
 
 @dataclass
-class FitReport:
+class FitReport(Record):
     n_pairs: int
     a: float
     b: int
     max_stretch: float
     max_compress: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs,
-            "a": self.a,
-            "b": self.b,
-            "max_stretch": self.max_stretch,
-            "max_compress": self.max_compress,
-        }
 
 
 def fit_rough_constants(
@@ -217,9 +208,6 @@ class CoarseMap:
         c = coverage_radius(codomain, images)
         return cls(domain, codomain, images, a, b, c, fit_report=report)
 
-    def map_element(self, g: Element) -> Element:
-        return self.codomain.vertices[int(self.images[self.domain.index[g]])]
-
     def to_dict(self, include_images: bool = False) -> dict:
         out = {
             "domain": {"group": self.domain.model.spec.to_dict(), "radius": self.domain.radius},
@@ -251,23 +239,13 @@ class CoarseMap:
 
 
 @dataclass
-class InverseReport:
+class InverseReport(Record):
     n_scope: int
     max_displacement_domain: int
     displacement_bound_domain: float
     max_displacement_codomain: int
     displacement_bound_codomain: int
     within_bounds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n_scope": self.n_scope,
-            "max_displacement_domain": self.max_displacement_domain,
-            "displacement_bound_domain": self.displacement_bound_domain,
-            "max_displacement_codomain": self.max_displacement_codomain,
-            "displacement_bound_codomain": self.displacement_bound_codomain,
-            "within_bounds": self.within_bounds,
-        }
 
 
 def rough_inverse(cmap: CoarseMap, seed: int = 0) -> Tuple[CoarseMap, InverseReport]:
@@ -383,7 +361,7 @@ def _pullback_data(cmap: CoarseMap) -> dict:
 
 
 @dataclass
-class PullbackReport:
+class PullbackReport(Record):
     p: float
     lhs: float
     rhs: float
@@ -394,20 +372,6 @@ class PullbackReport:
     n_arcs: int
     max_path_length: int
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "k": self.k,
-            "prefactor": self.prefactor,
-            "codomain_energy": self.codomain_energy,
-            "collar_depth": self.collar_depth,
-            "n_arcs": self.n_arcs,
-            "max_path_length": self.max_path_length,
-            "holds": self.holds,
-        }
 
 
 def pullback(f: ScalarField, cmap: CoarseMap, p: float) -> Tuple[ScalarField, PullbackReport]:
@@ -445,17 +409,14 @@ def pullback(f: ScalarField, cmap: CoarseMap, p: float) -> Tuple[ScalarField, Pu
 
 
 @dataclass
-class CoarseIdentityRow:
+class CoarseIdentityRow(Record):
     radius: int
     count: int
     max_deviation: float
 
-    def to_dict(self) -> dict:
-        return {"radius": self.radius, "count": self.count, "max_deviation": self.max_deviation}
-
 
 @dataclass
-class CoarseIdentityReport:
+class CoarseIdentityReport(Record):
     p: float
     displacement: int
     k: int
@@ -464,18 +425,6 @@ class CoarseIdentityReport:
     n_scoped: int
     rows: List[CoarseIdentityRow]
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "displacement": self.displacement,
-            "k": self.k,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "n_scoped": self.n_scoped,
-            "rows": [r.to_dict() for r in self.rows],
-            "holds": self.holds,
-        }
 
 
 def check_coarse_identity(f: ScalarField, cmap: CoarseMap, inverse: CoarseMap, p: float) -> CoarseIdentityReport:
@@ -548,21 +497,12 @@ def check_coarse_identity(f: ScalarField, cmap: CoarseMap, inverse: CoarseMap, p
 
 
 @dataclass
-class TransportReport:
-    model_name: str
+class TransportReport(Record):
+    model: str
     p: float
     radii: List[int]
     royden: RoydenReport
     h_energy: float
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model_name,
-            "p": self.p,
-            "radii": self.radii,
-            "royden": self.royden.to_dict(),
-            "h_energy": self.h_energy,
-        }
 
 
 def transport_harmonic(
@@ -595,7 +535,7 @@ def transport_harmonic(
     pulled = ScalarField(pull_map.domain, values)
     _, h, royden_report = royden_decompose(pull_map.domain.model, pulled, p, radii, config, budget)
     report = TransportReport(
-        model_name=pull_map.domain.model.name,
+        model=pull_map.domain.model.name,
         p=p,
         radii=radii,
         royden=royden_report,

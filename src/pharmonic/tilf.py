@@ -25,22 +25,16 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .dirichlet import Record
 from .energy import ScalarField, check_exponent, p_laplacian_interior, pairing
 from .groups import Element
 
 
 @dataclass
-class TranslateReport:
+class TranslateReport(Record):
     shift_length: int
     original_radius: int
     radius: int
-
-    def to_dict(self) -> dict:
-        return {
-            "shift_length": self.shift_length,
-            "original_radius": self.original_radius,
-            "radius": self.radius,
-        }
 
 
 def translate(f: ScalarField, x: Element) -> Tuple[ScalarField, TranslateReport]:
@@ -61,23 +55,13 @@ def translate(f: ScalarField, x: Element) -> Tuple[ScalarField, TranslateReport]
 
 
 @dataclass
-class DifferenceReport:
+class DifferenceReport(Record):
     n_translates: int
     shift_length: int
     radius: int
     remainder_norm: float
     expected_remainder_norm: float
     mass_preserved: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n_translates": self.n_translates,
-            "shift_length": self.shift_length,
-            "radius": self.radius,
-            "remainder_norm": self.remainder_norm,
-            "expected_remainder_norm": self.expected_remainder_norm,
-            "mass_preserved": self.mass_preserved,
-        }
 
 
 def difference_approximation(

@@ -76,9 +76,7 @@ def dense_linear_solve(problem: DirichletProblem) -> np.ndarray:
             else:
                 rhs[k] += problem.clamped[j]
     sol = np.linalg.solve(mat, rhs)
-    full = np.array(
-        [problem.clamped.get(i, 0.0) for i in range(len(ball))], dtype=float
-    )
+    full = problem.clamped_values()
     for i, k in pos.items():
         full[i] = sol[k]
     return full
@@ -90,9 +88,7 @@ def optimize_energy(problem: DirichletProblem, x0=None) -> np.ndarray:
     p = problem.p
     free = [int(i) for i in problem.free]
     arcs = reference_arcs(ball)
-    base = np.array(
-        [problem.clamped.get(i, 0.0) for i in range(len(ball))], dtype=float
-    )
+    base = problem.clamped_values()
 
     def fill(x):
         v = base.copy()

@@ -113,7 +113,7 @@ def test_criterion_02_maximum_principle_residual_uniqueness():
             for _ in range(8):
                 prob = DirichletProblem(ball, random_sphere_clamps(ball, rng), p)
                 u1, rep1 = solve_dirichlet(prob, cfg)
-                other = np.array([prob.clamped.get(i, 0.0) for i in range(len(ball))])
+                other = prob.clamped_values()
                 other[prob.free] = rng.uniform(-1.0, 1.0, prob.free.size)
                 u2, rep2 = solve_dirichlet(prob, cfg, initial=other)
                 lo, hi = prob.clamped_range()

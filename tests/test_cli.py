@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pharmonic.cli import main
+from pharmonic.cli import TASKS, main
 
 
 def run_cli(args):
@@ -207,3 +207,82 @@ def test_integral_float_manifest_entries_are_accepted(tmp_path):
     out = tmp_path / "wit.json"
     assert run_cli(["witness", "--manifest", str(path), "--out", str(out)]) == 0
     assert [row["radius"] for row in load(out)["results"]["rows"]] == [3, 4]
+
+
+# one malformed explicit clamp vertex per family; each used to end in a TypeError traceback
+@pytest.mark.parametrize(
+    "group, vertex",
+    [
+        ({"family": "lamplighter", "params": {}}, [3, 0]),
+        ({"family": "free_abelian", "params": {"d": 2}}, [[1], 0]),
+        (F2, [["a"]]),
+    ],
+)
+def test_malformed_clamp_vertex_exits_1(tmp_path, capsys, group, vertex):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"group": group, "p": 2.0, "radius": 3, "boundary": {"clamps": [[vertex, 1.0]]}}))
+    assert run_cli(["solve", "--manifest", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "clamp" in err[0]
+
+
+def test_boolean_clamp_value_exits_1(tmp_path, capsys):
+    sphere = [[["a"], 1.0], [["a-"], 0.0], [["b"], 0.0], [["b-"], True]]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"group": F2, "p": 2.0, "radius": 1, "boundary": {"clamps": sphere}}))
+    assert run_cli(["solve", "--manifest", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "boundary.clamps" in err[0]
+
+
+def key_paths(obj, prefix=""):
+    """Dotted key paths of a JSON value; a list of objects shows its first item as '[]'."""
+    if isinstance(obj, dict):
+        return [path for k, v in obj.items() for path in key_paths(v, f"{prefix}.{k}" if prefix else k)]
+    if isinstance(obj, list) and obj and isinstance(obj[0], dict):
+        return key_paths(obj[0], prefix + "[]")
+    return [prefix]
+
+
+ROWS = ["converged", "iterations", "radius"]
+RESULT_KEYS = {
+    "describe": (["--radius", "2"], ["ball_sizes", "degree", "generators", "name", "spec.family", "spec.params.k",
+                                     "sphere_sizes"]),
+    "solve": (["--radius", "2"], ["bdp_norm", "model", "n_free", "n_vertices", "p", "radius", "report.converged",
+                                  "report.final_energy", "report.iterations", "report.residual", "seminorm", "sup_norm",
+                                  "value_at_identity"]),
+    "capacity": (["--radii", "2,3"], ["inner_radius", "model", "p", "slope", "verdict"]
+                 + [f"rows[].{k}" for k in ROWS + ["capacity", "residual"]]),
+    "witness": (["--radii", "2,3"], ["energy_growth", "gap_first", "gap_last", "marking", "model", "p",
+                                     "stability_delta", "verdict"]
+                + [f"rows[].{k}" for k in ROWS + ["energy", "gap", "marked_count", "residual", "u_minus", "u_plus",
+                                                  "unmarked_count"]]),
+    "royden": (["--radii", "2,3"], ["h_energy", "h_value_at_identity", "model", "p", "radii", "u_core_sup",
+                                    "u_sphere_sup", "u_sup_norm"]
+               + [f"rows[].{k}" for k in ROWS + ["core_delta", "energy", "residual"]]),
+    "massive": (["--radii", "3,4", "--subset", "subtree:a"], ["model", "p", "subset", "verdict"]
+                + [f"rows[].{k}" for k in ROWS + ["boundary_count", "connected", "core_stab", "core_sup", "energy",
+                                                  "sphere_count"]]),
+    "roughiso": (["--radius", "4"], ["codomain", "domain", "fit.a", "fit.b", "fit.c", "inverse_fit.a", "inverse_fit.b",
+                                     "inverse_fit.c", "p", "pullback_all_hold", "radius", "roundtrip_core_error"]
+                 + [f"fit_report.{k}" for k in ("a", "b", "max_compress", "max_stretch", "n_pairs")]
+                 + [f"inverse.{k}" for k in ("displacement_bound_codomain", "displacement_bound_domain",
+                                             "max_displacement_codomain", "max_displacement_domain", "n_scope",
+                                             "within_bounds")]
+                 + [f"pullback_checks[].{k}" for k in ("field", "holds", "k", "lhs", "rhs")]
+                 + [f"validation.{k}" for k in ("a", "b", "n_pairs", "violations_backward", "violations_forward")]),
+    "tilf": (["--radii", "3,4"], ["indicator_value", "max_delta_gap", "model", "p", "radii",
+                                  "invariance_defects[].defect", "invariance_defects[].radius"]
+             + [f"delta_identity[].{k}" for k in ("T", "gap", "minus_2_laplacian", "vertex")]),
+}
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_results_key_tree(tmp_path, task):
+    """Each task's report keeps its JSON keys: no solved field leaks in, and
+    the model, marking and subset names keep their short keys."""
+    args, expected = RESULT_KEYS[task]
+    p = [] if task == "describe" else ["--p", "2.0"]
+    out = tmp_path / "report.json"
+    assert run_cli([task, "--group", "free:k=2", *p, *args, "--out", str(out)]) == 0
+    assert sorted(key_paths(load(out)["results"])) == sorted(expected)

@@ -68,6 +68,55 @@ def test_problem_validation(z_model):
         DirichletProblem(ball, full, 1.0)  # exponent out of range
 
 
+def nan_array(ball, clamps):
+    """The array form of a clamp mapping: NaN at the free vertices."""
+    values = np.full(len(ball), np.nan)
+    for i, v in clamps.items():
+        values[i] = v
+    return values
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_mapping_and_nan_array_clamps_agree(f2_model, p):
+    ball = f2_model.ball(4)
+    clamps = {**random_clamps(ball, seed=21), 0: 0.25}  # an interior clamp too
+    values = nan_array(ball, clamps)
+    from_map = DirichletProblem(ball, clamps, p)
+    from_array = DirichletProblem(ball, values, p)
+    values[:] = 7.0  # the problem keeps its own copy
+    assert np.array_equal(from_map.clamped, from_array.clamped, equal_nan=True)
+    assert np.array_equal(from_map.clamped_mask, from_array.clamped_mask)
+    assert np.array_equal(from_map.free, from_array.free)
+    assert np.array_equal(from_map.clamped_values(), from_array.clamped_values())
+    assert from_map.clamped_range() == from_array.clamped_range()
+    u_map, rep_map = solve_dirichlet(from_map)
+    u_array, rep_array = solve_dirichlet(from_array)
+    assert np.array_equal(u_map.values.view(np.int64), u_array.values.view(np.int64))
+    assert (rep_map.iterations, rep_map.final_energy, rep_map.residual, rep_map.converged) == (
+        rep_array.iterations, rep_array.final_energy, rep_array.residual, rep_array.converged
+    )
+
+
+def test_nan_array_validation(z2_model):
+    ball = z2_model.ball(3)
+    good = np.full(len(ball), np.nan)
+    good[ball.n_interior :] = 0.0
+    assert DirichletProblem(ball, good, 2.0).free.tolist() == list(range(ball.n_interior))
+    with pytest.raises(ValueError, match="shape"):
+        DirichletProblem(ball, good[:-1], 2.0)
+    for bad_value in (np.inf, -np.inf):
+        bad = good.copy()
+        bad[1] = bad_value
+        with pytest.raises(ValueError, match="not finite"):
+            DirichletProblem(ball, bad, 2.0)
+    bad = good.copy()
+    bad[-1] = np.nan
+    with pytest.raises(ValueError, match="sphere vertices must be clamped"):
+        DirichletProblem(ball, bad, 2.0)
+    with pytest.raises(ValueError, match="no free"):
+        DirichletProblem(ball, np.zeros(len(ball)), 2.0)
+
+
 def test_from_elements(z_model):
     ball = z_model.ball(2)
     clamps = {g: float(z_model.element_to_obj(g)[0]) for g in ball.boundary_elements()}
@@ -164,7 +213,7 @@ def test_uniqueness_across_inits(family, params, p):
     cfg = SolverConfig(warm_start=False, tolerance=1e-13)
     u_cold, rep_cold = solve_dirichlet(prob, cfg)
     rng = np.random.default_rng(13)
-    hot = np.array([prob.clamped.get(i, 0.0) for i in range(len(ball))])
+    hot = prob.clamped_values()
     hot[prob.free] = rng.uniform(-1, 1, prob.free.size)
     u_hot, rep_hot = solve_dirichlet(prob, cfg, initial=hot)
     assert rep_cold.converged and rep_hot.converged

@@ -6,9 +6,11 @@ of sphere sizes and vertex sets through element_to_obj.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pharmonic import BudgetError, CayleyBall, build_group
 
@@ -272,3 +274,70 @@ def test_describe(z_model):
     assert info["name"] == "Z"
     assert info["degree"] == 2
     assert info["sphere_sizes"] == [1, 2, 2, 2, 2, 2]
+
+
+# ---------------------------------------------------------------------------
+# group axioms on random words, every family and two extended generating sets
+
+AXIOM_MODELS = [
+    build_group(spec)
+    for spec in (
+        {"family": "free_abelian", "params": {"d": 2}},
+        {"family": "free", "params": {"k": 2}},
+        {"family": "free_product_z2", "params": {"m": 3}},
+        {"family": "lamplighter", "params": {}},
+        {"family": "free", "params": {"k": 2, "extra_generators": [["a", "b"]]}},
+        {"family": "lamplighter", "params": {"extra_generators": [["t", "a"]]}},
+    )
+]
+
+
+@st.composite
+def model_and_words(draw):
+    model = draw(st.sampled_from(AXIOM_MODELS))
+    words = st.lists(st.sampled_from(model.gen_labels), max_size=12)
+    return model, draw(words), draw(words), draw(words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_and_words())
+def test_group_axioms_on_random_words(drawn):
+    model, u, v, w = drawn
+    e = model.identity()
+    g, h, k = model.reduce(u), model.reduce(v), model.reduce(w)
+    assert model.mul(model.mul(g, h), k) == model.mul(g, model.mul(h, k))
+    assert model.mul(e, g) == g == model.mul(g, e)
+    assert model.mul(g, model.inv(g)) == e
+    for s in model.gen_labels:
+        assert model.apply_gen(g, s) == model.mul(g, model.apply_gen(e, s))
+    assert model.element_from_obj(model.element_to_obj(g)) == g
+    assert model.element_from_obj(json.loads(json.dumps(model.element_to_obj(g)))) == g
+    for s in model.gen_labels:
+        # the inverse label, found from the group law alone
+        (s_inv,) = [t for t in model.gen_labels if model.reduce([s, t]) == e]
+        assert model.reduce(u + [s, s_inv]) == g
+
+
+@pytest.mark.parametrize(
+    "spec, obj",
+    [
+        ({"family": "free_abelian", "params": {"d": 2}}, [[1], 0]),
+        ({"family": "free_abelian", "params": {"d": 2}}, [True, 0]),
+        ({"family": "free_abelian", "params": {"d": 2}}, [1, 2, 3]),
+        ({"family": "free", "params": {"k": 2}}, [["a"]]),
+        ({"family": "free", "params": {"k": 2}}, "ab"),
+        ({"family": "free_product_z2", "params": {"m": 3}}, [1]),
+        ({"family": "lamplighter", "params": {}}, [3, 0]),
+        ({"family": "lamplighter", "params": {}}, [[0.5], 0]),
+        ({"family": "lamplighter", "params": {}}, [[0], "1"]),
+    ],
+)
+def test_element_from_obj_rejects_malformed_json(spec, obj):
+    with pytest.raises(ValueError):
+        build_group(spec).element_from_obj(obj)
+
+
+def test_lamplighter_from_obj_is_canonical(lamp_model):
+    g = lamp_model.reduce(["a", "t", "a", "t", "t", "a"])
+    assert lamp_model.element_from_obj([[3, 0, 1], 3.0]) == g
+    assert lamp_model.element_from_obj(lamp_model.element_to_obj(g)) == g
