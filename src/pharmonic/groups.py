@@ -31,7 +31,8 @@ records each expanded vertex's adjacency row as it goes. A model keeps the
 largest ball it has built: a larger ball continues that ball's pass, and a
 smaller one is a prefix view of it. This module is the only place that walks
 the Cayley graph by hand; every other traversal runs on ``CayleyBall.csr()``
-through ``scipy.sparse.csgraph``.
+through ``scipy.sparse.csgraph``. Hop distances from one vertex come from
+``CayleyBall.hops``, which reads them off csgraph's breadth-first order.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 Element = tuple
 
@@ -508,7 +510,8 @@ class CayleyBall:
     ``arcs()`` returns the directed arc multiset used by truncated energy
     sums: both directions of every edge having at least one interior
     endpoint (sphere-to-sphere edges are excluded). ``csr()`` is the whole
-    induced graph, sphere-to-sphere edges included, for ``scipy.sparse.csgraph``.
+    induced graph, sphere-to-sphere edges included, for ``scipy.sparse.csgraph``;
+    ``hops(source)`` gives the hop distances in it from one vertex.
 
     Balls come from ``GroupModel.ball`` and are never modified; a smaller
     ball shares the arrays of the larger one it is a prefix of.
@@ -581,6 +584,25 @@ class CayleyBall:
             self._csr = sp.csr_matrix((np.ones(int(indptr[-1])), full[inside], indptr), shape=(n, n))
         return self._csr
 
+    def hops(self, source: int) -> np.ndarray:
+        """Hop distances inside the ball from one vertex, -1 where unreached.
+
+        csgraph's breadth-first search is first in, first out: ``order`` lists
+        the reached vertices level by level, and the positions of their
+        parents in ``order`` never decrease. So a level ends just after the
+        last vertex whose parent lies in the level before it.
+        """
+        order, parent = breadth_first_order(self.csr(), source, directed=True, return_predecessors=True)
+        position = np.empty(len(self), dtype=np.int64)
+        position[order] = np.arange(order.size)
+        parent_pos = position[parent[order[1:]]]
+        bounds = [0, 1]
+        while bounds[-1] < order.size:
+            bounds.append(1 + int(np.searchsorted(parent_pos, bounds[-1])))
+        dist = np.full(len(self), -1, dtype=np.int64)
+        dist[order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        return dist
+
     def arcs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Directed arc arrays (src, dst) of the truncated energy sums."""
         if self._arcs is None:
@@ -622,7 +644,9 @@ def build_group(spec) -> GroupModel:
     else:
         raise ValueError(f"unknown family {family!r}; supported: {', '.join(_FAMILIES)}")
     if extra is not None:
-        if not isinstance(extra, (list, tuple)):
-            raise ValueError("extra_generators must be a list of generator-label words")
+        if not isinstance(extra, (list, tuple)) or not all(
+            isinstance(w, (list, tuple)) and all(isinstance(label, str) for label in w) for w in extra
+        ):
+            raise ValueError(f"extra_generators must be a list of generator-label words, got {extra!r}")
         base = ExtendedGeneratorModel(base, [list(w) for w in extra])
     return base

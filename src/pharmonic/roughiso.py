@@ -41,7 +41,6 @@ B_GRID = tuple(range(0, 9))
 HEAD_PAIR_COUNT = 50
 RANDOM_SOURCES = 64
 RANDOM_TARGETS = 16
-SOURCE_BLOCK = 16
 
 
 class FitError(ValueError):
@@ -59,7 +58,7 @@ def _bfs_parents(ball: CayleyBall, source: int) -> Tuple[np.ndarray, np.ndarray]
     The parent of a vertex is its smallest-index neighbor one step closer to
     the source, so shortest paths are reproducible across runs.
     """
-    dist = _hops(dijkstra(ball.csr(), indices=source, unweighted=True))
+    dist = ball.hops(source)
     full = ball.full_adj()
     n = len(ball)
     closer = (full >= 0) & (dist[full] == dist[:, None] - 1) & (dist[:, None] > 0)
@@ -90,15 +89,14 @@ def _sample_pairs(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _pair_distances(ball: CayleyBall, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     sources, row = np.unique(ia, return_inverse=True)
-    out = np.empty(ia.size)
-    # a block of sources at a time bounds the distance matrix held in memory
-    for lo in range(0, sources.size, SOURCE_BLOCK):
-        pick = (row >= lo) & (row < lo + SOURCE_BLOCK)
-        dist = dijkstra(ball.csr(), indices=sources[lo : lo + SOURCE_BLOCK], unweighted=True)
-        out[pick] = dist[row[pick] - lo, ib[pick]]
-    if not np.all(np.isfinite(out)):
+    # the pair indices of each source, sources in increasing order
+    by_source = np.split(np.argsort(row, kind="stable"), np.cumsum(np.bincount(row))[:-1])
+    out = np.empty(ia.size, dtype=np.int64)
+    for source, pick in zip(sources, by_source):
+        out[pick] = ball.hops(int(source))[ib[pick]]
+    if np.any(out < 0):
         raise FitError("sampled vertices are not connected inside the ball")
-    return out.astype(np.int64)
+    return out
 
 
 @dataclass
@@ -319,7 +317,7 @@ def _pullback_data(cmap: CoarseMap) -> dict:
     ys_k, yd_k = ys[keep], yd[keep]
 
     cod_src, cod_dst = cod.arcs()
-    arc_id = {(int(u), int(v)): i for i, (u, v) in enumerate(zip(cod_src, cod_dst))}
+    arc_id = dict(zip(zip(cod_src.tolist(), cod_dst.tolist()), range(cod_src.size)))
     usage = np.zeros(cod_src.size, dtype=np.int64)
     full = cod.full_adj()
 
@@ -468,7 +466,7 @@ def check_coarse_identity(f: ScalarField, cmap: CoarseMap, inverse: CoarseMap, p
     lhs = float(np.sum(dev ** p))
 
     dom_src, dom_dst = dom.arcs()
-    arc_id = {(int(u), int(v)): i for i, (u, v) in enumerate(zip(dom_src, dom_dst))}
+    arc_id = dict(zip(zip(dom_src.tolist(), dom_dst.tolist()), range(dom_src.size)))
     usage = np.zeros(dom_src.size, dtype=np.int64)
     for s, t in zip(scoped_back, scoped):
         s, t = int(s), int(t)

@@ -191,6 +191,8 @@ def test_manifest_group_shorthand(tmp_path):
         ("royden", {"group": F2, "p": 2.0, "radii": [3, 4], "field": {"values": 0.5}}, "field"),
         ("roughiso", {"group": F2, "p": 2.0, "radius": 3, "extra_word": 5}, "extra_word"),
         ("massive", {"group": F2, "p": 2.0, "radii": [3, 4], "subset": {"kind": "subtree", "letter": ["a"]}}, "letter"),
+        ("solve", {"group": {**F2, "params": {"k": 2, "extra_generators": [5]}}, "radius": 3}, "extra_generators"),
+        ("solve", {"group": {**F2, "params": {"k": 2, "extra_generators": [["a", ["b"]]]}}, "radius": 3}, "extra_generators"),
     ],
 )
 def test_wrong_manifest_type_exits_1_naming_the_key(tmp_path, capsys, task, manifest, key):

@@ -24,6 +24,9 @@ SPECS = [
     ({"family": "free", "params": {"k": 2, "extra_generators": [["a", "b"]]}}, 4),
 ]
 
+# the lamplighter with an extra generator: distances inside its balls overshoot the word metric
+LAMP_TA = ({"family": "lamplighter", "params": {"extra_generators": [["t", "a"]]}}, 5)
+
 spec_and_radius = st.sampled_from(SPECS).flatmap(
     lambda sr: st.tuples(st.just(sr[0]), st.integers(1, sr[1]))
 )
@@ -69,6 +72,49 @@ def test_distances_and_parents_match_plain_bfs(sr, salt):
         assert parent[v] == (min(closer) if want[v] > 0 else -1)
     targets = np.arange(len(ball))
     assert np.array_equal(_pair_distances(ball, np.full(len(ball), source), targets), want)
+
+
+@pytest.mark.parametrize("spec, max_radius", SPECS + [LAMP_TA])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_hops_match_plain_bfs(spec, max_radius, data):
+    model = build_group(spec)
+    ball = model.ball(data.draw(st.integers(1, max_radius)))
+    for source in data.draw(st.lists(st.integers(0, len(ball) - 1), min_size=1, max_size=4)):
+        got = ball.hops(source)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, plain_bfs(model, ball, source))
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec_and_radius, st.integers(1, 3), st.integers(0, 10**9))
+def test_hops_on_a_prefix_view_match_a_fresh_ball(sr, extra, salt):
+    spec, radius = sr
+    model = build_group(spec)
+    model.ball(radius + extra)
+    view = model.ball(radius)
+    # the view's sphere rows point past its end, into the cached ball
+    assert view._rows.max() >= len(view)
+    fresh = build_group(spec).ball(radius)
+    source = salt % len(view)
+    assert np.array_equal(view.hops(source), fresh.hops(source))
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec_and_radius, st.integers(0, 2**32 - 1))
+def test_pair_distances_over_many_sources_in_shuffled_order(sr, seed):
+    spec, radius = sr
+    model = build_group(spec)
+    ball = model.ball(radius)
+    rng = np.random.default_rng(seed)
+    sources = rng.choice(len(ball), size=min(len(ball), 12), replace=False)
+    ia = rng.permutation(np.repeat(sources, 5))
+    ib = rng.integers(0, len(ball), size=ia.size)
+    got = _pair_distances(ball, ia, ib)
+    want = {int(s): plain_bfs(model, ball, int(s)) for s in sources}
+    assert got.dtype == np.int64
+    for s, t, d in zip(ia, ib, got):
+        assert d == want[int(s)][t]
 
 
 @settings(max_examples=25, deadline=None)
