@@ -89,10 +89,9 @@ def _sample_pairs(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _pair_distances(ball: CayleyBall, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     sources, row = np.unique(ia, return_inverse=True)
-    # the pair indices of each source, sources in increasing order
-    by_source = np.split(np.argsort(row, kind="stable"), np.cumsum(np.bincount(row))[:-1])
     out = np.empty(ia.size, dtype=np.int64)
-    for source, pick in zip(sources, by_source):
+    for k, source in enumerate(sources):
+        pick = row == k
         out[pick] = ball.hops(int(source))[ib[pick]]
     if np.any(out < 0):
         raise FitError("sampled vertices are not connected inside the ball")
