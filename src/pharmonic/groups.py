@@ -16,20 +16,38 @@ group:
   inverse. Word length is the word length.
 * ``lamplighter`` (Z2 wr Z): elements are pairs (lamps, cursor) where lamps
   is the sorted tuple of lit positions; generating set [t, t-, a] (cursor
-  moves and the involutive toggle at the cursor). There is no closed form
-  for the word length; it is read off the model's cached ball.
+  moves and the involutive toggle at the cursor). For lamps L and cursor c,
+  with m = min(L u {0, c}) and M = max(L u {0, c}), the word length is
+  |L| + (M - m) + min(-m + |M - c|, M + |c - m|): each lamp is toggled once,
+  and the cursor sweeps [m, M] from 0, turning at one end, to end at c.
 
 Any base family can be wrapped with extra generators given as words over the
 base generating set (``extra_generators`` in the spec params); the wrapped
 model carries the enlarged symmetric generating set, and its word lengths
-are read off its cached ball as well.
+are read off its cached ball.
 
-All enumeration is deterministic: breadth-first from the identity, expanding
-each vertex g through its neighbor list [g s^{-1} for s in S] in the fixed
-generator order and appending unseen vertices in encounter order. The pass
-records each expanded vertex's adjacency row as it goes. A model keeps the
-largest ball it has built: a larger ball continues that ball's pass, and a
-smaller one is a prefix view of it. This module is the only place that walks
+Inside a ball, elements are array-coded: each is one fixed-width row of small
+integers, and the identity is the zero row. Reduced words are their letter
+codes padded with zeros, Z^d elements their coordinates, lamplighter elements
+the cursor followed by the lamp bits (position x at bit 2x, or -2x - 1 for
+x < 0). A ball of radius R gets (R + 1) x (longest generator word) letters of
+room, so that one step out of its sphere still fits. Rows compare as whole
+``np.void`` keys, and each model right-multiplies a whole array of rows by a
+generator word at once; an extended model composes its base letters. The
+tuple operations (``apply_gen``, ``neighbors``, ``mul``, ``inv``) never touch
+the codes: they are the independent reference the codes are tested against.
+
+All enumeration is deterministic: breadth-first from the identity, level by
+level. The rows of level r - 1 times the inverse generators, taken in
+row-major order (vertex, then generator), give the neighbor lists
+[g s^{-1} for s in S]; each is looked up among levels r - 2 and r - 1 with
+one ``searchsorted`` each, and the rest become level r, numbered in order of
+first encounter (``np.unique(return_index=True)``). This is the vertex order
+of a vertex-by-vertex breadth-first search. The pass records each expanded
+vertex's adjacency row as it goes. A model keeps the largest ball it has
+built: a larger ball continues that ball's pass, and a smaller one is a
+prefix view of it. ``CayleyBall.vertices`` and ``CayleyBall.index`` decode
+the rows into tuples on first use. This module is the only place that walks
 the Cayley graph by hand; every other traversal runs on ``CayleyBall.csr()``
 through ``scipy.sparse.csgraph``. Hop distances from one vertex come from
 ``CayleyBall.hops``, which reads them off csgraph's breadth-first order.
@@ -38,7 +56,6 @@ through ``scipy.sparse.csgraph``. Hop distances from one vertex come from
 from __future__ import annotations
 
 import numbers
-from array import array
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -107,8 +124,9 @@ class GroupModel:
     """Base class: a group with a fixed symmetric generating set.
 
     Subclasses fill in ``name``, ``spec``, ``gen_labels``, the label-inverse
-    table and the element operations. Everything else (neighbors, balls,
-    word lengths without a closed form, describe) is generic.
+    table, the element operations and the array codes. Everything else
+    (neighbors, balls, word lengths without a closed form, describe) is
+    generic.
     """
 
     name: str
@@ -137,10 +155,41 @@ class GroupModel:
     def element_from_obj(self, obj) -> Element:
         raise NotImplementedError
 
+    # -- array codes supplied by subclasses (see the module docstring) -------
+    _code_dtype: type
+
+    def _code_width(self, n_letters: int) -> int:
+        """Columns of a row with room for any element spelled by at most
+        ``n_letters`` letters of the family."""
+        raise NotImplementedError
+
+    def _times_letters(self, codes: np.ndarray, letters: Sequence[str]) -> np.ndarray:
+        """New rows: each row of ``codes`` right-multiplied by the word ``letters``."""
+        raise NotImplementedError
+
+    def _decode(self, codes: np.ndarray) -> List[Element]:
+        raise NotImplementedError
+
+    def _letters(self, label: str) -> Tuple[str, ...]:
+        """The family's letters spelling generator ``label``."""
+        return (label,)
+
     # -- generic operations --------------------------------------------------
     @property
     def degree(self) -> int:
         return len(self.gen_labels)
+
+    @property
+    def _word_bound(self) -> int:
+        """Letters in the longest generator word."""
+        return max(len(self._letters(s)) for s in self.gen_labels)
+
+    def _neighbor_codes(self, codes: np.ndarray) -> np.ndarray:
+        """The rows of [g s^{-1} for s in S] for every row g, row-major."""
+        out = np.empty((len(codes), self.degree, codes.shape[1]), dtype=codes.dtype)
+        for j, s in enumerate(self.gen_labels):
+            out[:, j] = self._times_letters(codes, self._letters(self._inv_label[s]))
+        return out.reshape(-1, codes.shape[1])
 
     def reduce(self, letters: Iterable[str]) -> Element:
         """Fold a word (sequence of generator labels) into canonical form."""
@@ -253,6 +302,17 @@ class FreeAbelianModel(GroupModel):
     def word_length(self, g: Element) -> int:
         return int(sum(abs(a) for a in g))
 
+    _code_dtype = np.int64
+
+    def _code_width(self, n_letters: int) -> int:
+        return self.d
+
+    def _times_letters(self, codes: np.ndarray, letters: Sequence[str]) -> np.ndarray:
+        return codes + np.sum([self._steps[label] for label in letters], axis=0)
+
+    def _decode(self, codes: np.ndarray) -> List[Element]:
+        return list(map(tuple, codes.tolist()))
+
     def ball_size(self, n: int) -> int:
         # l^1 ball count: sum_k 2^k C(d,k) C(n,k)
         from math import comb
@@ -276,6 +336,8 @@ class _ReducedWordModel(GroupModel):
     words stored as tuples of letter codes: no letter sits next to its
     inverse, and an involutive letter is its own inverse.
     """
+
+    _code_dtype = np.int8
 
     def __init__(self, name: str, spec: GroupSpec, letters: Sequence[Tuple[str, int, str]]):
         self.name = name
@@ -311,6 +373,31 @@ class _ReducedWordModel(GroupModel):
 
     def word_length(self, g: Element) -> int:
         return len(g)
+
+    def _code_width(self, n_letters: int) -> int:
+        return n_letters
+
+    def _times_letters(self, codes: np.ndarray, letters: Sequence[str]) -> np.ndarray:
+        out = codes.copy()
+        rows = np.arange(len(out))
+        length = np.count_nonzero(out, axis=1)
+        for label in letters:
+            code = self._codes[label]
+            # an empty row reads its last column, which is 0 and no letter
+            cancel = out[rows, length - 1] == self._inv_code[code]
+            out[rows[cancel], length[cancel] - 1] = 0
+            out[rows[~cancel], length[~cancel]] = code
+            length += np.where(cancel, -1, 1)
+        return out
+
+    def _decode(self, codes: np.ndarray) -> List[Element]:
+        lengths = np.count_nonzero(codes, axis=1)
+        out: List[Element] = [()] * len(codes)
+        for k in np.unique(lengths).tolist():
+            rows = np.flatnonzero(lengths == k)
+            for i, word in zip(rows.tolist(), map(tuple, codes[rows, :k].tolist())):
+                out[i] = word
+        return out
 
     def ball_size(self, n: int) -> int:
         q = self.degree
@@ -386,6 +473,43 @@ class LamplighterModel(GroupModel):
         lamps, c = g
         return (tuple(sorted(x - c for x in lamps)), -c)
 
+    def word_length(self, g: Element) -> int:
+        lamps, c = g
+        lo, hi = min(lamps + (0, c)), max(lamps + (0, c))
+        return len(lamps) + (hi - lo) + min(-lo + abs(hi - c), hi + abs(c - lo))
+
+    # rows: the cursor, then 64-bit words of lamp bits, position x at bit 2x or -2x - 1
+    _code_dtype = np.int64
+
+    def _code_width(self, n_letters: int) -> int:
+        return 2 + (2 * n_letters) // 64
+
+    def _times_letters(self, codes: np.ndarray, letters: Sequence[str]) -> np.ndarray:
+        out = codes.copy()
+        rows = np.arange(len(out))
+        for label in letters:
+            if label == "a":
+                bit = 2 * out[:, 0]
+                bit = np.where(bit < 0, -1 - bit, bit)
+                out[rows, 1 + bit // 64] ^= np.left_shift(1, bit % 64)
+            else:
+                out[:, 0] += 1 if label == "t" else -1
+        return out
+
+    def _decode(self, codes: np.ndarray) -> List[Element]:
+        bit = np.arange(64 * (codes.shape[1] - 1))
+        position = np.where(bit % 2 == 0, bit // 2, -(bit + 1) // 2)
+        order = np.argsort(position)
+        lit_bits = np.unpackbits(codes[:, 1:].astype("<i8").view(np.uint8), axis=1, bitorder="little")
+        rows, cols = np.nonzero(lit_bits[:, order])
+        lit = position[order][cols].tolist()
+        ends = np.cumsum(np.bincount(rows, minlength=len(codes))).tolist()
+        out, start = [], 0
+        for end, cursor in zip(ends, codes[:, 0].tolist()):
+            out.append((tuple(lit[start:end]), cursor))
+            start = end
+        return out
+
     def element_to_obj(self, g: Element):
         lamps, cursor = g
         return [[int(x) for x in lamps], int(cursor)]
@@ -416,25 +540,29 @@ class ExtendedGeneratorModel(GroupModel):
         labels = list(base.gen_labels)
         inv_label = dict(base._inv_label)
         steps: Dict[str, Element] = {l: base.apply_gen(base.identity(), l) for l in base.gen_labels}
+        words: Dict[str, Tuple[str, ...]] = {l: (l,) for l in base.gen_labels}
         for i, word in enumerate(extra_words, start=1):
             g = base.reduce(word)
             if g == base.identity():
                 raise ValueError(f"extra generator {list(word)} reduces to the identity")
             gi = base.inv(g)
             lab, lab_inv = f"u{i}", f"u{i}-"
+            steps[lab] = g
+            words[lab] = tuple(word)
             if g == gi:
                 labels.append(lab)
                 inv_label[lab] = lab
-                steps[lab] = g
             else:
                 labels += [lab, lab_inv]
                 inv_label[lab] = lab_inv
                 inv_label[lab_inv] = lab
-                steps[lab] = g
                 steps[lab_inv] = gi
+                words[lab_inv] = tuple(base._inv_label[l] for l in reversed(word))
         self.gen_labels = tuple(labels)
         self._inv_label = inv_label
         self._steps = steps
+        self._words = words
+        self._code_dtype = base._code_dtype
         extra_desc = ",".join("".join(w) for w in extra_words)
         self.name = f"{base.name}+[{extra_desc}]"
 
@@ -460,6 +588,18 @@ class ExtendedGeneratorModel(GroupModel):
     def element_from_obj(self, obj) -> Element:
         return self.base.element_from_obj(obj)
 
+    def _letters(self, label: str) -> Tuple[str, ...]:
+        return self._words[label]
+
+    def _code_width(self, n_letters: int) -> int:
+        return self.base._code_width(n_letters)
+
+    def _times_letters(self, codes: np.ndarray, letters: Sequence[str]) -> np.ndarray:
+        return self.base._times_letters(codes, letters)
+
+    def _decode(self, codes: np.ndarray) -> List[Element]:
+        return self.base._decode(codes)
+
 
 def _over_budget(model: GroupModel, radius: int, budget: int, r: int) -> BudgetError:
     return BudgetError(
@@ -468,45 +608,78 @@ def _over_budget(model: GroupModel, radius: int, budget: int, r: int) -> BudgetE
     )
 
 
+def _keys(codes: np.ndarray) -> np.ndarray:
+    """One ``np.void`` key per row, so that whole rows sort and compare at once."""
+    codes = np.ascontiguousarray(codes)
+    return codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1]))).reshape(-1)
+
+
+def _sorted_level(codes: np.ndarray, first_id: int) -> Tuple[np.ndarray, np.ndarray]:
+    """A level's keys in sorted order, with the vertex id of each."""
+    keys = _keys(codes)
+    order = np.argsort(keys)
+    return keys[order], first_id + order
+
+
+def _locate(keys: np.ndarray, levels: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The vertex id of each key among the sorted levels, -1 where absent."""
+    ids = np.full(keys.size, -1, dtype=np.int64)
+    for level_keys, level_ids in levels:
+        pos = np.minimum(np.searchsorted(level_keys, keys), level_keys.size - 1)
+        hit = level_keys[pos] == keys
+        ids[hit] = level_ids[pos[hit]]
+    return ids
+
+
 def _enumerate(model: GroupModel, radius: int, budget: int, start: Optional["CayleyBall"]) -> "CayleyBall":
     """The one breadth-first pass, from the identity or from the sphere of a
-    smaller enumerated ball, recording the adjacency row of each expanded
-    vertex into a flat buffer."""
+    smaller enumerated ball, one level at a time, recording the adjacency
+    rows of each expanded level."""
+    width = model._code_width((radius + 1) * model._word_bound)
     if start is None:
-        e = model.identity()
-        vertices, index = [e], {e: 0}
-        depth, rows = array("i", [0]), array("q")
-        done, first = 0, 1
+        frontier = np.zeros((1, width), dtype=model._code_dtype)
+        codes, depth, rows = [frontier], [np.zeros(1, dtype=np.int32)], []
+        levels = [_sorted_level(frontier, 0)]
+        first = 1
     else:
-        vertices, index = list(start.vertices), dict(start.index)
-        depth, rows = array("i", start.depth.tobytes()), array("q", start.adj.tobytes())
-        done, first = start.n_interior, start.radius + 1
-    neighbors = model.neighbors
+        padded = np.zeros((len(start), width), dtype=model._code_dtype)
+        padded[:, : start._codes.shape[1]] = start._codes
+        inner, sphere = int(np.searchsorted(start.depth, start.radius - 1)), start.n_interior
+        frontier = padded[sphere:]
+        codes, depth, rows = [padded], [start.depth], [start._rows]
+        levels = [_sorted_level(padded[inner:sphere], inner), _sorted_level(frontier, sphere)]
+        first = start.radius + 1
+    n = len(codes[0])
     for r in range(first, radius + 1):
-        end = len(vertices)
-        for k in range(done, end):
-            for h in neighbors(vertices[k]):
-                j = index.get(h)
-                if j is None:
-                    j = index[h] = len(vertices)
-                    if j >= budget:
-                        raise _over_budget(model, radius, budget, r)
-                    vertices.append(h)
-                    depth.append(r)
-                rows.append(j)
-        done = end
-    depth_arr = np.frombuffer(depth, dtype=np.intc).astype(np.int32, copy=False)
-    adj = np.frombuffer(rows, dtype=np.int64).reshape(-1, model.degree)
-    return CayleyBall(model, radius, vertices, index, depth_arr, adj)
+        candidates = model._neighbor_codes(frontier)
+        keys = _keys(candidates)
+        ids = _locate(keys, levels)
+        new = np.flatnonzero(ids < 0)
+        level_keys, first_seen, which = np.unique(keys[new], return_index=True, return_inverse=True)
+        if n + level_keys.size > budget:
+            raise _over_budget(model, radius, budget, r)
+        encounter = np.argsort(first_seen)
+        rank = np.empty_like(encounter)
+        rank[encounter] = np.arange(encounter.size)
+        ids[new] = n + rank[which.reshape(-1)]
+        frontier = candidates[new[first_seen[encounter]]]
+        rows.append(ids.reshape(-1, model.degree))
+        codes.append(frontier)
+        depth.append(np.full(level_keys.size, r, dtype=np.int32))
+        levels = [levels[-1], (level_keys, n + rank)]
+        n += level_keys.size
+    return CayleyBall(model, radius, np.concatenate(codes), np.concatenate(depth), np.concatenate(rows), levels)
 
 
 class CayleyBall:
     """Closed word-metric ball of a given radius, split into interior and sphere.
 
     ``vertices`` lists the interior (word length < radius) first, then the
-    bounding sphere (word length == radius), both in deterministic BFS order.
-    ``adj[i, j]`` is the vertex index of ``neighbors(vertices[i])[j]`` for
-    interior ``i``; every neighbor of an interior vertex stays in the ball.
+    bounding sphere (word length == radius), both in deterministic BFS order;
+    it and ``index`` (element -> vertex id) are decoded from the ball's array
+    codes on first use. ``adj[i, j]`` is the vertex index of
+    ``neighbors(vertices[i])[j]`` for interior ``i``; every neighbor of an
+    interior vertex stays in the ball.
     ``arcs()`` returns the directed arc multiset used by truncated energy
     sums: both directions of every edge having at least one interior
     endpoint (sphere-to-sphere edges are excluded). ``csr()`` is the whole
@@ -517,37 +690,50 @@ class CayleyBall:
     ball shares the arrays of the larger one it is a prefix of.
     """
 
-    def __init__(self, model: GroupModel, radius: int, vertices: List[Element], index: Dict[Element, int],
-                 depth: np.ndarray, rows: np.ndarray):
+    def __init__(self, model: GroupModel, radius: int, codes: np.ndarray, depth: np.ndarray, rows: np.ndarray,
+                 levels: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None):
         self.model = model
         self.radius = radius
-        self.vertices = vertices
-        self.index = index
+        self._codes = codes
         self.depth = depth
         self.n_interior = int(np.searchsorted(depth, radius))
         # full adjacency rows of the first len(rows) vertices; a prefix view
         # has them for its sphere too, pointing past the ball where it ends
         self._rows = rows
         self.adj = rows[: self.n_interior]
+        # sorted keys of the last two levels, for the sphere rows of full_adj
+        self._levels = levels
+        self._vertices: Optional[List[Element]] = None
+        self._index: Optional[Dict[Element, int]] = None
         self._arcs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._full_adj: Optional[np.ndarray] = None
         self._csr: Optional[sp.csr_matrix] = None
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.depth)
+
+    @property
+    def vertices(self) -> List[Element]:
+        if self._vertices is None:
+            self._vertices = self.model._decode(self._codes)
+        return self._vertices
+
+    @property
+    def index(self) -> Dict[Element, int]:
+        if self._index is None:
+            self._index = dict(zip(self.vertices, range(len(self))))
+        return self._index
 
     @property
     def n_boundary(self) -> int:
-        return len(self.vertices) - self.n_interior
+        return len(self) - self.n_interior
 
     def _prefix(self, radius: int) -> "CayleyBall":
         """The ball of a radius no larger than this one's, as a prefix view."""
         if radius == self.radius:
             return self
         size = int(np.searchsorted(self.depth, radius, side="right"))
-        vertices = self.vertices[:size]
-        return CayleyBall(self.model, radius, vertices, dict(zip(vertices, range(size))), self.depth[:size],
-                          self._rows[:size])
+        return CayleyBall(self.model, radius, self._codes[:size], self.depth[:size], self._rows[:size])
 
     def boundary_elements(self) -> List[Element]:
         return self.vertices[self.n_interior :]
@@ -562,14 +748,14 @@ class CayleyBall:
         """Adjacency rows for every vertex, sphere included; -1 marks a
         neighbor that falls outside the ball."""
         if self._full_adj is None:
-            n = len(self.vertices)
-            full = np.full((n, self.model.degree), -1, dtype=np.int64)
+            n = len(self)
             known = len(self._rows)
+            full = np.empty((n, self.model.degree), dtype=np.int64)
             full[:known] = self._rows
+            if known < n:
+                sphere_nbrs = self.model._neighbor_codes(self._codes[known:])
+                full[known:] = _locate(_keys(sphere_nbrs), self._levels).reshape(-1, self.model.degree)
             full[full >= n] = -1
-            for i in range(known, n):
-                for j, h in enumerate(self.model.neighbors(self.vertices[i])):
-                    full[i, j] = self.index.get(h, -1)
             self._full_adj = full
         return self._full_adj
 

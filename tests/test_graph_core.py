@@ -49,6 +49,23 @@ def plain_bfs(model, ball, source):
     return np.array([dist.get(g, -1) for g in ball.vertices])
 
 
+def plain_ball(model, radius):
+    """Vertex-by-vertex breadth-first enumeration over ``model.neighbors``:
+    the vertex list, depths and adjacency rows (-1 outside the ball)."""
+    e = model.identity()
+    vertices, index, depth, rows = [e], {e: 0}, [0], []
+    for g, d in zip(vertices, depth):
+        nbrs = model.neighbors(g)
+        if d < radius:
+            for h in nbrs:
+                if h not in index:
+                    index[h] = len(vertices)
+                    vertices.append(h)
+                    depth.append(d + 1)
+        rows.append([index.get(h, -1) for h in nbrs])
+    return vertices, depth, rows
+
+
 def assert_same_ball(got, want):
     assert got.radius == want.radius
     assert got.vertices == want.vertices
@@ -154,3 +171,66 @@ def test_word_length_reads_the_cached_ball():
     with pytest.raises(ValueError, match="radius 64"):
         z12.word_length((129,))
 
+
+
+# every family at the widest rows it takes: long thin balls, the largest
+# generating sets, long extra words, and lamps past the first 64-bit word
+CODE_EXTREMES = [
+    ({"family": "free", "params": {"k": 1}}, 300),
+    ({"family": "free_product_z2", "params": {"m": 2}}, 300),
+    ({"family": "free", "params": {"k": 3}}, 5),
+    ({"family": "free_product_z2", "params": {"m": 4}}, 6),
+    ({"family": "free_abelian", "params": {"d": 1}}, 300),
+    ({"family": "free_abelian", "params": {"d": 4}}, 6),
+    ({"family": "free", "params": {"k": 2, "extra_generators": [["a", "b", "a", "b", "a"]]}}, 7),
+    ({"family": "lamplighter", "params": {"extra_generators": [["t", "t", "t", "a"]]}}, 8),
+    ({"family": "lamplighter", "params": {"extra_generators": [["t-"] * 40 + ["a"]]}}, 3),
+]
+
+
+def budget_text(model, radius, budget, level):
+    projected = model.ball_size(radius)
+    if projected is not None:
+        return f"ball of radius {radius} on {model.name} has {projected} vertices, over the budget {budget}"
+    return (
+        f"ball of radius {radius} on {model.name} exceeds the vertex budget {budget} "
+        f"(already {budget + 1} vertices at radius {level})"
+    )
+
+
+@pytest.mark.parametrize("spec, radius", CODE_EXTREMES)
+def test_coded_ball_matches_plain_bfs_and_budget_names_the_level(spec, radius):
+    vertices, depth, rows = plain_ball(build_group(spec), radius)
+    model = build_group(spec)
+    ball = model.ball(radius)
+    assert ball.vertices == vertices
+    assert ball.index == {g: i for i, g in enumerate(vertices)}
+    assert ball.depth.tolist() == depth
+    rows = np.array(rows, dtype=np.int64)
+    assert np.array_equal(ball.full_adj(), rows)
+    assert np.array_equal(ball.adj, rows[: ball.n_interior])
+
+    # the budget is crossed at `level`: from the identity, continuing a
+    # cached smaller ball, and against the cached larger ball
+    level = radius // 2 + 1
+    budget = depth.index(level)
+    for cached in (None, level - 1, radius):
+        fresh = model if cached == radius else build_group(spec)
+        if cached:
+            fresh.ball(cached)
+        with pytest.raises(BudgetError) as err:
+            fresh.ball(radius, budget=budget)
+        assert str(err.value) == budget_text(fresh, radius, budget, level)
+        again = fresh.ball(radius)
+        assert np.array_equal(again.depth, ball.depth)
+        assert np.array_equal(again.full_adj(), rows)
+        assert again.vertices[-1] == vertices[-1]
+
+
+def test_lamplighter_word_length_closed_form_matches_depth():
+    lamp = build_group("lamplighter")
+    ball = build_group("lamplighter").ball(12)
+    assert len(ball) == 4167
+    for g, d in zip(ball.vertices, ball.depth.tolist()):
+        assert lamp.word_length(g) == d
+    assert lamp._cached_ball is None  # the closed form builds no ball

@@ -23,6 +23,7 @@ from pharmonic import (
     transport_harmonic,
     validate_rough_map,
 )
+from pharmonic.roughiso import HEAD_PAIR_COUNT, RANDOM_SOURCES, RANDOM_TARGETS, _sample_pairs
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +37,30 @@ def scenario_map(f2_model, ext_model, radius, seed=0):
 
 # ---------------------------------------------------------------------------
 # fitting
+
+
+def loop_sample_pairs(n, seed):
+    """The pair sample drawn one source at a time, as a plain loop."""
+    ia, ib = [], []
+    for i in range(min(HEAD_PAIR_COUNT, n)):
+        for j in range(i + 1, min(HEAD_PAIR_COUNT, n)):
+            ia.append(i)
+            ib.append(j)
+    rng = np.random.default_rng(seed)
+    for s in rng.integers(0, n, size=min(RANDOM_SOURCES, n)):
+        for t in rng.integers(0, n, size=RANDOM_TARGETS):
+            if t != s:
+                ia.append(int(s))
+                ib.append(int(t))
+    return ia, ib
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 50, 60, 64, 65, 221, 331, 850, 1272, 4373, 32767, 118097])
+def test_sample_pairs_equal_the_per_source_loop(n):
+    for seed in range(4):
+        ia, ib = _sample_pairs(n, seed)
+        assert ia.dtype == ib.dtype == np.int64
+        assert (ia.tolist(), ib.tolist()) == loop_sample_pairs(n, seed)
 
 
 def test_identity_self_fit(f2_model):
