@@ -81,7 +81,8 @@ def _sample_pairs(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     targets = rng.integers(0, n, size=(srcs.size, RANDOM_TARGETS)).reshape(-1)
     srcs = np.repeat(srcs, RANDOM_TARGETS)
     keep = targets != srcs
-    return np.concatenate([head_a, srcs[keep]]).astype(np.int64), np.concatenate([head_b, targets[keep]]).astype(np.int64)
+    ia = np.concatenate([head_a, srcs[keep]]).astype(np.int64)
+    return ia, np.concatenate([head_b, targets[keep]]).astype(np.int64)
 
 
 def _pair_distances(ball: CayleyBall, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
