@@ -47,10 +47,18 @@ of a vertex-by-vertex breadth-first search. The pass records each expanded
 vertex's adjacency row as it goes. A model keeps the largest ball it has
 built: a larger ball continues that ball's pass, and a smaller one is a
 prefix view of it. ``CayleyBall.vertices`` and ``CayleyBall.index`` decode
-the rows into tuples on first use. This module is the only place that walks
-the Cayley graph by hand; every other traversal runs on ``CayleyBall.csr()``
-through ``scipy.sparse.csgraph``. Hop distances from one vertex come from
-``CayleyBall.hops``, which reads them off csgraph's breadth-first order.
+the rows into tuples on first use.
+
+Hop distances inside a ball come from one bit-parallel breadth-first pass
+over ``CayleyBall.full_adj``: up to 64 searches run at once, each vertex
+holding a ``uint64`` word with one bit per search that has reached it. A
+level gives each vertex the OR of its neighbors' words, and the bits new
+there are the searches that reach it at that level. ``hops`` gives
+the distances from one vertex or from the nearest of several, and
+``pair_hops`` those of many (source, target) pairs, 64 sources per pass.
+This module is the only place that walks the Cayley graph by hand; every
+other traversal is a connected-component query through
+``scipy.sparse.csgraph``.
 """
 
 from __future__ import annotations
@@ -61,7 +69,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order
 
 Element = tuple
 
@@ -517,9 +524,12 @@ class LamplighterModel(GroupModel):
     def element_from_obj(self, obj) -> Element:
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
             raise ValueError(f"expected [lamps, cursor], got {obj!r}")
-        lamps = _int_tuple(obj[0], "a list of integer lamp positions")
+        lamps = tuple(sorted(_int_tuple(obj[0], "a list of integer lamp positions")))
         (cursor,) = _int_tuple(obj[1:], "an integer cursor")
-        return (tuple(sorted(lamps)), cursor)
+        repeated = [x for x, y in zip(lamps, lamps[1:]) if x == y]
+        if repeated:
+            raise ValueError(f"lamp position {repeated[0]} is listed more than once in {obj!r}")
+        return (lamps, cursor)
 
 
 class ExtendedGeneratorModel(GroupModel):
@@ -684,7 +694,8 @@ class CayleyBall:
     sums: both directions of every edge having at least one interior
     endpoint (sphere-to-sphere edges are excluded). ``csr()`` is the whole
     induced graph, sphere-to-sphere edges included, for ``scipy.sparse.csgraph``;
-    ``hops(source)`` gives the hop distances in it from one vertex.
+    ``hops(sources)`` gives the hop distances in it from the nearest of some
+    vertices, and ``pair_hops(ia, ib)`` the distance of each vertex pair.
 
     Balls come from ``GroupModel.ball`` and are never modified; a smaller
     ball shares the arrays of the larger one it is a prefix of.
@@ -770,24 +781,76 @@ class CayleyBall:
             self._csr = sp.csr_matrix((np.ones(int(indptr[-1])), full[inside], indptr), shape=(n, n))
         return self._csr
 
-    def hops(self, source: int) -> np.ndarray:
-        """Hop distances inside the ball from one vertex, -1 where unreached.
+    def _search(self, ids: np.ndarray, words: np.ndarray):
+        """Up to 64 breadth-first searches inside the ball at once, one bit
+        per search: bit k of ``words[i]`` starts search k at the distinct
+        vertex ``ids[i]``. Yields, for level 0, 1, ... until a level reaches
+        nothing new, the vertices newly reached at that level and ``seen``,
+        every vertex's word of the searches that have reached it.
 
-        csgraph's breadth-first search is first in, first out: ``order`` lists
-        the reached vertices level by level, and the positions of their
-        parents in ``order`` never decrease. So a level ends just after the
-        last vertex whose parent lies in the level before it.
-        """
-        order, parent = breadth_first_order(self.csr(), source, directed=True, return_predecessors=True)
-        position = np.empty(len(self), dtype=np.int64)
-        position[order] = np.arange(order.size)
-        parent_pos = position[parent[order[1:]]]
-        bounds = [0, 1]
-        while bounds[-1] < order.size:
-            bounds.append(1 + int(np.searchsorted(parent_pos, bounds[-1])))
+        A level pulls, at each vertex, the OR of its neighbors' words, masked
+        by its own; a bit that is new there arrived from the level before.
+        While that level has fewer than 1 / (2 x degree) of the vertices, only
+        its neighbors pull; this keeps long thin balls from paying for the
+        whole ball at every level. ``seen`` carries one zero slot at the end,
+        which the -1 entries of ``full_adj`` read. Every word array stays
+        ``uint64``: numpy < 2 promotes ``uint64`` with ``int64`` to float64,
+        where bitwise operations fail."""
+        full = self.full_adj()
+        seen = np.zeros(len(self) + 1, dtype=np.uint64)
+        near = np.zeros(len(self) + 1, dtype=bool)
+        seen[ids] = words
+        while ids.size:
+            yield ids, seen
+            if 2 * full.shape[1] * ids.size < len(self):
+                near[full[ids]] = True
+                near[-1] = False
+                pull = near.nonzero()[0]
+                near[pull] = False
+                rows = full[pull]
+            else:
+                pull, rows = np.arange(len(self)), full
+            reached = seen[rows[:, 0]]
+            for j in range(1, rows.shape[1]):
+                reached |= seen[rows[:, j]]
+            reached &= ~seen[pull]
+            new = reached.nonzero()[0]
+            ids = pull[new]
+            seen[ids] |= reached[new]
+
+    def hops(self, sources) -> np.ndarray:
+        """Hop distances inside the ball from one vertex, or from the nearest
+        of an array of vertices; -1 where unreached."""
+        sources = np.unique(np.asarray(sources, dtype=np.int64))
         dist = np.full(len(self), -1, dtype=np.int64)
-        dist[order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        for level, (ids, _) in enumerate(self._search(sources, np.ones(sources.size, dtype=np.uint64))):
+            dist[ids] = level
         return dist
+
+    def pair_hops(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        """Hop distance inside the ball from ``ia[k]`` to ``ib[k]`` for each
+        k, -1 where unreached. The distinct sources run 64 at a time, one bit
+        each (Then et al., "The More the Merrier", VLDB 2014): a pair's
+        distance is the level at which its source's bit first reaches its
+        target, and a block stops once all of its pairs are resolved."""
+        ia = np.asarray(ia, dtype=np.int64)
+        ib = np.asarray(ib, dtype=np.int64)
+        out = np.full(ia.size, -1, dtype=np.int64)
+        sources, slot = np.unique(ia, return_inverse=True)
+        for first in range(0, sources.size, 64):
+            block = sources[first : first + 64]
+            pairs = np.flatnonzero((slot >= first) & (slot < first + block.size))
+            bits = np.left_shift(np.uint64(1), (slot[pairs] - first).astype(np.uint64))
+            targets = ib[pairs]
+            words = np.left_shift(np.uint64(1), np.arange(block.size, dtype=np.uint64))
+            for level, (_, seen) in enumerate(self._search(block, words)):
+                hit = (seen[targets] & bits) != 0
+                if hit.any():
+                    out[pairs[hit]] = level
+                    pairs, bits, targets = pairs[~hit], bits[~hit], targets[~hit]
+                    if not pairs.size:
+                        break
+        return out
 
     def arcs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Directed arc arrays (src, dst) of the truncated energy sums."""

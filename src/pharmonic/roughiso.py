@@ -33,7 +33,6 @@ from math import ceil
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
 from .dirichlet import Record, SolverConfig
 from .energy import ScalarField, check_exponent, seminorm_p
@@ -49,11 +48,6 @@ RANDOM_TARGETS = 16
 
 class FitError(ValueError):
     """No grid constants (or no coverage radius) satisfy the sampled data."""
-
-
-def _hops(dist: np.ndarray) -> np.ndarray:
-    """csgraph distances as integers, -1 where unreached."""
-    return np.where(np.isfinite(dist), dist, -1).astype(np.int64)
 
 
 def _bfs_parents(ball: CayleyBall, source: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -86,11 +80,7 @@ def _sample_pairs(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_distances(ball: CayleyBall, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    sources, row = np.unique(ia, return_inverse=True)
-    out = np.empty(ia.size, dtype=np.int64)
-    for k, source in enumerate(sources):
-        pick = row == k
-        out[pick] = ball.hops(int(source))[ib[pick]]
+    out = ball.pair_hops(ia, ib)
     if np.any(out < 0):
         raise FitError("sampled vertices are not connected inside the ball")
     return out
@@ -134,8 +124,7 @@ def fit_rough_constants(
 def coverage_radius(codomain: CayleyBall, images: np.ndarray) -> int:
     """Smallest c >= 1 with every vertex of depth <= R - c within distance c
     of the image set."""
-    sources = np.unique(np.asarray(images, dtype=np.int64))
-    dist = _hops(dijkstra(codomain.csr(), indices=sources, unweighted=True, min_only=True))
+    dist = codomain.hops(images)
     radius = codomain.radius
     for c in range(1, radius + 1):
         inside = codomain.depth <= radius - c
@@ -259,7 +248,7 @@ def rough_inverse(cmap: CoarseMap, seed: int = 0) -> Tuple[CoarseMap, InverseRep
     first = np.ones(ys.size, dtype=bool)
     first[1:] = ys[1:] != ys[:-1]
     sources = ys[first]
-    dist = _hops(dijkstra(cmap.codomain.csr(), indices=sources, unweighted=True, min_only=True))
+    dist = cmap.codomain.hops(sources)
     label = np.full(len(cmap.codomain), -1, dtype=np.int64)
     label[sources] = order[first]  # smallest domain index mapping to each source
     full = cmap.codomain.full_adj()

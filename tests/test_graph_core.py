@@ -101,20 +101,39 @@ def test_distances_and_parents_match_plain_bfs(sr, salts):
 
 
 @settings(max_examples=25, deadline=None)
-@given(spec_and_radius, st.integers(0, 2**32 - 1))
-def test_pair_distances_over_many_sources_in_shuffled_order(sr, seed):
+@given(spec_and_radius, st.integers(1, 150), st.integers(0, 2**32 - 1))
+def test_pair_distances_over_many_sources_in_shuffled_order(sr, n_sources, seed):
+    # up to 150 sources: three 64-bit words of searches, the last one partial
     spec, radius = sr
     model = build_group(spec)
     ball = model.ball(radius)
     rng = np.random.default_rng(seed)
-    sources = rng.choice(len(ball), size=min(len(ball), 12), replace=False)
-    ia = rng.permutation(np.repeat(sources, 5))
+    sources = rng.choice(len(ball), size=min(len(ball), n_sources), replace=False)
+    ia = np.repeat(sources, 5)
     ib = rng.integers(0, len(ball), size=ia.size)
+    ib[::4] = ia[::4]  # some pairs end where they start
+    order = rng.permutation(ia.size)
+    ia, ib = ia[order], ib[order]
     got = _pair_distances(ball, ia, ib)
     want = {int(s): plain_bfs(model, ball, int(s)) for s in sources}
     assert got.dtype == np.int64
     for s, t, d in zip(ia, ib, got):
         assert d == want[int(s)][t]
+
+
+@settings(max_examples=25, deadline=None)
+@given(with_lamp_ta, st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_hops_from_many_sources_is_the_nearest_source_distance(sr, n_sources, seed):
+    spec, radius = sr
+    model = build_group(spec)
+    ball = model.ball(radius)
+    rng = np.random.default_rng(seed)
+    sources = rng.integers(0, len(ball), size=n_sources)  # repeats allowed
+    # a ball is connected, so no plain distance is -1
+    want = np.min([plain_bfs(model, ball, int(s)) for s in sources], axis=0)
+    got = ball.hops(sources)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=25, deadline=None)

@@ -330,6 +330,7 @@ def test_group_axioms_on_random_words(drawn):
         ({"family": "lamplighter", "params": {}}, [3, 0]),
         ({"family": "lamplighter", "params": {}}, [[0.5], 0]),
         ({"family": "lamplighter", "params": {}}, [[0], "1"]),
+        ({"family": "lamplighter", "params": {}}, [[1, 1], 0]),
     ],
 )
 def test_element_from_obj_rejects_malformed_json(spec, obj):
