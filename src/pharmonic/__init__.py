@@ -6,7 +6,7 @@ capacities and parabolicity profiles, boundary witnesses that certify
 distinct ideal boundary directions, Royden-type decompositions, massive
 subsets, rough-isometry transport of harmonic fields between generating
 sets, and the translation-invariant functionals induced by p-harmonic
-fields. Everything is deterministic: fixed vertex orders, fixed sweep
+fields. Everything is deterministic: fixed vertex orders, fixed p
 schedules, and seeded sampling wherever randomness is used.
 """
 

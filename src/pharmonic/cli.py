@@ -3,7 +3,7 @@
 Every subcommand accepts either a JSON manifest (--manifest run.json) or the
 equivalent flags; explicit flags override manifest entries, and the merged
 manifest is what gets executed, hashed, and embedded in the report. Reports
-are deterministic byte-for-byte across reruns: vertex orders and sweep
+are deterministic byte-for-byte across reruns: vertex orders and p
 schedules are fixed, sampling is seeded, and wall-clock timings are printed
 to stdout but never written into files.
 
@@ -586,8 +586,13 @@ def _build_parser() -> _Parser:
         sp.add_argument("--budget", type=int, help="vertex budget override for ball construction")
         if task != "describe":
             sp.add_argument("--p", type=float, help="exponent in [1.1, 8]")
-            sp.add_argument("--tol", type=float, help="solver tolerance")
-            sp.add_argument("--max-sweeps", dest="max_sweeps", type=int, help="solver sweep budget")
+            sp.add_argument(
+                "--tol", type=float, help="stop once the sup of the Newton correction is at most this (default 1e-8)"
+            )
+            sp.add_argument(
+                "--max-sweeps", dest="max_sweeps", type=int,
+                help="budget of Newton steps per solve, over all p stages together (default 50000)",
+            )
         if task in ("describe", "solve", "roughiso"):
             sp.add_argument("--radius", type=int, help="ball radius")
         if task in ("capacity", "witness", "royden", "massive", "tilf"):
