@@ -265,8 +265,11 @@ def _write_report(fh, fmt: str, manifest: dict, report: dict, csv_rows: Tuple[Li
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _rows_from_dicts(dicts: Sequence[dict], columns: Sequence[str]) -> Tuple[List[str], List[list]]:
-    return list(columns), [[d[c] for c in columns] for d in dicts]
+def _rows_from_dicts(dicts: Sequence[dict]) -> Tuple[List[str], List[list]]:
+    """A CSV table from a nonempty list of row dicts that share their keys:
+    the keys of the first, in order, name the columns."""
+    columns = list(dicts[0])
+    return columns, [[d[c] for c in columns] for d in dicts]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +290,7 @@ def _run_describe(manifest: dict):
         total += s
         rows.append({"radius": r, "sphere": s, "ball": total})
     info["ball_sizes"] = [row["ball"] for row in rows]
-    return info, _rows_from_dicts(rows, ["radius", "sphere", "ball"]), True
+    return info, _rows_from_dicts(rows), True
 
 
 def _boundary_values(manifest: dict, model: GroupModel, ball) -> np.ndarray:
@@ -359,7 +362,7 @@ def _run_capacity(manifest: dict):
     config = _config_from(manifest)
     profile = parabolicity_profile(model, radii, p, inner, config, _budget_from(manifest))
     results = profile.to_dict()
-    rows = _rows_from_dicts([r.to_dict() for r in profile.rows], ["radius", "capacity", "iterations", "residual", "converged"])
+    rows = _rows_from_dicts([r.to_dict() for r in profile.rows])
     return results, rows, all(r.converged for r in profile.rows)
 
 
@@ -370,10 +373,7 @@ def _run_witness(manifest: dict):
     config = _config_from(manifest)
     report = boundary_witness(model, p, radii, None, config, _budget_from(manifest))
     results = report.to_dict()
-    rows = _rows_from_dicts(
-        [r.to_dict() for r in report.rows],
-        ["radius", "marked_count", "unmarked_count", "u_plus", "u_minus", "gap", "energy", "iterations", "residual", "converged"],
-    )
+    rows = _rows_from_dicts([r.to_dict() for r in report.rows])
     return results, rows, all(r.converged for r in report.rows)
 
 
@@ -411,9 +411,7 @@ def _run_royden(manifest: dict):
     results = report.to_dict()
     results["h_value_at_identity"] = h.value_at(model.identity())
     results["u_sup_norm"] = u.sup_norm()
-    rows = _rows_from_dicts(
-        [r.to_dict() for r in report.rows], ["radius", "energy", "core_delta", "iterations", "residual", "converged"]
-    )
+    rows = _rows_from_dicts([r.to_dict() for r in report.rows])
     return results, rows, all(r.converged for r in report.rows)
 
 
@@ -437,10 +435,7 @@ def _run_massive(manifest: dict):
         raise _CliError(f"unknown subset kind {kind!r}; use half_space or subtree")
     field, report = inner_potential(model, subset, radii, p, config, _budget_from(manifest))
     results = report.to_dict()
-    rows = _rows_from_dicts(
-        [r.to_dict() for r in report.rows],
-        ["radius", "core_sup", "core_stab", "boundary_count", "sphere_count", "connected", "energy", "iterations", "converged"],
-    )
+    rows = _rows_from_dicts([r.to_dict() for r in report.rows])
     return results, rows, all(r.converged for r in report.rows)
 
 
@@ -467,6 +462,8 @@ def _run_roughiso(manifest: dict):
 
     rng = np.random.default_rng(seed)
     n_fields = _int_from(manifest, "n_fields", 20)
+    if n_fields < 1:
+        raise _CliError(f"manifest 'n_fields' must be positive, got {n_fields}")
     pull_rows = []
     all_hold = True
     for i in range(n_fields):
@@ -508,7 +505,7 @@ def _run_roughiso(manifest: dict):
         "pullback_all_hold": all_hold,
         "roundtrip_core_error": roundtrip_error,
     }
-    rows = _rows_from_dicts(pull_rows, ["field", "lhs", "rhs", "k", "holds"])
+    rows = _rows_from_dicts(pull_rows)
     return results, rows, converged
 
 
@@ -556,7 +553,7 @@ def _run_tilf(manifest: dict):
         "indicator_value": t_ind,
         "invariance_defects": defects,
     }
-    rows = _rows_from_dicts(delta_rows, ["vertex", "T", "minus_2_laplacian", "gap"])
+    rows = _rows_from_dicts(delta_rows)
     return results, rows, converged
 
 

@@ -3,8 +3,8 @@
 A problem clamps all sphere vertices (and optionally interior vertices) to
 given values and minimizes the truncated p-th power energy over the free
 vertices. The minimizer is unique (the energy is strictly convex in the free
-values once every free component touches a clamp) and satisfies the discrete
-maximum principle: solution values stay inside the clamped range.
+values, since every free component touches a clamp) and satisfies the
+discrete maximum principle: solution values stay inside the clamped range.
 
 Solver: damped Newton on the free values with continuation in p (homotopy
 in p, as in Adil, Peng & Sachdeva, NeurIPS 2019). The p = 2 problem is
@@ -43,7 +43,6 @@ from typing import List, Mapping, Optional, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from .energy import ScalarField, check_exponent, phi_p
 from .groups import CayleyBall, Element, GroupModel
@@ -76,31 +75,16 @@ def _plain(value):
 @dataclass
 class SolverConfig(Record):
     """Knobs for the Newton solver: the stop test on the sup of the Newton
-    correction, the budget of Newton steps over all p stages, and whether
-    the default start is the p = 2 linear solution (else the clamped
-    mean)."""
+    correction and the budget of Newton steps over all p stages."""
 
     tolerance: float = 1e-8
     max_sweeps: int = 50_000
-    warm_start: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.tolerance < 1.0):
             raise ValueError(f"tolerance must lie in (0, 1), got {self.tolerance}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be positive")
-
-    @classmethod
-    def from_dict(cls, obj: Mapping) -> "SolverConfig":
-        known = {"tolerance", "max_sweeps", "warm_start"}
-        extra = set(obj) - known
-        if extra:
-            raise ValueError(f"unknown solver config keys: {sorted(extra)}")
-        return cls(
-            tolerance=float(obj.get("tolerance", 1e-8)),
-            max_sweeps=int(obj.get("max_sweeps", 50_000)),
-            warm_start=bool(obj.get("warm_start", True)),
-        )
 
 
 @dataclass
@@ -128,8 +112,11 @@ class DirichletProblem:
 
     A mapping is turned into that array first. ``clamped`` is then the
     array, ``clamped_mask`` marks its non-NaN entries and ``free`` lists
-    the rest. Every sphere vertex must be clamped, clamped values must be
-    finite, and every free vertex must reach a clamp through free vertices.
+    the rest. Every sphere vertex must be clamped and clamped values must be
+    finite. That makes every free vertex reach a clamp through free
+    vertices: interior rows of ``ball.adj`` are complete and the ball is
+    connected, so a free component with no clamped neighbour would be the
+    whole ball, sphere included.
     """
 
     def __init__(self, ball: CayleyBall, clamped: Union[np.ndarray, Mapping[int, float]], p: float):
@@ -166,24 +153,10 @@ class DirichletProblem:
         self.free = np.flatnonzero(~mask)
         if self.free.size == 0:
             raise ValueError("no free interior vertex; nothing to solve")
-        self._check_free_reaches_clamps()
 
     @classmethod
     def from_elements(cls, ball: CayleyBall, clamped: Mapping[Element, float], p: float) -> "DirichletProblem":
         return cls(ball, {ball.index[g]: v for g, v in clamped.items()}, p)
-
-    def _check_free_reaches_clamps(self) -> None:
-        # every free vertex must be connected through free vertices to a
-        # clamp: one component on the free subgraph plus one merged clamp node
-        n_free = self.free.size
-        local = np.full(len(self.ball), n_free, dtype=np.int64)
-        local[self.free] = np.arange(n_free)
-        nbrs = local[self.ball.adj[self.free]]
-        rows = np.repeat(np.arange(n_free, dtype=np.int64), nbrs.shape[1])
-        graph = sp.csr_matrix((np.ones(rows.size), (rows, nbrs.ravel())), shape=(n_free + 1, n_free + 1))
-        _, labels = connected_components(graph, directed=False)
-        if np.any(labels[:n_free] != labels[n_free]):
-            raise ValueError("a free region is not edge-connected to any clamped vertex")
 
     @cached_property
     def _system(self) -> "_NewtonStep":
@@ -200,7 +173,7 @@ class DirichletProblem:
 
 
 def linear_dirichlet(problem: DirichletProblem) -> np.ndarray:
-    """Direct sparse solve of the p = 2 problem (also the warm start): the
+    """Direct sparse solve of the p = 2 problem (also the default start): the
     unit-weight Laplacian, clamped neighbor values summed in generator-slot
     order on the right-hand side. It goes through ``spsolve`` (column
     ordering, partial pivoting), whose rounding every p = 2 report has
@@ -333,17 +306,16 @@ def _p_stages(p: float) -> List[float]:
 def solve_dirichlet(
     problem: DirichletProblem,
     config: Optional[SolverConfig] = None,
-    initial: Union[None, str, np.ndarray, ScalarField] = None,
+    initial: Union[None, np.ndarray, ScalarField] = None,
 ) -> Tuple[ScalarField, SolveReport]:
     """Solve a clamped p-Dirichlet problem; returns (field, report).
 
-    ``initial`` overrides the start: "clamped_mean", a full value array, or
-    a ScalarField on the same ball. By default the p = 2 linear solution is
-    used when ``config.warm_start`` and the clamped mean otherwise. From any
-    start but the linear solution Newton runs at p = 2 first, then through
-    the p stages toward the target. A supplied start at p > 2 that already
-    passes the stop test at the target is returned as it is, after 0
-    iterations.
+    ``initial`` is None or the start: a full value array or a ScalarField on
+    the same ball, whose free entries are used. None starts from the p = 2
+    linear solution. From a supplied start Newton runs at p = 2 first, then
+    through the p stages toward the target. A supplied start at p > 2 that
+    already passes the stop test at the target is returned as it is, after
+    0 iterations.
 
     The solve converges when the sup of the Newton correction at the target
     exponent is at most ``config.tolerance``; that last correction is added
@@ -360,24 +332,16 @@ def solve_dirichlet(
     ball = problem.ball
     start = time.perf_counter()
 
-    u = problem.clamped_values()
     free = problem.free
     tol = config.tolerance
     newton = problem._system
     stages = _p_stages(p)
     if initial is None:
-        initial = "warm" if config.warm_start else "clamped_mean"
-    if isinstance(initial, ScalarField):
-        initial = initial.values
-    if isinstance(initial, str):
-        if initial == "warm":
-            u = linear_dirichlet(problem)
-        elif initial == "clamped_mean":
-            u[free] = float(np.mean(problem.clamped[problem.clamped_mask]))
-            stages = [2.0] + stages
-        else:
-            raise ValueError(f"unknown initialization {initial!r}")
+        u = linear_dirichlet(problem)
     else:
+        if isinstance(initial, ScalarField):
+            initial = initial.values
+        u = problem.clamped_values()
         init = np.asarray(initial, dtype=np.float64)
         if init.shape != u.shape:
             raise ValueError(f"initial values must have shape {u.shape}")

@@ -324,7 +324,7 @@ def royden_decompose(
     at the final radius and u = f - h vanishes on the final sphere.
     """
     check_exponent(p)
-    radii = _ascending_radii(radii, minimum=1)
+    radii = _ascending_radii(radii, minimum=CORE_RADIUS)
     config = config or SolverConfig()
     final = radii[-1]
     final_ball = model.ball(final, budget)
@@ -339,7 +339,9 @@ def royden_decompose(
     else:
         raise TypeError("f must be a ScalarField or a callable on group elements")
 
-    core_elems = [final_ball.vertices[i] for i in final_ball.core_indices(CORE_RADIUS)]
+    # every ball of a model is a prefix of one breadth-first order, so the
+    # core has the same indices at every radius
+    core_idx = final_ball.core_indices(CORE_RADIUS)
     rows: List[RoydenRow] = []
     prev_core: Optional[np.ndarray] = None
     h_field: Optional[ScalarField] = None
@@ -349,14 +351,13 @@ def royden_decompose(
         clamped = np.full(n, np.nan)
         clamped[ball.n_interior :] = f_final.values[ball.n_interior : n]
         h_n, rep = solve_dirichlet(DirichletProblem(ball, clamped, p), config)
-        core_vals = np.array([h_n.value_at(g) for g in core_elems])
+        core_vals = h_n.values[core_idx]
         delta = float("nan") if prev_core is None else float(np.max(np.abs(core_vals - prev_core)))
         rows.append(RoydenRow(radius, rep.final_energy, delta, rep.iterations, rep.residual, rep.converged))
         prev_core = core_vals
         h_field = h_n
 
     u_field = ScalarField(final_ball, f_final.values - h_field.values)
-    core_idx = final_ball.core_indices(CORE_RADIUS)
     u_core = float(np.max(np.abs(u_field.values[core_idx])))
     u_sphere = float(np.max(np.abs(u_field.values[final_ball.n_interior :])))
     report = RoydenReport(
@@ -444,7 +445,6 @@ def inner_potential(
     rows: List[MassiveRow] = []
     prev_core: Optional[np.ndarray] = None
     last_field: Optional[ScalarField] = None
-    core_elems: Optional[List[Element]] = None
     for radius in radii:
         ball = model.ball(radius, budget)
         in_a = np.fromiter((subset.contains(g) for g in ball.vertices), dtype=bool, count=len(ball))
@@ -473,9 +473,7 @@ def inner_potential(
             raise ValueError(f"subset {subset.name!r} has no free interior vertex at radius {radius}")
         u, rep = solve_dirichlet(DirichletProblem(ball, clamped, p), config)
 
-        if core_elems is None:
-            core_elems = [ball.vertices[i] for i in ball.core_indices(CORE_RADIUS)]
-        core_vals = np.array([u.value_at(g) for g in core_elems])
+        core_vals = u.values[ball.core_indices(CORE_RADIUS)]
         stab = float("nan") if prev_core is None else float(np.max(np.abs(core_vals - prev_core)))
         rows.append(
             MassiveRow(

@@ -73,6 +73,9 @@ import scipy.sparse as sp
 Element = tuple
 
 DEFAULT_VERTEX_BUDGET = 200_000
+# bytes of array codes a ball may hold per budgeted vertex: on thin balls
+# of long words the vertex budget alone would admit rows of up to R letters
+CODE_BYTES_PER_VERTEX = 1024
 
 _FREE_LETTERS = "abc"
 
@@ -217,7 +220,11 @@ class GroupModel:
 
     def ball(self, n: int, budget: Optional[int] = None) -> "CayleyBall":
         """The closed ball of radius n: a prefix view of the cached ball when
-        that is at least as large, else the cached ball's pass continued."""
+        that is at least as large, else the cached ball's pass continued.
+        BudgetError when the ball has more than ``budget`` vertices, or when
+        a pass would hold more than CODE_BYTES_PER_VERTEX bytes of codes per
+        vertex of the budget (counting ``budget`` vertices where the size
+        has no closed form)."""
         if n < 1:
             raise ValueError(f"ball radius must be >= 1, got {n}")
         budget = DEFAULT_VERTEX_BUDGET if budget is None else int(budget)
@@ -234,6 +241,13 @@ class GroupModel:
                 raise _over_budget(self, n, budget, int(cached.depth[budget]))
             if n <= cached.radius:
                 return cached._prefix(n)
+        row_bytes = self._code_width((n + 1) * self._word_bound) * np.dtype(self._code_dtype).itemsize
+        code_bytes = (budget if projected is None else projected) * row_bytes
+        if code_bytes > budget * CODE_BYTES_PER_VERTEX:
+            raise BudgetError(
+                f"ball of radius {n} on {self.name} would hold {code_bytes} bytes of codes, "
+                f"over {CODE_BYTES_PER_VERTEX} per vertex of the budget {budget}"
+            )
         ball = _enumerate(self, n, budget, cached)
         self._cached_ball = ball
         return ball

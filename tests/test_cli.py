@@ -112,6 +112,12 @@ def test_royden_and_massive_commands(tmp_path):
     assert load(out2)["results"]["verdict"] == "massive"
 
 
+def test_royden_radius_below_the_core_exits_1_naming_the_minimum(capsys):
+    assert run_cli(["royden", "--group", "free:k=2", "--radii", "1,3", "--p", "2.0"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: radii must be >= 2, got [1, 3]"]
+
+
 def test_tilf_command(tmp_path):
     out = tmp_path / "tilf.json"
     assert run_cli(["tilf", "--group", "free:k=2", "--p", "2.0", "--radii", "4,5", "--out", str(out)]) == 0
@@ -155,6 +161,7 @@ F2 = {"family": "free", "params": {"k": 2}}
     [
         ("massive", {"group": F2, "p": 2.0, "radii": [3, 4], "subset": "subtree"}),
         ("solve", {"group": F2, "p": 2.0, "radius": 3, "boundary": {"clamps": [[["a"]]]}}),
+        ("roughiso", {"group": F2, "p": 2.0, "radius": 3, "n_fields": 0}),
     ],
 )
 def test_malformed_manifest_exits_1_with_one_line(tmp_path, capsys, task, manifest):

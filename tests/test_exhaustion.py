@@ -166,6 +166,12 @@ def test_profile_monotone_and_validated(f2_model):
 # the u + h split
 
 
+def test_royden_radii_start_at_the_core_radius(f2_model):
+    # a radius-1 ball lacks the core the rows compare
+    with pytest.raises(ValueError, match="radii must be >= 2"):
+        royden_decompose(f2_model, lambda g: 0.0, 2.0, [1, 3])
+
+
 def test_royden_of_compact_bump_is_all_u(f2_model):
     ball = f2_model.ball(5)
     f = ScalarField.indicator(ball, lambda g: f2_model.word_length(g) <= 1)

@@ -246,6 +246,19 @@ def test_coded_ball_matches_plain_bfs_and_budget_names_the_level(spec, radius):
         assert again.vertices[-1] == vertices[-1]
 
 
+def test_thin_balls_of_long_words_exceed_the_code_budget_up_front():
+    # linear growth keeps radius 99 999 within the vertex budget, but every
+    # row holds a whole word: tens of GB of codes, refused before enumerating
+    f1 = {"family": "free", "params": {"k": 1}}
+    for spec in (f1, {"family": "free_product_z2", "params": {"m": 2}},
+                 {"family": "free", "params": {"k": 1, "extra_generators": [["a", "a"]]}}):
+        model = build_group(spec)
+        with pytest.raises(BudgetError, match="bytes of codes"):
+            model.ball(99_999)
+        assert model._cached_ball is None
+    assert len(build_group(f1).ball(3_000)) == 6_001
+
+
 def test_lamplighter_word_length_closed_form_matches_depth():
     lamp = build_group("lamplighter")
     ball = build_group("lamplighter").ball(12)
