@@ -456,7 +456,7 @@ def _run_roughiso(manifest: dict):
     budget = _budget_from(manifest)
     domain = base_model.ball(radius, budget)
     codomain = extended.ball(radius, budget)
-    cmap = CoarseMap.fit(domain, codomain, lambda g: g, seed)
+    cmap = CoarseMap.fit(domain, codomain, None, seed)
     validation = validate_rough_map(cmap, n_pairs=_int_from(manifest, "n_pairs", 1000), seed=seed + 1)
     psi, inv_report = rough_inverse(cmap, seed)
 
@@ -482,7 +482,7 @@ def _run_roughiso(manifest: dict):
         fwd_radii = [scope_r - 1, scope_r]
         phi_fwd, t1 = transport_harmonic(h, psi, p, fwd_radii, config, budget)
         back_ball = base_model.ball(scope_r, budget)
-        back_map = CoarseMap.fit(back_ball, phi_fwd.ball, lambda g: g, seed)
+        back_map = CoarseMap.fit(back_ball, phi_fwd.ball, None, seed)
         h_back, t2 = transport_harmonic(phi_fwd, back_map, p, fwd_radii, config, budget)
         converged = converged and all(r.converged for r in t1.royden.rows) and all(
             r.converged for r in t2.royden.rows

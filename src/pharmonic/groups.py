@@ -46,8 +46,17 @@ first encounter (``np.unique(return_index=True)``). This is the vertex order
 of a vertex-by-vertex breadth-first search. The pass records each expanded
 vertex's adjacency row as it goes. A model keeps the largest ball it has
 built: a larger ball continues that ball's pass, and a smaller one is a
-prefix view of it. ``CayleyBall.vertices`` and ``CayleyBall.index`` decode
-the rows into tuples on first use.
+prefix view of it.
+
+``CayleyBall.locate`` maps code rows to vertex ids through a sorted key
+index of the whole ball, built on first use. Rows from a ball of the same
+group under another generating set may be narrower or wider: a zero column
+is no letter, no coordinate and no lamp word, so rows are padded or trimmed
+with zero columns. This is how vertices move between balls, and no ball is
+decoded on the way. ``CayleyBall.vertices`` and ``CayleyBall.index`` decode
+the rows into tuples and an element -> id dict on first use; they serve only
+element-level callers: JSON manifests and reports, ``ScalarField.value_at``
+and TILF.
 
 Hop distances inside a ball come from one bit-parallel breadth-first pass
 over ``CayleyBall.full_adj``: up to 64 searches run at once, each vertex
@@ -214,17 +223,27 @@ class GroupModel:
         """[g s^{-1} for s in S], in generating-set order."""
         return [self.apply_gen(g, self._inv_label[s]) for s in self.gen_labels]
 
+    @property
+    def group_spec(self) -> GroupSpec:
+        """The spec of the group without its extra generators; models with
+        the same group spec code their elements alike."""
+        return self.spec
+
     def ball_size(self, n: int) -> Optional[int]:
         """Closed-form vertex count of the closed ball, or None if unknown."""
         return None
+
+    def _size_bound(self, n: int) -> Optional[int]:
+        """An upper bound on the vertex count of the closed ball, or None."""
+        return self.ball_size(n)
 
     def ball(self, n: int, budget: Optional[int] = None) -> "CayleyBall":
         """The closed ball of radius n: a prefix view of the cached ball when
         that is at least as large, else the cached ball's pass continued.
         BudgetError when the ball has more than ``budget`` vertices, or when
         a pass would hold more than CODE_BYTES_PER_VERTEX bytes of codes per
-        vertex of the budget (counting ``budget`` vertices where the size
-        has no closed form)."""
+        vertex of the budget (counting ``budget`` vertices, or fewer where a
+        closed form bounds the ball's size)."""
         if n < 1:
             raise ValueError(f"ball radius must be >= 1, got {n}")
         budget = DEFAULT_VERTEX_BUDGET if budget is None else int(budget)
@@ -242,7 +261,9 @@ class GroupModel:
             if n <= cached.radius:
                 return cached._prefix(n)
         row_bytes = self._code_width((n + 1) * self._word_bound) * np.dtype(self._code_dtype).itemsize
-        code_bytes = (budget if projected is None else projected) * row_bytes
+        # narrower rows always fit, and the size bound can be a huge integer
+        bound = self._size_bound(n) if row_bytes > CODE_BYTES_PER_VERTEX else None
+        code_bytes = (budget if bound is None else min(budget, bound)) * row_bytes
         if code_bytes > budget * CODE_BYTES_PER_VERTEX:
             raise BudgetError(
                 f"ball of radius {n} on {self.name} would hold {code_bytes} bytes of codes, "
@@ -606,6 +627,14 @@ class ExtendedGeneratorModel(GroupModel):
     def inv(self, g: Element) -> Element:
         return self.base.inv(g)
 
+    @property
+    def group_spec(self) -> GroupSpec:
+        return self.base.spec
+
+    def _size_bound(self, n: int) -> Optional[int]:
+        # a word of n generators spells at most n x _word_bound base letters
+        return self.base.ball_size(n * self._word_bound)
+
     def element_to_obj(self, g: Element):
         return self.base.element_to_obj(g)
 
@@ -698,10 +727,15 @@ def _enumerate(model: GroupModel, radius: int, budget: int, start: Optional["Cay
 class CayleyBall:
     """Closed word-metric ball of a given radius, split into interior and sphere.
 
-    ``vertices`` lists the interior (word length < radius) first, then the
-    bounding sphere (word length == radius), both in deterministic BFS order;
-    it and ``index`` (element -> vertex id) are decoded from the ball's array
-    codes on first use. ``adj[i, j]`` is the vertex index of
+    Vertices are numbered with the interior (word length < radius) first,
+    then the bounding sphere (word length == radius), both in deterministic
+    BFS order. ``codes`` holds one array-coded element per vertex, and
+    ``locate(codes)`` gives the vertex id of each code row, or -1, also for
+    rows from a ball of the same group under other generators. ``vertices``
+    (the elements as tuples) and ``index`` (element -> vertex id) are decoded
+    from the codes on first use, for element-level callers only: JSON
+    manifests and reports, ``ScalarField.value_at`` and TILF.
+    ``adj[i, j]`` is the vertex index of
     ``neighbors(vertices[i])[j]`` for interior ``i``; every neighbor of an
     interior vertex stays in the ball.
     ``arcs()`` returns the directed arc multiset used by truncated energy
@@ -728,6 +762,7 @@ class CayleyBall:
         self.adj = rows[: self.n_interior]
         # sorted keys of the last two levels, for the sphere rows of full_adj
         self._levels = levels
+        self._sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._vertices: Optional[List[Element]] = None
         self._index: Optional[Dict[Element, int]] = None
         self._arcs: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -736,6 +771,27 @@ class CayleyBall:
 
     def __len__(self) -> int:
         return len(self.depth)
+
+    @property
+    def codes(self) -> np.ndarray:
+        """One code row per vertex, in vertex order (read-only use)."""
+        return self._codes
+
+    def locate(self, codes: np.ndarray) -> np.ndarray:
+        """The vertex id of each code row, -1 where the row is not in the
+        ball. Rows of another width over the same group are padded with zero
+        columns, or trimmed where their extra columns are zero; a wider row
+        with a nonzero extra column is absent. The rows are searched in a
+        sorted key index of the whole ball, built on first use."""
+        codes = np.asarray(codes)
+        width = self._codes.shape[1]
+        if codes.shape[1] < width:
+            codes = np.pad(codes, ((0, 0), (0, width - codes.shape[1])))
+        if self._sorted is None:
+            self._sorted = _sorted_level(self._codes, 0)
+        ids = _locate(_keys(codes[:, :width]), [self._sorted])
+        ids[codes[:, width:].any(axis=1)] = -1
+        return ids
 
     @property
     def vertices(self) -> List[Element]:

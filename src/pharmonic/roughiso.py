@@ -24,6 +24,11 @@ pullback inequality with an exactly counted arc-multiplicity constant, a
 coarse-identity deviation check, and transport of a p-harmonic field to the
 other group by pulling back along the rough inverse and keeping the
 harmonic part of its Royden split.
+
+Vertices move between balls of one group by their array codes
+(``CayleyBall.locate``): the inclusion map of ``CoarseMap.fit`` and the
+field lookup of ``transport_harmonic`` decode neither ball, and arc counts
+index ``CayleyBall.arcs()`` arrays, not per-arc dicts.
 """
 
 from __future__ import annotations
@@ -63,6 +68,43 @@ def _bfs_parents(ball: CayleyBall, source: int) -> Tuple[np.ndarray, np.ndarray]
     parent = np.where(closer, full, n).min(axis=1)
     parent[parent == n] = -1
     return dist, parent
+
+
+def _route(ball: CayleyBall, parents: Dict[int, Tuple[np.ndarray, np.ndarray]], s: int, t: int,
+           unreached: str) -> List[int]:
+    """The BFS-parent shortest path s, ..., t inside the ball; ``parents``
+    caches the search from each source. FitError(unreached) when t is not
+    reached."""
+    if s not in parents:
+        parents[s] = _bfs_parents(ball, s)
+    dist, parent = parents[s]
+    if dist[t] < 0:
+        raise FitError(unreached)
+    path = [t]
+    while path[-1] != s:
+        path.append(int(parent[path[-1]]))
+    path.reverse()
+    return path
+
+
+def _arc_ids(ball: CayleyBall, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """The position in ``ball.arcs()`` of each arc tail -> head; of parallel
+    arcs, the one in the last adjacency slot. ``arcs()`` lists the arc out
+    of interior vertex u through slot j at u x degree + j, then, in the same
+    order, the reverse of each of those arcs that ends on the sphere."""
+    deg = ball.model.degree
+    n_int = ball.n_interior
+    inward = tails >= n_int
+    # read every arc off the adjacency row of its interior end
+    rows, ends = np.where(inward, heads, tails), np.where(inward, tails, heads)
+    match = ball.full_adj()[rows] == ends[:, None]
+    if not np.all(match.any(axis=1) & (rows < n_int)):
+        raise FitError("a routed path leaves the counted arcs of the ball")
+    ids = rows * deg + (deg - 1 - np.argmax(match[:, ::-1], axis=1))
+    if inward.any():
+        rank = np.cumsum(ball.adj.reshape(-1) >= n_int) - 1
+        ids[inward] = n_int * deg + rank[ids[inward]]
+    return ids
 
 
 def _sample_pairs(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -179,15 +221,24 @@ class CoarseMap:
     _pull_cache: Optional[dict] = dc_field(default=None, repr=False)
 
     @classmethod
-    def fit(cls, domain: CayleyBall, codomain: CayleyBall, fn: Callable[[Element], Element], seed: int = 0) -> "CoarseMap":
-        images = np.empty(len(domain), dtype=np.int64)
-        for i, g in enumerate(domain.vertices):
-            y = fn(g)
-            if y not in codomain.index:
-                raise ValueError(
-                    f"image of domain vertex {i} lies outside the codomain ball of radius {codomain.radius}"
-                )
-            images[i] = codomain.index[y]
+    def fit(cls, domain: CayleyBall, codomain: CayleyBall, fn: Optional[Callable[[Element], Element]] = None,
+            seed: int = 0) -> "CoarseMap":
+        """The map x -> fn(x) with its fitted constants. ``fn=None`` is the
+        inclusion of one group's ball in another ball of the same group,
+        under any generating sets; it is looked up by array code, so neither
+        ball is decoded. An explicit ``fn`` maps the decoded elements one at
+        a time. ValueError when an image lies outside the codomain ball, or
+        when ``fn=None`` and the balls are over different groups."""
+        if fn is None:
+            _check_same_group(domain, codomain)
+            images = codomain.locate(domain.codes)
+        else:
+            images = np.array([codomain.index.get(fn(g), -1) for g in domain.vertices], dtype=np.int64)
+        outside = np.flatnonzero(images < 0)
+        if outside.size:
+            raise ValueError(
+                f"image of domain vertex {outside[0]} lies outside the codomain ball of radius {codomain.radius}"
+            )
         a, b, report = fit_rough_constants(domain, codomain, images, seed)
         c = coverage_radius(codomain, images)
         return cls(domain, codomain, images, a, b, c, fit_report=report)
@@ -289,6 +340,13 @@ def rough_inverse(cmap: CoarseMap, seed: int = 0) -> Tuple[CoarseMap, InverseRep
     return psi, inv_report
 
 
+def _check_same_group(x: CayleyBall, y: CayleyBall) -> None:
+    """ValueError unless the two balls are over one group, so that their
+    code rows can be looked up in each other."""
+    if x.model.group_spec != y.model.group_spec:
+        raise ValueError(f"{x.model.name} and {y.model.name} are not the same group")
+
+
 def _pullback_data(cmap: CoarseMap) -> dict:
     """Shortest-path routing of domain arcs through the codomain, with the
     exact per-arc usage counts behind the energy inequality."""
@@ -302,36 +360,25 @@ def _pullback_data(cmap: CoarseMap) -> dict:
     keep = (cod.depth[ys] <= collar) & (cod.depth[yd] <= collar) if collar >= 0 else np.zeros(ys.size, dtype=bool)
     ys_k, yd_k = ys[keep], yd[keep]
 
-    cod_src, cod_dst = cod.arcs()
-    arc_id = dict(zip(zip(cod_src.tolist(), cod_dst.tolist()), range(cod_src.size)))
-    usage = np.zeros(cod_src.size, dtype=np.int64)
-    full = cod.full_adj()
-
-    key = ys_k * len(cod) + yd_k
-    uniq, counts = np.unique(key, return_counts=True)
-    parents_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    max_len = 0
-    for pair_key, mult in zip(uniq, counts):
-        u = int(pair_key // len(cod))
-        v = int(pair_key % len(cod))
-        if u == v:
-            continue
-        if v in full[u]:
-            usage[arc_id[(u, v)]] += mult
-            max_len = max(max_len, 1)
-            continue
-        if u not in parents_cache:
-            parents_cache[u] = _bfs_parents(cod, u)
-        dist, parent = parents_cache[u]
-        if dist[v] < 0:
-            raise FitError("adjacent images are not connected inside the codomain ball")
-        path = [v]
-        while path[-1] != u:
-            path.append(int(parent[path[-1]]))
-        path.reverse()
+    # distinct image pairs: adjacent ones are one arc each, the rest are
+    # routed along BFS parents
+    pairs, counts = np.unique(ys_k * len(cod) + yd_k, return_counts=True)
+    u, v = np.divmod(pairs, len(cod))
+    moves = u != v
+    u, v, counts = u[moves], v[moves], counts[moves]
+    adjacent = (cod.full_adj()[u] == v[:, None]).any(axis=1)
+    tails, heads, mults = [u[adjacent]], [v[adjacent]], [counts[adjacent]]
+    max_len = int(adjacent.any())
+    parents: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    far = ~adjacent
+    for s, t, mult in zip(u[far].tolist(), v[far].tolist(), counts[far].tolist()):
+        path = _route(cod, parents, s, t, "adjacent images are not connected inside the codomain ball")
         max_len = max(max_len, len(path) - 1)
-        for z, w in zip(path, path[1:]):
-            usage[arc_id[(z, w)]] += mult
+        tails.append(np.array(path[:-1], dtype=np.int64))
+        heads.append(np.array(path[1:], dtype=np.int64))
+        mults.append(np.full(len(path) - 1, mult, dtype=np.int64))
+    usage = np.zeros(cod.arcs()[0].size, dtype=np.int64)
+    np.add.at(usage, _arc_ids(cod, np.concatenate(tails), np.concatenate(heads)), np.concatenate(mults))
     cmap._pull_cache = {
         "keep": keep,
         "ys": ys_k,
@@ -429,17 +476,8 @@ def check_coarse_identity(f: ScalarField, cmap: CoarseMap, inverse: CoarseMap, p
     max_disp = 0
     if np.any(moved):
         parents: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        for s, t in zip(back[moved], xs[moved]):
-            s, t = int(s), int(t)
-            if s not in parents:
-                parents[s] = _bfs_parents(dom, s)
-            dist, par = parents[s]
-            if dist[t] < 0:
-                raise FitError("roundtrip endpoints are not connected inside the domain ball")
-            path = [t]
-            while path[-1] != s:
-                path.append(int(par[path[-1]]))
-            path.reverse()
+        for s, t in zip(back[moved].tolist(), xs[moved].tolist()):
+            path = _route(dom, parents, s, t, "roundtrip endpoints are not connected inside the domain ball")
             paths[(s, t)] = path
             max_disp = max(max_disp, len(path) - 1)
 
@@ -451,15 +489,10 @@ def check_coarse_identity(f: ScalarField, cmap: CoarseMap, inverse: CoarseMap, p
     dev = np.abs(f.values[scoped_back] - f.values[scoped])
     lhs = float(np.sum(dev ** p))
 
-    dom_src, dom_dst = dom.arcs()
-    arc_id = dict(zip(zip(dom_src.tolist(), dom_dst.tolist()), range(dom_src.size)))
-    usage = np.zeros(dom_src.size, dtype=np.int64)
-    for s, t in zip(scoped_back, scoped):
-        s, t = int(s), int(t)
-        if s == t:
-            continue
-        for z, w in zip(paths[(s, t)], paths[(s, t)][1:]):
-            usage[arc_id[(z, w)]] += 1
+    steps = [paths[(s, t)] for s, t in zip(scoped_back.tolist(), scoped.tolist()) if s != t]
+    tails = np.array([z for path in steps for z in path[:-1]], dtype=np.int64)
+    heads = np.array([w for path in steps for w in path[1:]], dtype=np.int64)
+    usage = np.bincount(_arc_ids(dom, tails, heads), minlength=dom.arcs()[0].size)
     k = int(usage.max(initial=0))
     rhs = (max_disp ** (p - 1.0)) * k * (seminorm_p(f, p) ** p) if max_disp > 0 else 0.0
 
@@ -509,14 +542,11 @@ def transport_harmonic(
         raise ValueError(
             f"royden radii go up to {max(radii)} but the transported field lives on radius {pull_map.domain.radius}"
         )
-    values = np.empty(len(pull_map.domain))
-    for i in range(len(pull_map.domain)):
-        y = pull_map.codomain.vertices[int(pull_map.images[i])]
-        try:
-            values[i] = field.value_at(y)
-        except KeyError:
-            raise ValueError("field does not cover the image of the transport map") from None
-    pulled = ScalarField(pull_map.domain, values)
+    _check_same_group(pull_map.codomain, field.ball)
+    ids = field.ball.locate(pull_map.codomain.codes[pull_map.images])
+    if np.any(ids < 0):
+        raise ValueError("field does not cover the image of the transport map")
+    pulled = ScalarField(pull_map.domain, field.values[ids])
     _, h, royden_report = royden_decompose(pull_map.domain.model, pulled, p, radii, config, budget)
     report = TransportReport(
         model=pull_map.domain.model.name,

@@ -6,6 +6,8 @@ prefix views and enlarged balls are compared field by field with balls
 freshly enumerated by a new model of the same spec.
 """
 
+import json
+import time
 from collections import deque
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pharmonic import BudgetError, build_group
+from pharmonic.cli import main
 from pharmonic.roughiso import _bfs_parents, _pair_distances
 
 # (spec, largest radius drawn) -- radii keep every ball below a few thousand vertices
@@ -257,6 +260,58 @@ def test_thin_balls_of_long_words_exceed_the_code_budget_up_front():
             model.ball(99_999)
         assert model._cached_ball is None
     assert len(build_group(f1).ball(3_000)) == 6_001
+
+
+def test_thin_extended_balls_are_bounded_by_the_base_ball(capsys):
+    # F_1 + [a,a] at radius R lies in F_1 at radius 2R: 4R + 1 rows, not the budget's 200 000
+    spec = {"family": "free", "params": {"k": 1, "extra_generators": [["a", "a"]]}}
+    assert main(["describe", "--group", json.dumps(spec), "--radius", "600", "--out", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["ball_sizes"][-1] == 2401
+    model = build_group(spec)
+    seconds = []
+    for _ in range(5):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="bytes of codes"):
+            model.ball(99_999)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 1e-3
+    assert model._cached_ball is None
+
+
+# each family with its stock and one extended generating set; the extended
+# rows are wider, except on Z^d, and the lamplighter's t^8 puts lamps past
+# position 31, into a column the stock ball of the same radius does not have
+LOCATE_SETS = [
+    ({"family": "free_abelian", "params": {"d": 2}}, [["x1", "x2"]], 5),
+    ({"family": "free", "params": {"k": 2}}, [["a", "b"]], 4),
+    ({"family": "free_product_z2", "params": {"m": 3}}, [["s1", "s2"]], 5),
+    ({"family": "lamplighter", "params": {}}, [["t"] * 8], 5),
+]
+
+
+@pytest.mark.parametrize("spec, extra, radius", LOCATE_SETS)
+def test_locate_agrees_with_index_across_generating_sets(spec, extra, radius):
+    stock = build_group(spec)
+    extended = build_group({"family": spec["family"], "params": {**spec["params"], "extra_generators": extra}})
+    balls = [stock.ball(radius), extended.ball(radius), stock.ball(radius - 1), extended.ball(radius - 2)]
+    absent = 0
+    for ball in balls:
+        for other in balls:
+            want = [ball.index.get(g, -1) for g in other.vertices]
+            assert ball.locate(other.codes).tolist() == want
+            absent += want.count(-1)
+    assert absent > 0
+    narrow, wide = balls[0].codes, balls[1].codes
+    if spec["family"] != "free_abelian":
+        assert narrow.shape[1] < wide.shape[1]
+        # some wider rows carry a nonzero extra column, and are absent from the stock ball
+        extra_cols = wide[:, narrow.shape[1] :].any(axis=1)
+        assert extra_cols.any()
+        assert np.all(balls[0].locate(wide[extra_cols]) == -1)
+    # a stock row with a nonzero column appended is no vertex
+    marked = np.concatenate([narrow, np.ones((len(narrow), 1), dtype=narrow.dtype)], axis=1)
+    assert np.all(balls[0].locate(marked) == -1)
+    assert balls[1].locate(narrow[:0]).shape == (0,)
 
 
 def test_lamplighter_word_length_closed_form_matches_depth():

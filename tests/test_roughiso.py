@@ -23,7 +23,19 @@ from pharmonic import (
     transport_harmonic,
     validate_rough_map,
 )
-from pharmonic.roughiso import HEAD_PAIR_COUNT, RANDOM_SOURCES, RANDOM_TARGETS, _sample_pairs
+from pharmonic.cli import main
+from pharmonic.groups import GroupModel
+from pharmonic.roughiso import (
+    HEAD_PAIR_COUNT,
+    RANDOM_SOURCES,
+    RANDOM_TARGETS,
+    _arc_ids,
+    _bfs_parents,
+    _pullback_data,
+    _sample_pairs,
+)
+
+F2 = {"family": "free", "params": {"k": 2}}
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +45,10 @@ def ext_model():
 
 def scenario_map(f2_model, ext_model, radius, seed=0):
     return CoarseMap.fit(f2_model.ball(radius), ext_model.ball(radius), lambda g: g, seed)
+
+
+def with_extra(spec, word):
+    return build_group({"family": spec["family"], "params": {**spec["params"], "extra_generators": [word]}})
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +139,53 @@ def test_doubling_map_on_z(z_model):
     assert validate_rough_map(cmap, n_pairs=400, seed=3)["violations_forward"] == 0
 
 
+# ---------------------------------------------------------------------------
+# inclusions looked up by array code
+
+
+INCLUSIONS = [
+    ({"family": "free_abelian", "params": {"d": 2}}, ["x1", "x2"], 6),
+    (F2, ["a", "b"], 4),
+    ({"family": "free_product_z2", "params": {"m": 3}}, ["s1", "s2"], 5),
+    ({"family": "lamplighter", "params": {}}, ["t", "a"], 5),
+]
+
+
+@pytest.mark.parametrize("spec, word, radius", INCLUSIONS)
+def test_fit_by_code_equals_the_element_loop(spec, word, radius):
+    stock, extended = build_group(spec), with_extra(spec, word)
+    # the stock ball in the extended one, and the extended ball of half the
+    # radius in the stock one (its rows are wider than the stock ball's)
+    for domain, codomain in ((stock.ball(radius), extended.ball(radius)),
+                             (extended.ball(radius // 2), stock.ball(radius))):
+        by_code = CoarseMap.fit(domain, codomain)
+        by_element = CoarseMap.fit(domain, codomain, lambda g: g)
+        assert np.array_equal(by_code.images, by_element.images)
+        assert (by_code.a, by_code.b, by_code.c) == (by_element.a, by_element.b, by_element.c)
+
+
+def test_fit_by_code_names_the_first_vertex_outside(z_model):
+    big, small = z_model.ball(6), z_model.ball(3)
+    messages = []
+    for fn in (None, lambda g: g):
+        with pytest.raises(ValueError) as err:
+            CoarseMap.fit(big, small, fn)
+        messages.append(str(err.value))
+    assert messages == ["image of domain vertex 7 lies outside the codomain ball of radius 3"] * 2
+
+
+def test_fit_by_code_refuses_balls_of_another_group():
+    # Z^2 and lamplighter rows are both two int64 columns, and F_2 rows are F_3 rows
+    z2 = build_group({"family": "free_abelian", "params": {"d": 2}}).ball(3)
+    lamp = with_extra({"family": "lamplighter", "params": {}}, ["t", "a"]).ball(3)
+    f2 = build_group(F2).ball(3)
+    f3 = build_group({"family": "free", "params": {"k": 3}}).ball(3)
+    zz2 = build_group({"family": "free_product_z2", "params": {"m": 3}}).ball(3)
+    for domain, codomain in ((z2, lamp), (lamp, z2), (f2, f3), (f2, zz2)):
+        with pytest.raises(ValueError, match="not the same group"):
+            CoarseMap.fit(domain, codomain)
+
+
 def test_map_serialization_roundtrip(f2_model, ext_model):
     cmap = scenario_map(f2_model, ext_model, radius=4)
     rebuilt = CoarseMap.from_dict(cmap.to_dict(include_images=True))
@@ -201,6 +264,68 @@ def test_pullback_identity_is_tight(f2_model):
     assert report.max_path_length <= 1
     assert report.lhs <= report.codomain_energy + 1e-12
     np.testing.assert_array_equal(pulled.values, f.values)
+
+
+def dict_arc_usage(ball, pairs):
+    """Arc usage of routed image pairs, counted one pair at a time through a
+    (src, dst) -> arc dict, which keeps the last of parallel arcs."""
+    src, dst = ball.arcs()
+    arc_id = dict(zip(zip(src.tolist(), dst.tolist()), range(src.size)))
+    full = ball.full_adj()
+    usage = np.zeros(src.size, dtype=np.int64)
+    parents = {}
+    for u, v in pairs:
+        if u == v:
+            continue
+        if v in full[u]:
+            usage[arc_id[(u, v)]] += 1
+            continue
+        if u not in parents:
+            parents[u] = _bfs_parents(ball, u)[1]
+        path = [v]
+        while path[-1] != u:
+            path.append(int(parents[u][path[-1]]))
+        path.reverse()
+        for z, w in zip(path, path[1:]):
+            usage[arc_id[(z, w)]] += 1
+    return usage
+
+
+def test_arc_ids_match_the_last_entry_of_a_dict_of_arcs():
+    # F_2 + [a] has parallel arcs: a and u1 lead to the same vertex
+    ball = with_extra(F2, ["a"]).ball(3)
+    src, dst = ball.arcs()
+    arc_id = dict(zip(zip(src.tolist(), dst.tolist()), range(src.size)))
+    assert len(arc_id) < src.size
+    assert _arc_ids(ball, src, dst).tolist() == [arc_id[arc] for arc in zip(src.tolist(), dst.tolist())]
+    with pytest.raises(FitError):
+        _arc_ids(ball, src[:1], src[:1])
+
+
+@pytest.mark.parametrize("word, radius", [(["a", "b"], 7), (["a"], 5)])
+def test_pullback_usage_equals_a_dict_of_arcs(f2_model, word, radius):
+    cmap = CoarseMap.fit(f2_model.ball(radius), with_extra(F2, word).ball(radius))
+    data = _pullback_data(cmap)
+    want = dict_arc_usage(cmap.codomain, zip(data["ys"].tolist(), data["yd"].tolist()))
+    assert want.any()
+    assert np.array_equal(data["usage"], want)
+    assert data["k"] == want.max()
+
+
+def test_readme_roughiso_decodes_no_extended_ball(tmp_path, monkeypatch):
+    built = []
+    ball = GroupModel.ball
+
+    def recording_ball(self, n, budget=None):
+        built.append(ball(self, n, budget))
+        return built[-1]
+
+    monkeypatch.setattr(GroupModel, "ball", recording_ball)
+    args = ["roughiso", "--group", "free:k=2", "--radius", "7", "--extra", "a,b", "--p", "2.0"]
+    assert main(args + ["--out", str(tmp_path / "iso.json")]) == 0
+    extended = [b for b in built if "extra_generators" in b.model.spec.params]
+    assert 32767 in [len(b) for b in extended]
+    assert all(b._vertices is None and b._index is None for b in extended)
 
 
 def test_pullback_requires_codomain_field(f2_model, ext_model):
