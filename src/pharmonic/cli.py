@@ -25,6 +25,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -248,7 +249,16 @@ def _write_outputs(args, manifest: dict, results: dict, csv_rows: Tuple[List[str
         with open(out, "w", encoding="utf-8", newline="") as fh:
             _write_report(fh, fmt, manifest, report, csv_rows)
     else:
-        _write_report(sys.stdout, fmt, manifest, report, csv_rows)
+        try:
+            _write_report(sys.stdout, fmt, manifest, report, csv_rows)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe early; what is still buffered, and the
+            # flush at exit, go to the null device so that no second error follows
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise _CliError("standard output was closed before the whole report was written")
 
 
 def _write_report(fh, fmt: str, manifest: dict, report: dict, csv_rows: Tuple[List[str], List[list]]) -> None:

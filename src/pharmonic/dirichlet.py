@@ -8,17 +8,22 @@ discrete maximum principle: solution values stay inside the clamped range.
 
 Solver: damped Newton on the free values with continuation in p (homotopy
 in p, as in Adil, Peng & Sachdeva, NeurIPS 2019). The p = 2 problem is
-linear and is solved directly by sparse LU; from that field Newton runs at
-each exponent of P_STAGES_DOWN (target p < 2) or P_STAGES_UP (target
-p > 2) that lies strictly between 2 and the target, then at the target,
-each stage starting from the field of the one before. A Newton step solves
-the p-Laplacian equations linearized at the current field: the Hessian is
-the graph Laplacian of the free vertices weighted by
-(d^2 + mu^2)^((p-2)/2) on each arc, mu one ulp of the longest arc; it is
-symmetric positive definite and is factored without pivoting. For p < 2
-an arc that the step would carry across 0 takes the IRLS weight instead
-(see _NewtonStep.correction). The step is damped by backtracking on the
-energy.
+linear and is solved directly; from that field Newton runs at each
+exponent of P_STAGES_DOWN (target p < 2) or P_STAGES_UP (target p > 2)
+that lies strictly between 2 and the target, then at the target, each
+stage starting from the field of the one before. A Newton step solves the
+p-Laplacian equations linearized at the current field: the Hessian is the
+graph Laplacian of the free vertices weighted by (d^2 + mu^2)^((p-2)/2) on
+each arc, mu one ulp of the longest arc; it is symmetric positive definite
+and is factored without pivoting. For p < 2 an arc that the step would
+carry across 0 takes the IRLS weight instead (see _NewtonStep.correction).
+The step is damped by backtracking on the energy.
+
+Factorization: every linear system of a problem, the p = 2 one included,
+has the same sparsity pattern and goes through the one symmetric SuperLU
+route of _NewtonStep.solve. Its first factorization computes a minimum
+degree order of the pattern; the pattern is renumbered into that order
+once, and every later factorization of the problem reuses it.
 
 Stopping: the sup of the Newton correction is the one stop test. A stage
 before the target ends once it is at most max(tolerance, STAGE_TOL); the
@@ -175,16 +180,16 @@ class DirichletProblem:
 def linear_dirichlet(problem: DirichletProblem) -> np.ndarray:
     """Direct sparse solve of the p = 2 problem (also the default start): the
     unit-weight Laplacian, clamped neighbor values summed in generator-slot
-    order on the right-hand side. It goes through ``spsolve`` (column
-    ordering, partial pivoting), whose rounding every p = 2 report has
-    carried so far, not the symmetric factorization of the Newton steps."""
+    order on the right-hand side. It is the first factorization of the
+    problem's ``_NewtonStep``, which finds the fill-reducing order that the
+    Newton steps reuse."""
     system = problem._system
     u = problem.clamped_values()  # zero at the free vertices
     nbr_vals = u[system.nbrs]
     rhs = np.zeros(system.n_free)
     for slot in range(nbr_vals.shape[1]):
         rhs += nbr_vals[:, slot]
-    u[problem.free] = spla.spsolve(system.laplacian(np.ones(system.nbrs.shape), 0.0), rhs)
+    u[problem.free] = system.solve(np.ones(system.nbrs.shape), 0.0, rhs)
     return u
 
 
@@ -194,7 +199,13 @@ class _NewtonStep:
     The linearized system is the mu-regularized weighted Laplacian of the
     free vertices. Its CSC pattern is built once; each solve refills
     ``.data``, summing entries that share a (row, column) slot. The same
-    assembly with unit weights is the p = 2 system of ``linear_dirichlet``."""
+    assembly with unit weights is the p = 2 system of ``linear_dirichlet``.
+
+    The first factorization orders the pattern by minimum degree on A^T + A
+    (Liu, ACM TOMS 11, 1985). The pattern and the slot map are then
+    renumbered into that order once, and every later factorization takes
+    the pre-ordered matrix as it stands, so the ordering runs once per
+    problem. Right-hand sides and solutions keep the order of ``free``."""
 
     def __init__(self, problem: DirichletProblem):
         ball = problem.ball
@@ -208,33 +219,60 @@ class _NewtonStep:
         row_grid = np.repeat(np.arange(n_free, dtype=np.int64), ball.model.degree).reshape(n_free, -1)
         rows = np.concatenate([np.arange(n_free, dtype=np.int64), row_grid[self.off_mask]])
         cols = np.concatenate([np.arange(n_free, dtype=np.int64), nbr_local[self.off_mask]])
-        keys, self.slot = np.unique(cols * n_free + rows, return_inverse=True)
-        indptr = np.searchsorted(keys, np.arange(n_free + 1, dtype=np.int64) * n_free)
-        self.matrix = sp.csc_matrix((np.zeros(keys.size), keys % n_free, indptr), shape=(n_free, n_free))
         self.n_free = n_free
+        self.order: Optional[np.ndarray] = None  # position of each free vertex in the factored matrix
+        self.slot, self.matrix = self._pattern(rows, cols)
         self.arcs = ball.arcs()
         self.n_total = len(ball)
 
+    def _pattern(self, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, sp.csc_matrix]:
+        """The CSC pattern of the entries (rows, cols), and the slot of each
+        entry in its ``.data``."""
+        n = self.n_free
+        keys, slot = np.unique(cols * n + rows, return_inverse=True)
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        return slot, sp.csc_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n))
+
     def laplacian(self, w: np.ndarray, shift: float) -> sp.csc_matrix:
         """The Laplacian of arc weights w (one row per free vertex, one
-        column per generator slot), diagonal shifted by shift."""
+        column per generator slot), diagonal shifted by shift; after the
+        first factorization its rows and columns are in ``order``."""
         entries = np.concatenate([w.sum(axis=1) + shift, -w[self.off_mask]])
         self.matrix.data = np.bincount(self.slot, weights=entries, minlength=self.matrix.nnz)
         return self.matrix
 
     def solve(self, w: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve with the Laplacian of positive weights w, shift > 0: a
-        symmetric positive definite system, factored without pivoting in a
-        minimum degree order of its pattern. All NaN if the factorization
-        meets a zero pivot (weights that underflow to 0)."""
+        """Solve with the Laplacian of weights w and diagonal shift: a
+        symmetric positive definite system for positive weights and shift
+        (or unit weights and shift 0, the p = 2 system), factored without
+        pivoting. The first call orders it by minimum degree and renumbers
+        the pattern into that order; later calls factor the pre-ordered
+        matrix in its natural order. All NaN if the factorization meets a
+        zero pivot (weights that underflow to 0)."""
+        first = self.order is None
         try:
             lu = spla.splu(
-                self.laplacian(w, shift), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
+                self.laplacian(w, shift), permc_spec="MMD_AT_PLUS_A" if first else "NATURAL",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True},
             )
         except RuntimeError:
             return np.full(self.n_free, np.nan)
-        return lu.solve(rhs)
+        if first:
+            x = lu.solve(rhs)
+            self._renumber(lu.perm_c)
+            return x
+        b = np.empty(self.n_free)
+        b[self.order] = rhs
+        return lu.solve(b)[self.order]
+
+    def _renumber(self, order: np.ndarray) -> None:
+        """Move free vertex k to position order[k] of the pattern, once."""
+        order = order.astype(np.int64)
+        m = self.matrix
+        cols = np.repeat(np.arange(self.n_free, dtype=np.int64), np.diff(m.indptr))
+        slot, self.matrix = self._pattern(order[m.indices], order[cols])
+        self.slot = slot[self.slot]
+        self.order = order
 
     def correction(self, u: np.ndarray, p: float) -> np.ndarray:
         """The Newton correction of the free values at exponent p.

@@ -1,9 +1,14 @@
 """End-to-end command runs: manifests, report files, exit codes."""
 
 import json
+import os
+import shlex
+import subprocess
+import sys
 
 import pytest
 
+import pharmonic
 from pharmonic.cli import TASKS, main
 
 
@@ -151,6 +156,40 @@ def test_out_dash_writes_stdout(tmp_path, monkeypatch, capsys, fmt):
     else:
         assert out.splitlines()[1] == "# task: describe"
         assert out.splitlines()[-1] == "4,108,161"
+
+
+def module_env():
+    """The environment of a ``python -m pharmonic.cli`` child that imports
+    this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pharmonic.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+THIN_GROUP = '{"family":"free","params":{"k":1,"extra_generators":[["a","a"]]}}'
+
+
+def test_out_dash_into_a_closed_pipe_exits_1_without_a_traceback():
+    # the shell pipeline as users type it; whether head closes before the
+    # last write is a race, so either exit code is fine, a traceback is not
+    cmd = (
+        f"{shlex.quote(sys.executable)} -m pharmonic.cli describe --group {shlex.quote(THIN_GROUP)} --radius 600 --out - "
+        "| head -c 300"
+        "; exit ${PIPESTATUS[0]}"
+    )
+    done = subprocess.run(["bash", "-c", cmd], env=module_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode in (0, 1)
+    assert len(done.stdout) == 300
+    assert "Traceback" not in done.stderr
+    # a pipe closed before the first write breaks every time
+    with subprocess.Popen(
+        [sys.executable, "-m", "pharmonic.cli", "describe", "--group", THIN_GROUP, "--radius", "600", "--out", "-"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+    ) as child:
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.splitlines() == ["error: standard output was closed before the whole report was written"]
 
 
 F2 = {"family": "free", "params": {"k": 2}}

@@ -7,6 +7,7 @@ balls and closed forms on radially symmetric networks.
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from pharmonic import (
@@ -20,6 +21,7 @@ from pharmonic import (
     seminorm_p,
     solve_dirichlet,
 )
+from pharmonic.dirichlet import _NewtonStep
 
 from conftest import dense_linear_solve, optimize_energy, radial_capacity, reference_energy
 
@@ -237,6 +239,116 @@ def test_uniqueness_across_inits(family, params, p):
     assert rep_cold.converged and rep_hot.converged
     np.testing.assert_allclose(u_cold.values, u_hot.values, atol=1e-8)
     assert rep_cold.final_energy == pytest.approx(rep_hot.final_energy, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one fill-reducing order per problem
+
+FOUR_FAMILIES = [
+    ({"family": "free", "params": {"k": 2}}, 5),
+    ({"family": "free_abelian", "params": {"d": 2}}, 8),
+    ({"family": "free_product_z2", "params": {"m": 3}}, 6),
+    ({"family": "lamplighter", "params": {}}, 5),
+]
+
+
+def family_ball(spec, radius):
+    return build_group(spec).ball(radius)
+
+
+def zero_sphere_problem(spec, radius):
+    ball = family_ball(spec, radius)
+    clamped = np.full(len(ball), np.nan)
+    clamped[ball.n_interior :] = 0.0
+    return DirichletProblem(ball, clamped, 2.0)
+
+
+def edge_weights(problem, rng):
+    """Symmetric positive arc weights spanning 1e-6..1e6, one per edge."""
+    x = rng.uniform(0.0, 1.0, len(problem.ball))
+    system = problem._system
+    return 10.0 ** (12.0 * ((x[system.free, None] + x[system.nbrs]) % 1.0) - 6.0)
+
+
+def fresh_factor_solve(problem, w, shift, rhs):
+    """The Laplacian of a new ``_NewtonStep``, in the order of ``free``,
+    factored from scratch in minimum degree order."""
+    matrix = _NewtonStep(problem).laplacian(w, shift)
+    lu = scipy.sparse.linalg.splu(
+        matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
+    return matrix, lu.solve(rhs)
+
+
+def test_one_minimum_degree_ordering_per_problem(monkeypatch):
+    specs = []
+    real_splu = scipy.sparse.linalg.splu
+
+    def counting_splu(*args, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    for spec, radius in FOUR_FAMILIES:
+        specs.clear()
+        ball = family_ball(spec, radius)
+        problem = DirichletProblem(ball, random_clamps(ball, 17), 1.2)
+        _, rep = solve_dirichlet(problem)
+        assert rep.converged
+        assert len(specs) > rep.iterations
+        assert [s for s in specs if s != "NATURAL"] == ["MMD_AT_PLUS_A"]
+        assert specs[0] == "MMD_AT_PLUS_A"
+
+
+@pytest.mark.parametrize("spec,radius", FOUR_FAMILIES)
+def test_reordered_factorization_matches_a_fresh_one(spec, radius):
+    """The first solve is the fresh minimum degree factorization itself;
+    later ones factor the renumbered pattern in natural order. With weights
+    spread over twelve decades the system's condition number reaches 1e11,
+    so two roundings of it differ in the solution by up to 1e-8 of its size;
+    they are compared through the matrix, normwise: |A (x - y)| <= 1e-12 |A| |y|."""
+    problem = zero_sphere_problem(spec, radius)
+    system = problem._system
+    rng = np.random.default_rng(18)
+    for call in range(4):
+        w = edge_weights(problem, rng)
+        shift = 0.0 if call % 2 else 1e-14 * float(w.max())
+        rhs = rng.standard_normal(system.n_free)
+        x = system.solve(w, shift, rhs)
+        matrix, y = fresh_factor_solve(problem, w, shift, rhs)
+        if call == 0:
+            np.testing.assert_array_equal(x, y)
+            assert system.order is not None
+        norm = float(abs(matrix).sum(axis=1).max())
+        assert np.max(np.abs(matrix @ (x - y))) <= 1e-12 * norm * np.max(np.abs(y))
+        assert np.max(np.abs(matrix @ x - rhs)) <= 1e-12 * norm * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("spec,radius", FOUR_FAMILIES)
+def test_linear_dirichlet_matches_spsolve(spec, radius):
+    ball = family_ball(spec, radius)
+    problem = DirichletProblem(ball, random_clamps(ball, 19), 2.0)
+    system = _NewtonStep(problem)
+    u = problem.clamped_values()
+    rhs = u[system.nbrs].sum(axis=1)
+    expected = scipy.sparse.linalg.spsolve(system.laplacian(np.ones(system.nbrs.shape), 0.0), rhs)
+    got = linear_dirichlet(problem)[problem.free]
+    assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+
+
+@pytest.mark.parametrize("first_good", [False, True])
+def test_singular_system_gives_nan_without_raising(z2_model, first_good):
+    ball = z2_model.ball(4)
+    problem = DirichletProblem(ball, random_clamps(ball, 20), 2.0)
+    system = problem._system
+    rhs = np.ones(system.n_free)
+    zero = np.zeros(system.nbrs.shape)
+    if first_good:
+        assert np.all(np.isfinite(system.solve(np.ones(system.nbrs.shape), 0.0, rhs)))
+        assert system.order is not None
+    for _ in range(2):
+        assert np.all(np.isnan(system.solve(zero, 0.0, rhs)))
+    assert np.all(np.isfinite(system.solve(np.ones(system.nbrs.shape), 0.0, rhs)))
 
 
 def test_maximum_principle(f2_model):
