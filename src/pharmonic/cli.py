@@ -22,6 +22,7 @@ form, which preserves the same information.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -270,9 +271,9 @@ def _write_report(fh, fmt: str, manifest: dict, report: dict, csv_rows: Tuple[Li
         fh.write(f"# pharmonic {__version__}\n")
         fh.write(f"# task: {manifest['task']}\n")
         fh.write(f"# manifest_sha256: {_manifest_sha256(manifest)}\n")
-        fh.write(",".join(colnames) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(colnames)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _rows_from_dicts(dicts: Sequence[dict]) -> Tuple[List[str], List[list]]:
@@ -387,6 +388,12 @@ def _run_witness(manifest: dict):
     return results, rows, all(r.converged for r in report.rows)
 
 
+def _witness_field(model: GroupModel, ball, p: float, config: SolverConfig) -> ScalarField:
+    """The cold marked solve on ``ball``: 1 on the marked sphere, 0 on the rest."""
+    u, _ = solve_dirichlet(DirichletProblem(ball, default_marking(model).sphere_clamps(ball), p), config)
+    return u
+
+
 def _preset_field(manifest: dict, model: GroupModel, ball, p: float, config: SolverConfig) -> ScalarField:
     field_spec = manifest.get("field", {"preset": "witness"})
     if not isinstance(field_spec, dict):
@@ -399,14 +406,12 @@ def _preset_field(manifest: dict, model: GroupModel, ball, p: float, config: Sol
             raise _CliError(f"field values list has length {len(values)}, ball has {len(ball)} vertices")
         return ScalarField(ball, np.asarray(values))
     preset = field_spec.get("preset", "witness")
-    marking = default_marking(model)
     if preset == "witness":
-        u, _ = solve_dirichlet(DirichletProblem(ball, marking.sphere_clamps(ball), p), config)
-        return u
+        return _witness_field(model, ball, p, config)
     if preset == "delta":
         return ScalarField.delta(ball, model.identity())
     if preset == "indicator":
-        return ScalarField.indicator(ball, marking.contains)
+        return ScalarField.indicator(ball, default_marking(model).contains)
     raise _CliError(f"unknown field preset {preset!r}")
 
 
@@ -524,7 +529,9 @@ def _run_tilf(manifest: dict):
     p = _exponent_from(manifest)
     radii = _radii_from(manifest)
     config = _config_from(manifest)
-    report = boundary_witness(model, p, radii, None, config, _budget_from(manifest))
+    budget = _budget_from(manifest)
+    # validates the radii, the probes and the split; h is the field at the last radius
+    report = boundary_witness(model, p, radii, None, config, budget)
     h = report.field
     ball = h.ball
     converged = all(r.converged for r in report.rows)
@@ -548,11 +555,10 @@ def _run_tilf(manifest: dict):
     x = ball.vertices[1]  # first generator direction
     f = ScalarField.delta(ball, model.identity())
     for r in radii:
-        sub_rep = boundary_witness(model, p, [max(2, r - 1), r], None, config, _budget_from(manifest))
-        h_r = sub_rep.field
+        # the same cold solve as the witness row of radius r
+        h_r = h if r == radii[-1] else _witness_field(model, model.ball(r, budget), p, config)
         f_r = ScalarField.delta(h_r.ball, model.identity())
         defects.append({"radius": r, "defect": invariance_defect(h_r, f_r, x, p)})
-        converged = converged and all(row.converged for row in sub_rep.rows)
 
     results = {
         "model": model.name,

@@ -50,7 +50,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .energy import ScalarField, check_exponent, phi_p
-from .groups import CayleyBall, Element, GroupModel
+from .groups import CayleyBall, GroupModel
 
 # continuation exponents between 2 and the target, in the order visited
 P_STAGES_DOWN = (1.8, 1.6, 1.5, 1.4, 1.3, 1.2)
@@ -158,10 +158,6 @@ class DirichletProblem:
         self.free = np.flatnonzero(~mask)
         if self.free.size == 0:
             raise ValueError("no free interior vertex; nothing to solve")
-
-    @classmethod
-    def from_elements(cls, ball: CayleyBall, clamped: Mapping[Element, float], p: float) -> "DirichletProblem":
-        return cls(ball, {ball.index[g]: v for g, v in clamped.items()}, p)
 
     @cached_property
     def _system(self) -> "_NewtonStep":

@@ -33,9 +33,10 @@ the cursor followed by the lamp bits (position x at bit 2x, or -2x - 1 for
 x < 0). A ball of radius R gets (R + 1) x (longest generator word) letters of
 room, so that one step out of its sphere still fits. Rows compare as whole
 ``np.void`` keys, and each model right-multiplies a whole array of rows by a
-generator word at once; an extended model composes its base letters. The
-tuple operations (``apply_gen``, ``neighbors``, ``mul``, ``inv``) never touch
-the codes: they are the independent reference the codes are tested against.
+generator word at once; an extended model composes its base letters. This
+row law is the only group law on elements: the tuple operations
+(``apply_gen``, ``neighbors``, ``reduce``) never touch the codes, and they
+are the independent reference the codes are tested against.
 
 All enumeration is deterministic: breadth-first from the identity, level by
 level. The rows of level r - 1 times the inverse generators, taken in
@@ -53,10 +54,11 @@ index of the whole ball, built on first use. Rows from a ball of the same
 group under another generating set may be narrower or wider: a zero column
 is no letter, no coordinate and no lamp word, so rows are padded or trimmed
 with zero columns. This is how vertices move between balls, and no ball is
-decoded on the way. ``CayleyBall.vertices`` and ``CayleyBall.index`` decode
-the rows into tuples and an element -> id dict on first use; they serve only
-element-level callers: JSON manifests and reports, ``ScalarField.value_at``
-and TILF.
+decoded on the way; TILF translates a field the same way, multiplying code
+rows by the letters of x^-1. ``CayleyBall.vertices`` and ``CayleyBall.index``
+decode the rows into tuples and an element -> id dict on first use; they
+serve only element-level callers: JSON manifests and reports, subset
+predicates and ``ScalarField.value_at``.
 
 Hop distances inside a ball come from one bit-parallel breadth-first pass
 over ``CayleyBall.full_adj``: up to 64 searches run at once, each vertex
@@ -160,12 +162,6 @@ class GroupModel:
 
     def apply_gen(self, g: Element, label: str) -> Element:
         """Right multiplication g * s for a generator label s."""
-        raise NotImplementedError
-
-    def mul(self, g: Element, h: Element) -> Element:
-        raise NotImplementedError
-
-    def inv(self, g: Element) -> Element:
         raise NotImplementedError
 
     def element_to_obj(self, g: Element):
@@ -283,17 +279,6 @@ class GroupModel:
             ball = self.ball(ball.radius + 1)
         return int(ball.depth[ball.index[g]])
 
-    def distance(self, g: Element, h: Element) -> int:
-        return self.word_length(self.mul(self.inv(g), h))
-
-    def power(self, g: Element, k: int) -> Element:
-        if k < 0:
-            return self.power(self.inv(g), -k)
-        out = self.identity()
-        for _ in range(k):
-            out = self.mul(out, g)
-        return out
-
     def describe(self, radius: int = 6, budget: Optional[int] = None) -> dict:
         ball = self.ball(radius, budget)
         sizes = [int(np.sum(ball.depth == r)) for r in range(radius + 1)]
@@ -321,25 +306,18 @@ class FreeAbelianModel(GroupModel):
         for i in range(1, d + 1):
             self._inv_label[f"x{i}"] = f"x{i}-"
             self._inv_label[f"x{i}-"] = f"x{i}"
-        self._steps = {}
-        for i in range(1, d + 1):
-            e = [0] * d
-            e[i - 1] = 1
-            self._steps[f"x{i}"] = tuple(e)
-            self._steps[f"x{i}-"] = tuple(-v for v in e)
+        # generator label -> (coordinate, sign)
+        self._moves = {}
+        for i in range(d):
+            self._moves[f"x{i + 1}"] = (i, 1)
+            self._moves[f"x{i + 1}-"] = (i, -1)
 
     def identity(self) -> Element:
         return (0,) * self.d
 
     def apply_gen(self, g: Element, label: str) -> Element:
-        step = self._steps[label]
-        return tuple(a + b for a, b in zip(g, step))
-
-    def mul(self, g: Element, h: Element) -> Element:
-        return tuple(a + b for a, b in zip(g, h))
-
-    def inv(self, g: Element) -> Element:
-        return tuple(-a for a in g)
+        i, sign = self._moves[label]
+        return g[:i] + (g[i] + sign,) + g[i + 1 :]
 
     def word_length(self, g: Element) -> int:
         return int(sum(abs(a) for a in g))
@@ -350,7 +328,11 @@ class FreeAbelianModel(GroupModel):
         return self.d
 
     def _times_letters(self, codes: np.ndarray, letters: Sequence[str]) -> np.ndarray:
-        return codes + np.sum([self._steps[label] for label in letters], axis=0)
+        step = np.zeros(self.d, dtype=codes.dtype)
+        for label in letters:
+            i, sign = self._moves[label]
+            step[i] += sign
+        return codes + step
 
     def _decode(self, codes: np.ndarray) -> List[Element]:
         return list(map(tuple, codes.tolist()))
@@ -398,20 +380,6 @@ class _ReducedWordModel(GroupModel):
         if g and g[-1] == self._inv_code[code]:
             return g[:-1]
         return g + (code,)
-
-    def mul(self, g: Element, h: Element) -> Element:
-        inv_code = self._inv_code
-        out = list(g)
-        for code in h:
-            if out and out[-1] == inv_code[code]:
-                out.pop()
-            else:
-                out.append(code)
-        return tuple(out)
-
-    def inv(self, g: Element) -> Element:
-        inv_code = self._inv_code
-        return tuple(inv_code[c] for c in reversed(g))
 
     def word_length(self, g: Element) -> int:
         return len(g)
@@ -505,16 +473,6 @@ class LamplighterModel(GroupModel):
             return (tuple(x for x in lamps if x != cursor), cursor)
         return (tuple(sorted(lamps + (cursor,))), cursor)
 
-    def mul(self, g: Element, h: Element) -> Element:
-        lamps1, c1 = g
-        lamps2, c2 = h
-        shifted = {x + c1 for x in lamps2}
-        return (tuple(sorted(set(lamps1) ^ shifted)), c1 + c2)
-
-    def inv(self, g: Element) -> Element:
-        lamps, c = g
-        return (tuple(sorted(x - c for x in lamps)), -c)
-
     def word_length(self, g: Element) -> int:
         lamps, c = g
         lo, hi = min(lamps + (0, c)), max(lamps + (0, c))
@@ -584,28 +542,24 @@ class ExtendedGeneratorModel(GroupModel):
         self.spec.params["extra_generators"] = [list(w) for w in extra_words]
         labels = list(base.gen_labels)
         inv_label = dict(base._inv_label)
-        steps: Dict[str, Element] = {l: base.apply_gen(base.identity(), l) for l in base.gen_labels}
         words: Dict[str, Tuple[str, ...]] = {l: (l,) for l in base.gen_labels}
         for i, word in enumerate(extra_words, start=1):
             g = base.reduce(word)
             if g == base.identity():
                 raise ValueError(f"extra generator {list(word)} reduces to the identity")
-            gi = base.inv(g)
+            inverse_word = tuple(base._inv_label[l] for l in reversed(word))
             lab, lab_inv = f"u{i}", f"u{i}-"
-            steps[lab] = g
             words[lab] = tuple(word)
-            if g == gi:
+            if g == base.reduce(inverse_word):
                 labels.append(lab)
                 inv_label[lab] = lab
             else:
                 labels += [lab, lab_inv]
                 inv_label[lab] = lab_inv
                 inv_label[lab_inv] = lab
-                steps[lab_inv] = gi
-                words[lab_inv] = tuple(base._inv_label[l] for l in reversed(word))
+                words[lab_inv] = inverse_word
         self.gen_labels = tuple(labels)
         self._inv_label = inv_label
-        self._steps = steps
         self._words = words
         self._code_dtype = base._code_dtype
         extra_desc = ",".join("".join(w) for w in extra_words)
@@ -616,16 +570,12 @@ class ExtendedGeneratorModel(GroupModel):
 
     def apply_gen(self, g: Element, label: str) -> Element:
         try:
-            step = self._steps[label]
+            word = self._words[label]
         except KeyError:
             raise ValueError(f"unknown generator label {label!r} for {self.name}") from None
-        return self.base.mul(g, step)
-
-    def mul(self, g: Element, h: Element) -> Element:
-        return self.base.mul(g, h)
-
-    def inv(self, g: Element) -> Element:
-        return self.base.inv(g)
+        for letter in word:
+            g = self.base.apply_gen(g, letter)
+        return g
 
     @property
     def group_spec(self) -> GroupSpec:
@@ -734,7 +684,7 @@ class CayleyBall:
     rows from a ball of the same group under other generators. ``vertices``
     (the elements as tuples) and ``index`` (element -> vertex id) are decoded
     from the codes on first use, for element-level callers only: JSON
-    manifests and reports, ``ScalarField.value_at`` and TILF.
+    manifests and reports, subset predicates and ``ScalarField.value_at``.
     ``adj[i, j]`` is the vertex index of
     ``neighbors(vertices[i])[j]`` for interior ``i``; every neighbor of an
     interior vertex stays in the ball.
@@ -824,6 +774,20 @@ class CayleyBall:
 
     def core_indices(self, r: int) -> np.ndarray:
         return np.flatnonzero(self.depth <= r)
+
+    def _spell(self, v: int) -> List[str]:
+        """A geodesic word of generator labels for vertex v. ``full_adj[v, j]``
+        is v s_j^{-1}, so a slot one level closer to the identity gives the
+        word's last letter s_j."""
+        full = self.full_adj()
+        word: List[str] = []
+        while self.depth[v] > 0:
+            row = full[v]
+            closer = (row >= 0) & (self.depth[row] == self.depth[v] - 1)
+            j = int(np.argmax(closer))
+            word.append(self.model.gen_labels[j])
+            v = int(row[j])
+        return word[::-1]
 
     def full_adj(self) -> np.ndarray:
         """Adjacency rows for every vertex, sphere included; -1 marks a

@@ -12,22 +12,26 @@ the honest noise floor of that invariance.
 
 Right translation f_x(g) = f(g x^{-1}) shortens the ball it lives on by the
 word length of x, so every helper here reports the shrunken radius it ended
-up on. difference_approximation splits f into a mean of translates along
-powers of x (the remainder, small in l^p when n is large) plus a sum of
-difference functions that any T_h annihilates; with pairwise disjoint
-supports the remainder norm is exactly n^(1/p - 1) times the norm of f.
+up on. Translates are row lookups: x is spelled as a geodesic word off the
+ball's adjacency, the code rows of the shrunken ball are right-multiplied by
+the letters of x^{-1} all at once, and ``CayleyBall.locate`` finds the
+products in f's ball. difference_approximation splits f into a mean of
+translates along powers of x (the remainder, small in l^p when n is large)
+plus a sum of difference functions that any T_h annihilates; with pairwise
+disjoint supports the remainder norm is exactly n^(1/p - 1) times the norm
+of f.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .dirichlet import Record
 from .energy import ScalarField, check_exponent, p_laplacian_interior, pairing
-from .groups import Element
+from .groups import CayleyBall, Element
 
 
 @dataclass
@@ -37,21 +41,35 @@ class TranslateReport(Record):
     radius: int
 
 
+def _inverse_letters(ball: CayleyBall, x: Element) -> Tuple[int, List[str]]:
+    """|x| and the family letters spelling x^{-1}, x read off ``ball``."""
+    try:
+        v = ball.index[x]
+    except KeyError:
+        raise ValueError(f"element {x!r} lies outside the ball of radius {ball.radius}") from None
+    model = ball.model
+    word = ball._spell(v)
+    return len(word), [l for s in reversed(word) for l in model._letters(model._inv_label[s])]
+
+
+def _values_times(f: ScalarField, sub: CayleyBall, letters: List[str]) -> np.ndarray:
+    """f(g w) for every vertex g of ``sub``, w the word of family letters."""
+    ids = f.ball.locate(f.ball.model._times_letters(sub.codes, letters))
+    if (ids < 0).any():
+        raise RuntimeError(f"{int(np.count_nonzero(ids < 0))} translated vertices fall outside the field's ball")
+    return f.values[ids]
+
+
 def translate(f: ScalarField, x: Element) -> Tuple[ScalarField, TranslateReport]:
     """Right translate f_x(g) = f(g x^{-1}) on the ball shrunk by |x|."""
-    model = f.ball.model
-    shift = model.word_length(x)
+    shift, letters = _inverse_letters(f.ball, x)
     radius = f.ball.radius - shift
     if radius < 1:
         raise ValueError(
             f"translating by a word of length {shift} leaves no ball inside radius {f.ball.radius}"
         )
-    sub = model.ball(radius) if shift > 0 else f.ball
-    x_inv = model.inv(x)
-    values = np.fromiter(
-        (f.value_at(model.mul(g, x_inv)) for g in sub.vertices), dtype=np.float64, count=len(sub)
-    )
-    return ScalarField(sub, values), TranslateReport(shift, f.ball.radius, radius)
+    sub = f.ball.model.ball(radius) if shift > 0 else f.ball
+    return ScalarField(sub, _values_times(f, sub, letters)), TranslateReport(shift, f.ball.radius, radius)
 
 
 @dataclass
@@ -79,37 +97,27 @@ def difference_approximation(
     check_exponent(p)
     if n < 1:
         raise ValueError("need at least one translate")
-    model = f.ball.model
-    shift = model.word_length(x)
+    shift, letters = _inverse_letters(f.ball, x)
     radius = f.ball.radius - (n - 1) * shift
     if radius < 1:
         raise ValueError(
             f"{n} translates along a word of length {shift} do not fit inside radius {f.ball.radius}"
         )
-    sub = model.ball(radius)
-    base = np.fromiter((f.value_at(g) for g in sub.vertices), dtype=np.float64, count=len(sub))
-    translates = [base]
-    for k in range(1, n):
-        x_inv_k = model.inv(model.power(x, k))
-        vals = np.fromiter(
-            (f.value_at(model.mul(g, x_inv_k)) for g in sub.vertices), dtype=np.float64, count=len(sub)
-        )
-        translates.append(vals)
+    sub = f.ball.model.ball(radius)
+    translates = [_values_times(f, sub, letters * k) for k in range(n)]
 
     supports = [np.flatnonzero(v != 0.0) for v in translates]
-    occupied: dict = {}
+    owner = np.full(len(sub), -1)
     for k, idx in enumerate(supports):
-        for i in idx:
-            if int(i) in occupied:
-                raise ValueError(
-                    f"translates along x^{occupied[int(i)]} and x^{k} overlap at "
-                    f"vertex {sub.vertices[int(i)]}"
-                )
-            occupied[int(i)] = k
+        taken = idx[owner[idx] >= 0]
+        if taken.size:
+            i = int(taken[0])
+            raise ValueError(f"translates along x^{owner[i]} and x^{k} overlap at vertex {sub.vertices[i]}")
+        owner[idx] = k
 
     remainder_vals = np.mean(translates, axis=0)
     remainder = ScalarField(sub, remainder_vals)
-    difference = ScalarField(sub, base - remainder_vals)
+    difference = ScalarField(sub, translates[0] - remainder_vals)
 
     f_mass = int(np.count_nonzero(f.values))
     preserved = all(idx.size == f_mass for idx in supports)

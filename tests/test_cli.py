@@ -1,5 +1,6 @@
 """End-to-end command runs: manifests, report files, exit codes."""
 
+import csv
 import json
 import os
 import shlex
@@ -9,6 +10,8 @@ import sys
 import pytest
 
 import pharmonic
+import pharmonic.exhaustion
+from pharmonic import solve_dirichlet
 from pharmonic.cli import TASKS, main
 
 
@@ -117,6 +120,27 @@ def test_royden_and_massive_commands(tmp_path):
     assert load(out2)["results"]["verdict"] == "massive"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--group", "lamplighter", "--radius", "2", "--p", "2.0"],
+        ["tilf", "--group", "free:k=2", "--radii", "5,6", "--p", "2.0"],
+    ],
+)
+def test_csv_rows_parse_to_the_header_width(tmp_path, args):
+    """Vertex cells such as [[], 0] or ["a-", "b"] are quoted, so every row
+    has as many fields as the header."""
+    out = tmp_path / "rows.csv"
+    assert run_cli(args + ["--format", "csv", "--out", str(out)]) == 0
+    header, *rows = csv.reader(out.read_text().splitlines()[3:])
+    assert len(rows) > 1
+    assert all(len(row) == len(header) for row in rows)
+    column = header.index("vertex")
+    assert any("," in row[column] for row in rows)
+    for row in rows:
+        json.loads(row[column])
+
+
 def test_royden_radius_below_the_core_exits_1_naming_the_minimum(capsys):
     assert run_cli(["royden", "--group", "free:k=2", "--radii", "1,3", "--p", "2.0"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -129,6 +153,23 @@ def test_tilf_command(tmp_path):
     report = load(out)
     assert report["results"]["max_delta_gap"] <= 1e-10
     assert all(row["defect"] <= 1e-10 for row in report["results"]["invariance_defects"])
+
+
+def test_tilf_solves_each_radius_once(tmp_path, monkeypatch):
+    """The witness solves n radii; the defects add one cold solve for each
+    radius but the last, whose field the witness already gives."""
+    calls = []
+
+    def counting(problem, *args, **kwargs):
+        calls.append(problem.ball.radius)
+        return solve_dirichlet(problem, *args, **kwargs)
+
+    monkeypatch.setattr(pharmonic.cli, "solve_dirichlet", counting)
+    monkeypatch.setattr(pharmonic.exhaustion, "solve_dirichlet", counting)
+    out = tmp_path / "tilf.json"
+    assert run_cli(["tilf", "--group", "free:k=2", "--p", "2.0", "--radii", "3,4,5", "--out", str(out)]) == 0
+    assert calls == [3, 4, 5, 3, 4]
+    assert [row["radius"] for row in load(out)["results"]["invariance_defects"]] == [3, 4, 5]
 
 
 def test_roughiso_command(tmp_path):

@@ -135,15 +135,6 @@ def test_nan_array_validation(z2_model):
         DirichletProblem(ball, np.zeros(len(ball)), 2.0)
 
 
-def test_from_elements(z_model):
-    ball = z_model.ball(2)
-    clamps = {g: float(z_model.element_to_obj(g)[0]) for g in ball.boundary_elements()}
-    prob = DirichletProblem.from_elements(ball, clamps, 2.0)
-    u, rep = solve_dirichlet(prob)
-    assert rep.converged
-    assert u.value_at(z_model.identity()) == pytest.approx(0.0, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # exact solutions
 
@@ -439,14 +430,10 @@ def test_capacity_small_ball_scipy_check(z2_model):
     """No closed form on the grid: check against direct minimization."""
     p = 2.0
     cap, field, rep = capacity(z2_model, 0, 2, p)
-    prob = DirichletProblem.from_elements(
-        z2_model.ball(2),
-        {
-            **{g: 0.0 for g in z2_model.ball(2).boundary_elements()},
-            z2_model.identity(): 1.0,
-        },
-        p,
-    )
+    ball = z2_model.ball(2)
+    clamps = {ball.index[g]: 0.0 for g in ball.boundary_elements()}
+    clamps[ball.index[z2_model.identity()]] = 1.0
+    prob = DirichletProblem(ball, clamps, p)
     expected = dense_linear_solve(prob)
     assert rep.converged
     assert cap == pytest.approx(reference_energy(prob.ball, expected, p), rel=1e-9)

@@ -219,18 +219,6 @@ def test_full_adj(f2_model):
     assert np.all((full[ball.n_interior:] == -1).any(axis=1))
 
 
-def test_distance_and_group_ops(f2_model, z2_model):
-    for model in (f2_model, z2_model):
-        ball = model.ball(3)
-        e = model.identity()
-        for g in ball.vertices[:20]:
-            assert model.mul(g, model.inv(g)) == e
-            assert model.word_length(model.inv(g)) == model.word_length(g)
-            assert model.distance(e, g) == model.word_length(g)
-        a, b = ball.vertices[1], ball.vertices[2]
-        assert model.distance(a, b) == model.word_length(model.mul(model.inv(a), b))
-
-
 def test_budget_error(f2_model):
     with pytest.raises(BudgetError):
         f2_model.ball(8, budget=100)
@@ -296,26 +284,49 @@ AXIOM_MODELS = [
 def model_and_words(draw):
     model = draw(st.sampled_from(AXIOM_MODELS))
     words = st.lists(st.sampled_from(model.gen_labels), max_size=12)
-    return model, draw(words), draw(words), draw(words)
+    return model, draw(words), draw(words)
+
+
+def times_word(model, codes, word):
+    """Code rows right-multiplied by a word of generator labels."""
+    return model._times_letters(codes, [letter for s in word for letter in model._letters(s)])
 
 
 @settings(max_examples=300, deadline=None)
 @given(model_and_words())
 def test_group_axioms_on_random_words(drawn):
-    model, u, v, w = drawn
+    model, u, v = drawn
     e = model.identity()
-    g, h, k = model.reduce(u), model.reduce(v), model.reduce(w)
-    assert model.mul(model.mul(g, h), k) == model.mul(g, model.mul(h, k))
-    assert model.mul(e, g) == g == model.mul(g, e)
-    assert model.mul(g, model.inv(g)) == e
-    for s in model.gen_labels:
-        assert model.apply_gen(g, s) == model.mul(g, model.apply_gen(e, s))
+    g = model.reduce(u)
+    # the row law against the tuple reference: u then v is u + v, u then u^-1 is e
+    width = model._code_width(model._word_bound * (len(u) + len(v) + 1))
+    row_u = times_word(model, np.zeros((1, width), dtype=model._code_dtype), u)
+    assert model._decode(times_word(model, row_u, v)) == [model.reduce(u + v)]
+    u_inv = [model._inv_label[s] for s in reversed(u)]
+    assert model._decode(times_word(model, row_u, u_inv)) == [e]
     assert model.element_from_obj(model.element_to_obj(g)) == g
     assert model.element_from_obj(json.loads(json.dumps(model.element_to_obj(g)))) == g
     for s in model.gen_labels:
         # the inverse label, found from the group law alone
         (s_inv,) = [t for t in model.gen_labels if model.reduce([s, t]) == e]
         assert model.reduce(u + [s, s_inv]) == g
+
+
+@pytest.mark.parametrize("model", AXIOM_MODELS, ids=lambda m: m.name)
+def test_empty_word_keeps_rows_and_dtype(model):
+    codes = model.ball(3).codes
+    out = model._times_letters(codes, [])
+    assert out.dtype == codes.dtype
+    assert np.array_equal(out, codes)
+
+
+@pytest.mark.parametrize("model", AXIOM_MODELS, ids=lambda m: m.name)
+def test_spell_gives_geodesic_words(model):
+    ball = model.ball(4)
+    for v in range(len(ball)):
+        word = ball._spell(v)
+        assert len(word) == ball.depth[v]
+        assert model.reduce(word) == ball.vertices[v]
 
 
 @pytest.mark.parametrize(

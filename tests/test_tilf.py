@@ -1,11 +1,14 @@
 """Translation machinery and functionals built from the energy pairing."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from pharmonic import (
     ScalarField,
     boundary_witness,
+    build_group,
     difference_approximation,
     invariance_defect,
     p_laplacian,
@@ -43,8 +46,41 @@ def test_translate_by_identity_keeps_ball(f2_model):
 
 def test_translate_shrinks_too_far(z_model):
     f = ScalarField.delta(z_model.ball(3), z_model.identity())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="leaves no ball"):
         translate(f, z_model.element_from_obj([3]))
+    with pytest.raises(ValueError, match="outside the ball"):
+        translate(f, z_model.element_from_obj([5]))
+
+
+TRANSLATE_MODELS = [
+    build_group(spec)
+    for spec in (
+        {"family": "free_abelian", "params": {"d": 2}},
+        {"family": "free", "params": {"k": 2}},
+        {"family": "free_product_z2", "params": {"m": 3}},
+        {"family": "lamplighter", "params": {}},
+        {"family": "lamplighter", "params": {"extra_generators": [["t", "a"]]}},
+    )
+]
+
+
+@pytest.mark.parametrize("model", TRANSLATE_MODELS, ids=lambda m: m.name)
+def test_translate_matches_the_tuple_reference(model):
+    """f_x(g) = f(g x^-1), with g x^-1 folded by apply_gen over the inverse
+    word, for every x of word length at most 2."""
+    ball = model.ball(4)
+    rng = np.random.default_rng(24)
+    f = ScalarField(ball, rng.standard_normal(len(ball)))
+    for n in range(3):
+        for word in itertools.product(model.gen_labels, repeat=n):
+            fx, report = translate(f, model.reduce(word))
+            expected = []
+            for g in fx.ball.vertices:
+                for s in reversed(word):
+                    g = model.apply_gen(g, model._inv_label[s])
+                expected.append(f.value_at(g))
+            assert report.shift_length <= n
+            np.testing.assert_array_equal(fx.values, expected)
 
 
 def test_translate_composition(f2_model):
@@ -54,7 +90,7 @@ def test_translate_composition(f2_model):
     f = ScalarField(ball, rng.standard_normal(len(ball)))
     a = f2_model.element_from_obj(["a"])
     b = f2_model.element_from_obj(["b"])
-    ab = f2_model.mul(a, b)
+    ab = f2_model.reduce(["a", "b"])
     one, _ = translate(f, a)
     two, _ = translate(one, b)
     direct, _ = translate(f, ab)
@@ -97,8 +133,13 @@ def test_overlapping_translates_rejected(z_model):
     ball = z_model.ball(8)
     f = ScalarField.indicator(ball, lambda g: abs(g[0]) <= 1)
     x = z_model.element_from_obj([1])
-    with pytest.raises(ValueError, match="overlap"):
+    with pytest.raises(ValueError, match=r"^translates along x\^0 and x\^1 overlap at vertex \(0,\)$"):
         difference_approximation(f, x, 2, 2.0)
+    # supports {0, 1, 5}, {2, 3, 7}, {4, 5, 9}: x^2 meets x^0 at 5 only
+    f = ScalarField.indicator(z_model.ball(12), lambda g: g[0] in (0, 1, 5))
+    x = z_model.element_from_obj([2])
+    with pytest.raises(ValueError, match=r"^translates along x\^0 and x\^2 overlap at vertex \(5,\)$"):
+        difference_approximation(f, x, 3, 2.0)
 
 
 def test_clipped_support_flagged(z_model):
