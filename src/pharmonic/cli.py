@@ -528,6 +528,9 @@ def _run_tilf(manifest: dict):
     model = _model_from(manifest)
     p = _exponent_from(manifest)
     radii = _radii_from(manifest)
+    # below r = 3 the translated delta's neighbour layer is not interior
+    if any(r < 3 for r in radii):
+        raise _CliError(f"radii must be >= 3, got {radii}")
     config = _config_from(manifest)
     budget = _budget_from(manifest)
     # validates the radii, the probes and the split; h is the field at the last radius

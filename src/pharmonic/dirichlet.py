@@ -6,18 +6,19 @@ vertices. The minimizer is unique (the energy is strictly convex in the free
 values, since every free component touches a clamp) and satisfies the
 discrete maximum principle: solution values stay inside the clamped range.
 
-Solver: damped Newton on the free values with continuation in p (homotopy
-in p, as in Adil, Peng & Sachdeva, NeurIPS 2019). The p = 2 problem is
-linear and is solved directly; from that field Newton runs at each
-exponent of P_STAGES_DOWN (target p < 2) or P_STAGES_UP (target p > 2)
-that lies strictly between 2 and the target, then at the target, each
-stage starting from the field of the one before. A Newton step solves the
-p-Laplacian equations linearized at the current field: the Hessian is the
-graph Laplacian of the free vertices weighted by (d^2 + mu^2)^((p-2)/2) on
-each arc, mu one ulp of the longest arc; it is symmetric positive definite
-and is factored without pivoting. For p < 2 an arc that the step would
-carry across 0 takes the IRLS weight instead (see _NewtonStep.correction).
-The step is damped by backtracking on the energy.
+Solver: damped Newton on the free values, from the p = 2 field (a linear
+problem, solved directly) to the target exponent. Continuation in p runs
+above 2 only (homotopy in p, as in Adil, Peng & Sachdeva, NeurIPS 2019):
+Newton runs at each exponent of P_STAGES_UP below the target, each stage
+starting from the field of the one before, which on Z^2 R=24 at p = 8
+takes 336 Newton steps against 705 straight up. Below 2 such stages cost
+steps and save none, and Newton runs at the target alone. A Newton step
+solves the p-Laplacian equations linearized at the current field: the
+Hessian is the graph Laplacian of the free vertices weighted by
+(d^2 + mu^2)^((p-2)/2) on each arc, mu one ulp of the longest arc; it is
+symmetric positive definite and is factored without pivoting. For p < 2 an
+arc that the step would carry across 0 takes the IRLS weight instead (see
+_NewtonStep.correction). The step is damped by backtracking on the energy.
 
 Factorization: every linear system of a problem, the p = 2 one included,
 has the same sparsity pattern and goes through the one symmetric SuperLU
@@ -43,7 +44,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import List, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,8 +53,7 @@ import scipy.sparse.linalg as spla
 from .energy import ScalarField, check_exponent, phi_p
 from .groups import CayleyBall, GroupModel
 
-# continuation exponents between 2 and the target, in the order visited
-P_STAGES_DOWN = (1.8, 1.6, 1.5, 1.4, 1.3, 1.2)
+# continuation exponents between 2 and a target above 2, in the order visited
 P_STAGES_UP = (3.0, 4.0, 5.0, 6.0, 7.0)
 LINE_SEARCH_HALVINGS = 50
 STAGE_TOL = 1e-3  # correction that ends a stage before the target one
@@ -328,15 +328,6 @@ def _energy(u: np.ndarray, arcs, p: float) -> float:
     return float(np.sum(np.abs(u[dst] - u[src]) ** p))
 
 
-def _p_stages(p: float) -> List[float]:
-    """The exponents after 2 that the continuation visits, ending at p."""
-    if p > 2.0:
-        return [q for q in P_STAGES_UP if q < p] + [p]
-    if p < 2.0:
-        return [q for q in P_STAGES_DOWN if q > p] + [p]
-    return []
-
-
 def solve_dirichlet(
     problem: DirichletProblem,
     config: Optional[SolverConfig] = None,
@@ -346,10 +337,10 @@ def solve_dirichlet(
 
     ``initial`` is None or the start: a full value array or a ScalarField on
     the same ball, whose free entries are used. None starts from the p = 2
-    linear solution. From a supplied start Newton runs at p = 2 first, then
-    through the p stages toward the target. A supplied start at p > 2 that
-    already passes the stop test at the target is returned as it is, after
-    0 iterations.
+    linear solution; from a supplied start Newton runs at p = 2 first. Then
+    it runs at the stages of P_STAGES_UP below a target above 2, none below
+    2, and at the target. A supplied start at p > 2 that already passes the
+    stop test at the target is returned as it is, after 0 iterations.
 
     The solve converges when the sup of the Newton correction at the target
     exponent is at most ``config.tolerance``; that last correction is added
@@ -369,7 +360,8 @@ def solve_dirichlet(
     free = problem.free
     tol = config.tolerance
     newton = problem._system
-    stages = _p_stages(p)
+    # the exponents after 2 that Newton visits
+    stages = [] if p == 2.0 else [q for q in P_STAGES_UP if q < p] + [p]
     if initial is None:
         u = linear_dirichlet(problem)
     else:

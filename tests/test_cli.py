@@ -147,6 +147,14 @@ def test_royden_radius_below_the_core_exits_1_naming_the_minimum(capsys):
     assert err == ["error: radii must be >= 2, got [1, 3]"]
 
 
+def test_tilf_radius_below_3_exits_1_naming_the_minimum(capsys):
+    """At radius 2 the translated delta's neighbour layer is not interior,
+    so the invariance defect would measure nothing."""
+    assert run_cli(["tilf", "--group", "free:k=2", "--radii", "2,3", "--p", "2.0"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: radii must be >= 3, got [2, 3]"]
+
+
 def test_tilf_command(tmp_path):
     out = tmp_path / "tilf.json"
     assert run_cli(["tilf", "--group", "free:k=2", "--p", "2.0", "--radii", "4,5", "--out", str(out)]) == 0

@@ -1,17 +1,24 @@
-"""The Newton solver with continuation in p over every family and the whole
-exponent range, its supplied-start path, and two regressions it mends.
+"""The Newton solver over every family and the whole exponent range, its
+supplied-start path, and two regressions it mends.
+
+Continuation in p runs only above 2: a target above 2 is reached through
+the stages of P_STAGES_UP, a target below 2 straight from the p = 2 field
+(or, from a supplied start, after Newton at p = 2).
 
 Oracles: the tree closed form u(e) = 1/(1 + b^(1/(p-1))) of the marked
 field at the identity, the series rule 1/sum_{r<R} b^(-r/(p-1)) of the
-probe gap on trees, and the maximum principle everywhere.
+probe gap on trees, a solve at tolerance 1e-13, and the maximum principle
+everywhere.
 """
 
 import json
+from itertools import groupby
 
 import numpy as np
 import pytest
 
-from pharmonic import DirichletProblem, build_group, cli, default_marking, solve_dirichlet
+from pharmonic import DirichletProblem, SolverConfig, build_group, cli, default_marking, solve_dirichlet
+from pharmonic.dirichlet import _NewtonStep
 from pharmonic.exhaustion import VERDICT_GAP_VANISHING, witness_verdict
 
 SOLVE_SECONDS = 20.0  # per solve, on a slow shared host
@@ -63,6 +70,67 @@ def test_supplied_starts(spec, radius, b):
         v, rep = solve_dirichlet(prob, initial=start)
         assert rep.converged
         assert np.max(np.abs(v.values - u.values)) <= 1e-8
+
+
+# every family and one extended generating set, 480 to 770 vertices each
+DIRECT_BALLS = [
+    ({"family": "free", "params": {"k": 2}}, 5),
+    ({"family": "free_product_z2", "params": {"m": 3}}, 8),
+    ({"family": "free_abelian", "params": {"d": 2}}, 16),
+    ({"family": "lamplighter", "params": {}}, 8),
+    ({"family": "free", "params": {"k": 2, "extra_generators": [["a", "b"]]}}, 4),
+]
+BELOW_2 = [1.1, 1.25, 1.5, 1.9]
+
+
+def uniform_problem(spec, radius, p):
+    ball = build_group(spec).ball(radius)
+    clamps = np.full(len(ball), np.nan)
+    clamps[ball.n_interior :] = np.random.default_rng(5).uniform(-1.0, 1.0, ball.n_boundary)
+    return DirichletProblem(ball, clamps, p)
+
+
+@pytest.mark.parametrize("p", BELOW_2)
+@pytest.mark.parametrize("spec,radius", DIRECT_BALLS, ids=lambda x: x["family"] if isinstance(x, dict) else None)
+def test_direct_route_below_2_matches_a_tight_solve(spec, radius, p):
+    """Newton at the target alone, from the p = 2 field or from a random
+    start, ends within 1e-7 of a solve at tolerance 1e-13."""
+    prob = uniform_problem(spec, radius, p)
+    tight, rep = solve_dirichlet(prob, SolverConfig(tolerance=1e-13))
+    assert rep.converged
+    start = np.random.default_rng(9).uniform(-1.0, 1.0, len(prob.ball))
+    for initial in (None, start):
+        u, rep = solve_dirichlet(prob, initial=initial)
+        assert rep.converged
+        assert np.max(np.abs(u.values - tight.values)) <= 1e-7
+
+
+@pytest.mark.parametrize("p,cold,warm", [
+    (1.1, [1.1], [2.0, 1.1]),
+    (1.5, [1.5], [2.0, 1.5]),
+    (1.9, [1.9], [2.0, 1.9]),
+    (4.5, [3.0, 4.0, 4.5], [4.5, 2.0, 3.0, 4.0, 4.5]),
+])
+def test_newton_exponents_visited(monkeypatch, p, cold, warm):
+    """A cold solve below 2 computes Newton corrections at the target only,
+    a supplied start at 2 and then at the target. Above 2 the stages of
+    P_STAGES_UP below the target come first, and a supplied start is first
+    tested against the stop rule at the target."""
+    seen = []
+    correction = _NewtonStep.correction
+
+    def spy(self, u, q):
+        seen.append(q)
+        return correction(self, u, q)
+
+    monkeypatch.setattr(_NewtonStep, "correction", spy)
+    prob = uniform_problem(*DIRECT_BALLS[0], p)
+    assert solve_dirichlet(prob)[1].converged
+    assert [q for q, _ in groupby(seen)] == cold
+    seen.clear()
+    start = np.random.default_rng(9).uniform(-1.0, 1.0, len(prob.ball))
+    assert solve_dirichlet(prob, initial=start)[1].converged
+    assert [q for q, _ in groupby(seen)] == warm
 
 
 def test_witness_gap_at_p8_follows_the_series_rule(tmp_path):
