@@ -49,7 +49,6 @@ from .groups import (
     BudgetError,
     CayleyBall,
     DEFAULT_VERTEX_BUDGET,
-    ExtendedGeneratorModel,
     FreeAbelianModel,
     FreeGroupModel,
     FreeProductZ2Model,
@@ -80,7 +79,6 @@ __all__ = [
     "DEFAULT_VERTEX_BUDGET",
     "DirectionMarking",
     "DirichletProblem",
-    "ExtendedGeneratorModel",
     "FitError",
     "FreeAbelianModel",
     "FreeGroupModel",

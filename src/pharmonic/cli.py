@@ -556,12 +556,10 @@ def _run_tilf(manifest: dict):
 
     defects = []
     x = ball.vertices[1]  # first generator direction
-    f = ScalarField.delta(ball, model.identity())
-    for r in radii:
-        # the same cold solve as the witness row of radius r
-        h_r = h if r == radii[-1] else _witness_field(model, model.ball(r, budget), p, config)
-        f_r = ScalarField.delta(h_r.ball, model.identity())
-        defects.append({"radius": r, "defect": invariance_defect(h_r, f_r, x, p)})
+    # the witness rows keep their solved fields: one solve per radius
+    for row in report.rows:
+        f_r = ScalarField.delta(row.field.ball, model.identity())
+        defects.append({"radius": row.radius, "defect": invariance_defect(row.field, f_r, x, p)})
 
     results = {
         "model": model.name,

@@ -436,6 +436,4 @@ def capacity(
     else:
         problem = DirichletProblem(ball, clamped, p)
         u, report = solve_dirichlet(problem, config)
-    src, dst = ball.arcs()
-    cap = float(np.sum(np.abs(u.values[dst] - u.values[src]) ** p))
-    return cap, u, report
+    return report.final_energy, u, report

@@ -35,7 +35,6 @@ from .energy import ScalarField, check_exponent
 from .groups import (
     CayleyBall,
     Element,
-    ExtendedGeneratorModel,
     FreeAbelianModel,
     FreeGroupModel,
     FreeProductZ2Model,
@@ -99,11 +98,9 @@ def default_marking(model: GroupModel) -> DirectionMarking:
 
     Free groups and free products mark words by their first letter; free
     abelian groups mark the sign of the last coordinate; the lamplighter
-    marks the cursor sign. Extended-generator models inherit the marking of
-    the base group (the elements are the same).
+    marks the cursor sign. The marking depends on the elements alone, so a
+    family's extended generating sets share the marking of its stock set.
     """
-    if isinstance(model, ExtendedGeneratorModel):
-        return default_marking(model.base)
     if isinstance(model, FreeGroupModel):
         return DirectionMarking("first_letter_a", lambda g: len(g) > 0 and g[0] == 1, (1,), (-1,))
     if isinstance(model, FreeProductZ2Model):
@@ -130,6 +127,7 @@ class WitnessRow(Record):
     iterations: int
     residual: float
     converged: bool
+    field: Optional[ScalarField] = dc_field(default=None, repr=False)
 
 
 @dataclass
@@ -143,7 +141,11 @@ class WitnessReport(Record):
     gap_last: float
     stability_delta: float
     energy_growth: float
-    field: Optional[ScalarField] = dc_field(default=None, repr=False)
+
+    @property
+    def field(self) -> ScalarField:
+        """The solved field at the last radius."""
+        return self.rows[-1].field
 
 
 def boundary_witness(
@@ -170,7 +172,6 @@ def boundary_witness(
     config = config or SolverConfig()
 
     rows: List[WitnessRow] = []
-    last_field: Optional[ScalarField] = None
     for radius in radii:
         ball = model.ball(radius, budget)
         if marking.plus_probe not in ball.index or marking.minus_probe not in ball.index:
@@ -198,9 +199,9 @@ def boundary_witness(
                 iterations=rep.iterations,
                 residual=rep.residual,
                 converged=rep.converged,
+                field=u,
             )
         )
-        last_field = u
 
     gaps = [r.gap for r in rows]
     e_first, e_last = rows[0].energy, rows[-1].energy
@@ -215,7 +216,6 @@ def boundary_witness(
         gap_last=gaps[-1],
         stability_delta=abs(gaps[-1] - gaps[-2]),
         energy_growth=growth,
-        field=last_field,
     )
 
 

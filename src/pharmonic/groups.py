@@ -21,10 +21,14 @@ group:
   |L| + (M - m) + min(-m + |M - c|, M + |c - m|): each lamp is toggled once,
   and the cursor sweeps [m, M] from 0, turning at one end, to end at c.
 
-Any base family can be wrapped with extra generators given as words over the
-base generating set (``extra_generators`` in the spec params); the wrapped
-model carries the enlarged symmetric generating set, and its word lengths
-are read off its cached ball.
+Every model holds its generating set as a table of words over the family's
+letters: each letter is the word of itself, and a spec may add extra
+generators as words over the letters (``extra_generators`` in the spec
+params). The elements and the group law stay those of the family; only the
+word metric and the Cayley graph change. A family supplies its per-letter
+law, its array codes and its closed forms on the stock generating set; on an
+extended set, ball sizes have no closed form and word lengths are read off
+the cached ball.
 
 Inside a ball, elements are array-coded: each is one fixed-width row of small
 integers, and the identity is the zero row. Reduced words are their letter
@@ -33,10 +37,10 @@ the cursor followed by the lamp bits (position x at bit 2x, or -2x - 1 for
 x < 0). A ball of radius R gets (R + 1) x (longest generator word) letters of
 room, so that one step out of its sphere still fits. Rows compare as whole
 ``np.void`` keys, and each model right-multiplies a whole array of rows by a
-generator word at once; an extended model composes its base letters. This
-row law is the only group law on elements: the tuple operations
-(``apply_gen``, ``neighbors``, ``reduce``) never touch the codes, and they
-are the independent reference the codes are tested against.
+generator word at once, one letter after another. This row law is the only
+group law on elements: the tuple operations (``apply_gen``, ``neighbors``,
+``reduce``) never touch the codes, and they are the independent reference
+the codes are tested against.
 
 All enumeration is deterministic: breadth-first from the identity, level by
 level. The rows of level r - 1 times the inverse generators, taken in
@@ -142,26 +146,66 @@ def _int_tuple(obj, what: str) -> Tuple[int, ...]:
 
 
 class GroupModel:
-    """Base class: a group with a fixed symmetric generating set.
+    """Base class: a group with a finite symmetric generating set.
 
-    Subclasses fill in ``name``, ``spec``, ``gen_labels``, the label-inverse
-    table, the element operations and the array codes. Everything else
-    (neighbors, balls, word lengths without a closed form, describe) is
-    generic.
+    Every model holds its generating set as a table of words over the
+    family's letters: a letter is the word of itself, and each extra
+    generator is the word it was given as. Subclasses supply the per-letter
+    tuple law, the array codes and the closed forms on the stock generating
+    set. Everything else (the generator law, neighbors, balls, word lengths,
+    describe) is generic.
     """
 
     name: str
     spec: GroupSpec
     gen_labels: Tuple[str, ...]
     _inv_label: Dict[str, str]
+    _inv_letter: Dict[str, str]
+    _words: Dict[str, Tuple[str, ...]]
     _cached_ball: Optional["CayleyBall"] = None  # the largest ball built so far
 
-    # -- element operations supplied by subclasses --------------------------
+    def _set_generators(self, name: str, spec: GroupSpec, inv_letter: Dict[str, str], extra_words) -> None:
+        """The generating set: the family's letters (``inv_letter`` maps each
+        to its inverse), then each extra word, labeled u1, u2, ... with
+        inverses u1-, u2-, ...; an involutive extra word contributes a single
+        label."""
+        self.name, self.spec = name, spec
+        self._inv_letter = inv_letter
+        self._inv_label = dict(inv_letter)
+        self._words = {letter: (letter,) for letter in inv_letter}
+        labels = list(inv_letter)
+        if extra_words is not None:
+            if not isinstance(extra_words, (list, tuple)) or not all(
+                isinstance(w, (list, tuple)) and all(isinstance(label, str) for label in w) for w in extra_words
+            ):
+                raise ValueError(f"extra_generators must be a list of generator-label words, got {extra_words!r}")
+            if not extra_words:
+                raise ValueError("extra_generators must be a non-empty list of words")
+            for i, word in enumerate(extra_words, start=1):
+                g = self._fold(self.identity(), word)
+                if g == self.identity():
+                    raise ValueError(f"extra generator {list(word)} reduces to the identity")
+                inverse_word = tuple(inv_letter[letter] for letter in reversed(word))
+                lab, lab_inv = f"u{i}", f"u{i}-"
+                self._words[lab] = tuple(word)
+                if g == self._fold(self.identity(), inverse_word):
+                    labels.append(lab)
+                    self._inv_label[lab] = lab
+                else:
+                    labels += [lab, lab_inv]
+                    self._inv_label[lab] = lab_inv
+                    self._inv_label[lab_inv] = lab
+                    self._words[lab_inv] = inverse_word
+            self.spec = GroupSpec(spec.family, {**spec.params, "extra_generators": [list(w) for w in extra_words]})
+            self.name = f"{name}+[{','.join(''.join(w) for w in extra_words)}]"
+        self.gen_labels = tuple(labels)
+
+    # -- supplied by subclasses: the per-letter law and the stock closed forms
     def identity(self) -> Element:
         raise NotImplementedError
 
-    def apply_gen(self, g: Element, label: str) -> Element:
-        """Right multiplication g * s for a generator label s."""
+    def _apply_letter(self, g: Element, letter: str) -> Element:
+        """Right multiplication g * s for a letter s of the family."""
         raise NotImplementedError
 
     def element_to_obj(self, g: Element):
@@ -169,6 +213,15 @@ class GroupModel:
 
     def element_from_obj(self, obj) -> Element:
         raise NotImplementedError
+
+    def _stock_word_length(self, g: Element) -> int:
+        """Word length of g over the family's letters."""
+        raise NotImplementedError
+
+    def _stock_ball_size(self, n: int) -> Optional[int]:
+        """Vertex count of the closed ball of radius n over the family's
+        letters, or None if there is no closed form."""
+        return None
 
     # -- array codes supplied by subclasses (see the module docstring) -------
     _code_dtype: type
@@ -185,11 +238,31 @@ class GroupModel:
     def _decode(self, codes: np.ndarray) -> List[Element]:
         raise NotImplementedError
 
+    # -- generic operations --------------------------------------------------
+    @property
+    def _extended(self) -> bool:
+        """Whether the generating set has extra generators beyond the letters."""
+        return "extra_generators" in self.spec.params
+
     def _letters(self, label: str) -> Tuple[str, ...]:
         """The family's letters spelling generator ``label``."""
-        return (label,)
+        return self._words[label]
 
-    # -- generic operations --------------------------------------------------
+    def _fold(self, g: Element, letters: Iterable[str]) -> Element:
+        """g times a word of the family's letters."""
+        for letter in letters:
+            if letter not in self._inv_letter:
+                raise ValueError(f"unknown generator label {letter!r} for {self.name}")
+            g = self._apply_letter(g, letter)
+        return g
+
+    def apply_gen(self, g: Element, label: str) -> Element:
+        """Right multiplication g * s for a generator label s: the fold of
+        the per-letter law over the word of s."""
+        if label not in self._words:
+            raise ValueError(f"unknown generator label {label!r} for {self.name}")
+        return self._fold(g, self._words[label])
+
     @property
     def degree(self) -> int:
         return len(self.gen_labels)
@@ -197,7 +270,7 @@ class GroupModel:
     @property
     def _word_bound(self) -> int:
         """Letters in the longest generator word."""
-        return max(len(self._letters(s)) for s in self.gen_labels)
+        return max(map(len, self._words.values()))
 
     def _neighbor_codes(self, codes: np.ndarray) -> np.ndarray:
         """The rows of [g s^{-1} for s in S] for every row g, row-major."""
@@ -206,12 +279,10 @@ class GroupModel:
             out[:, j] = self._times_letters(codes, self._letters(self._inv_label[s]))
         return out.reshape(-1, codes.shape[1])
 
-    def reduce(self, letters: Iterable[str]) -> Element:
+    def reduce(self, labels: Iterable[str]) -> Element:
         """Fold a word (sequence of generator labels) into canonical form."""
         g = self.identity()
-        for label in letters:
-            if label not in self._inv_label:
-                raise ValueError(f"unknown generator label {label!r} for {self.name}")
+        for label in labels:
             g = self.apply_gen(g, label)
         return g
 
@@ -223,15 +294,19 @@ class GroupModel:
     def group_spec(self) -> GroupSpec:
         """The spec of the group without its extra generators; models with
         the same group spec code their elements alike."""
-        return self.spec
+        if not self._extended:
+            return self.spec
+        return GroupSpec(self.spec.family, {k: v for k, v in self.spec.params.items() if k != "extra_generators"})
 
     def ball_size(self, n: int) -> Optional[int]:
-        """Closed-form vertex count of the closed ball, or None if unknown."""
-        return None
+        """Closed-form vertex count of the closed ball, or None if unknown:
+        there is none on an extended generating set."""
+        return None if self._extended else self._stock_ball_size(n)
 
     def _size_bound(self, n: int) -> Optional[int]:
-        """An upper bound on the vertex count of the closed ball, or None."""
-        return self.ball_size(n)
+        """An upper bound on the vertex count of the closed ball, or None: a
+        word of n generators spells at most n x _word_bound letters."""
+        return self._stock_ball_size(n * self._word_bound)
 
     def ball(self, n: int, budget: Optional[int] = None) -> "CayleyBall":
         """The closed ball of radius n: a prefix view of the cached ball when
@@ -270,8 +345,11 @@ class GroupModel:
         return ball
 
     def word_length(self, g: Element) -> int:
-        """Depth of g in the cached ball, enlarged one layer at a time up to
-        radius 64. Families with a closed form override this."""
+        """The closed form on the stock generating set; on an extended one,
+        the depth of g in the cached ball, enlarged one layer at a time up to
+        radius 64."""
+        if not self._extended:
+            return self._stock_word_length(g)
         ball = self._cached_ball if self._cached_ball is not None else self.ball(1)
         while g not in ball.index:
             if ball.radius >= 64:
@@ -292,35 +370,35 @@ class GroupModel:
 
 
 class FreeAbelianModel(GroupModel):
-    """Z^d with the standard generators and the l^1 word metric."""
+    """Z^d with the letters x1, x1-, ..., xd, xd- and the l^1 word metric."""
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, extra_generators=None):
         self.d = d
-        self.name = f"Z^{d}" if d > 1 else "Z"
-        self.spec = GroupSpec("free_abelian", {"d": d})
-        labels = []
-        for i in range(1, d + 1):
-            labels += [f"x{i}", f"x{i}-"]
-        self.gen_labels = tuple(labels)
-        self._inv_label = {}
-        for i in range(1, d + 1):
-            self._inv_label[f"x{i}"] = f"x{i}-"
-            self._inv_label[f"x{i}-"] = f"x{i}"
-        # generator label -> (coordinate, sign)
+        inv_letter = {}
+        # letter -> (coordinate, sign)
         self._moves = {}
         for i in range(d):
+            inv_letter[f"x{i + 1}"], inv_letter[f"x{i + 1}-"] = f"x{i + 1}-", f"x{i + 1}"
             self._moves[f"x{i + 1}"] = (i, 1)
             self._moves[f"x{i + 1}-"] = (i, -1)
+        self._set_generators(f"Z^{d}" if d > 1 else "Z", GroupSpec("free_abelian", {"d": d}), inv_letter,
+                             extra_generators)
 
     def identity(self) -> Element:
         return (0,) * self.d
 
-    def apply_gen(self, g: Element, label: str) -> Element:
-        i, sign = self._moves[label]
+    def _apply_letter(self, g: Element, letter: str) -> Element:
+        i, sign = self._moves[letter]
         return g[:i] + (g[i] + sign,) + g[i + 1 :]
 
-    def word_length(self, g: Element) -> int:
+    def _stock_word_length(self, g: Element) -> int:
         return int(sum(abs(a) for a in g))
+
+    def _stock_ball_size(self, n: int) -> int:
+        # l^1 ball count: sum_k 2^k C(d,k) C(n,k)
+        from math import comb
+
+        return sum((2 ** k) * comb(self.d, k) * comb(n, k) for k in range(0, min(self.d, n) + 1))
 
     _code_dtype = np.int64
 
@@ -337,12 +415,6 @@ class FreeAbelianModel(GroupModel):
     def _decode(self, codes: np.ndarray) -> List[Element]:
         return list(map(tuple, codes.tolist()))
 
-    def ball_size(self, n: int) -> int:
-        # l^1 ball count: sum_k 2^k C(d,k) C(n,k)
-        from math import comb
-
-        return sum((2 ** k) * comb(self.d, k) * comb(n, k) for k in range(0, min(self.d, n) + 1))
-
     def element_to_obj(self, g: Element):
         return [int(a) for a in g]
 
@@ -356,33 +428,37 @@ class FreeAbelianModel(GroupModel):
 class _ReducedWordModel(GroupModel):
     """A free product of cyclic groups of order infinity or 2.
 
-    Built from (label, code, inverse label) triples. Elements are reduced
+    Built from (letter, code, inverse letter) triples. Elements are reduced
     words stored as tuples of letter codes: no letter sits next to its
     inverse, and an involutive letter is its own inverse.
     """
 
     _code_dtype = np.int8
 
-    def __init__(self, name: str, spec: GroupSpec, letters: Sequence[Tuple[str, int, str]]):
-        self.name = name
-        self.spec = spec
-        self.gen_labels = tuple(label for label, _, _ in letters)
-        self._inv_label = {label: inv for label, _, inv in letters}
+    def __init__(self, name: str, spec: GroupSpec, letters: Sequence[Tuple[str, int, str]], extra_generators):
         self._codes = {label: code for label, code, _ in letters}
         self._labels_by_code = {code: label for label, code, _ in letters}
         self._inv_code = {code: self._codes[inv] for _, code, inv in letters}
+        self._set_generators(name, spec, {label: inv for label, _, inv in letters}, extra_generators)
 
     def identity(self) -> Element:
         return ()
 
-    def apply_gen(self, g: Element, label: str) -> Element:
-        code = self._codes[label]
+    def _apply_letter(self, g: Element, letter: str) -> Element:
+        code = self._codes[letter]
         if g and g[-1] == self._inv_code[code]:
             return g[:-1]
         return g + (code,)
 
-    def word_length(self, g: Element) -> int:
+    def _stock_word_length(self, g: Element) -> int:
         return len(g)
+
+    def _stock_ball_size(self, n: int) -> int:
+        q = len(self._codes)
+        if q == 2:
+            return 2 * n + 1
+        # 1 + q + q(q-1) + ... + q(q-1)^{n-1}
+        return 1 + q * ((q - 1) ** n - 1) // (q - 2)
 
     def _code_width(self, n_letters: int) -> int:
         return n_letters
@@ -409,13 +485,6 @@ class _ReducedWordModel(GroupModel):
                 out[i] = word
         return out
 
-    def ball_size(self, n: int) -> int:
-        q = self.degree
-        if q == 2:
-            return 2 * n + 1
-        # 1 + q + q(q-1) + ... + q(q-1)^{n-1}
-        return 1 + q * ((q - 1) ** n - 1) // (q - 2)
-
     def letter_code(self, label: str) -> int:
         try:
             return self._codes[label]
@@ -428,52 +497,50 @@ class _ReducedWordModel(GroupModel):
     def element_from_obj(self, obj) -> Element:
         if not isinstance(obj, (list, tuple)) or not all(isinstance(label, str) for label in obj):
             raise ValueError(f"expected a list of generator labels, got {obj!r}")
-        return self.reduce(obj)
+        return self._fold(self.identity(), obj)
 
 
 class FreeGroupModel(_ReducedWordModel):
     """F_k with reduced words over letters a, b, c and their inverses."""
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, extra_generators=None):
         self.k = k
         letters = []
         for code, a in enumerate(_FREE_LETTERS[:k], start=1):
             letters += [(a, code, a + "-"), (a + "-", -code, a)]
-        super().__init__(f"F_{k}", GroupSpec("free", {"k": k}), letters)
+        super().__init__(f"F_{k}", GroupSpec("free", {"k": k}), letters, extra_generators)
 
 
 class FreeProductZ2Model(_ReducedWordModel):
-    """Free product of m copies of Z/2; every generator is an involution."""
+    """Free product of m copies of Z/2; every letter is an involution."""
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, extra_generators=None):
         self.m = m
         letters = [(f"s{i}", i, f"s{i}") for i in range(1, m + 1)]
-        super().__init__("*".join(["Z2"] * m), GroupSpec("free_product_z2", {"m": m}), letters)
+        super().__init__("*".join(["Z2"] * m), GroupSpec("free_product_z2", {"m": m}), letters, extra_generators)
 
 
 class LamplighterModel(GroupModel):
-    """Z2 wr Z with generators t (cursor +1), t- (cursor -1), a (toggle)."""
+    """Z2 wr Z with letters t (cursor +1), t- (cursor -1), a (toggle)."""
 
-    def __init__(self):
-        self.name = "Z2wrZ"
-        self.spec = GroupSpec("lamplighter", {})
-        self.gen_labels = ("t", "t-", "a")
-        self._inv_label = {"t": "t-", "t-": "t", "a": "a"}
+    def __init__(self, extra_generators=None):
+        self._set_generators("Z2wrZ", GroupSpec("lamplighter", {}), {"t": "t-", "t-": "t", "a": "a"},
+                             extra_generators)
 
     def identity(self) -> Element:
         return ((), 0)
 
-    def apply_gen(self, g: Element, label: str) -> Element:
+    def _apply_letter(self, g: Element, letter: str) -> Element:
         lamps, cursor = g
-        if label == "t":
+        if letter == "t":
             return (lamps, cursor + 1)
-        if label == "t-":
+        if letter == "t-":
             return (lamps, cursor - 1)
         if cursor in lamps:
             return (tuple(x for x in lamps if x != cursor), cursor)
         return (tuple(sorted(lamps + (cursor,))), cursor)
 
-    def word_length(self, g: Element) -> int:
+    def _stock_word_length(self, g: Element) -> int:
         lamps, c = g
         lo, hi = min(lamps + (0, c)), max(lamps + (0, c))
         return len(lamps) + (hi - lo) + min(-lo + abs(hi - c), hi + abs(c - lo))
@@ -523,85 +590,6 @@ class LamplighterModel(GroupModel):
         if repeated:
             raise ValueError(f"lamp position {repeated[0]} is listed more than once in {obj!r}")
         return (lamps, cursor)
-
-
-class ExtendedGeneratorModel(GroupModel):
-    """A base model with extra generators given as words over the base set.
-
-    The canonical element form is inherited from the base model; only the
-    generating set (hence the word metric and the Cayley graph) changes.
-    Extra generators are labeled u1, u2, ... with inverses u1-, u2-, ...;
-    an involutive extra word contributes a single label.
-    """
-
-    def __init__(self, base: GroupModel, extra_words: Sequence[Sequence[str]]):
-        if not extra_words:
-            raise ValueError("extra_generators must be a non-empty list of words")
-        self.base = base
-        self.spec = GroupSpec(base.spec.family, dict(base.spec.params))
-        self.spec.params["extra_generators"] = [list(w) for w in extra_words]
-        labels = list(base.gen_labels)
-        inv_label = dict(base._inv_label)
-        words: Dict[str, Tuple[str, ...]] = {l: (l,) for l in base.gen_labels}
-        for i, word in enumerate(extra_words, start=1):
-            g = base.reduce(word)
-            if g == base.identity():
-                raise ValueError(f"extra generator {list(word)} reduces to the identity")
-            inverse_word = tuple(base._inv_label[l] for l in reversed(word))
-            lab, lab_inv = f"u{i}", f"u{i}-"
-            words[lab] = tuple(word)
-            if g == base.reduce(inverse_word):
-                labels.append(lab)
-                inv_label[lab] = lab
-            else:
-                labels += [lab, lab_inv]
-                inv_label[lab] = lab_inv
-                inv_label[lab_inv] = lab
-                words[lab_inv] = inverse_word
-        self.gen_labels = tuple(labels)
-        self._inv_label = inv_label
-        self._words = words
-        self._code_dtype = base._code_dtype
-        extra_desc = ",".join("".join(w) for w in extra_words)
-        self.name = f"{base.name}+[{extra_desc}]"
-
-    def identity(self) -> Element:
-        return self.base.identity()
-
-    def apply_gen(self, g: Element, label: str) -> Element:
-        try:
-            word = self._words[label]
-        except KeyError:
-            raise ValueError(f"unknown generator label {label!r} for {self.name}") from None
-        for letter in word:
-            g = self.base.apply_gen(g, letter)
-        return g
-
-    @property
-    def group_spec(self) -> GroupSpec:
-        return self.base.spec
-
-    def _size_bound(self, n: int) -> Optional[int]:
-        # a word of n generators spells at most n x _word_bound base letters
-        return self.base.ball_size(n * self._word_bound)
-
-    def element_to_obj(self, g: Element):
-        return self.base.element_to_obj(g)
-
-    def element_from_obj(self, obj) -> Element:
-        return self.base.element_from_obj(obj)
-
-    def _letters(self, label: str) -> Tuple[str, ...]:
-        return self._words[label]
-
-    def _code_width(self, n_letters: int) -> int:
-        return self.base._code_width(n_letters)
-
-    def _times_letters(self, codes: np.ndarray, letters: Sequence[str]) -> np.ndarray:
-        return self.base._times_letters(codes, letters)
-
-    def _decode(self, codes: np.ndarray) -> List[Element]:
-        return self.base._decode(codes)
 
 
 def _over_budget(model: GroupModel, radius: int, budget: int, r: int) -> BudgetError:
@@ -917,19 +905,11 @@ def build_group(spec) -> GroupModel:
     params = dict(spec.params)
     extra = params.pop("extra_generators", None)
     if family == "free_abelian":
-        base: GroupModel = FreeAbelianModel(_require_int(params, "d", 1, 4))
-    elif family == "free":
-        base = FreeGroupModel(_require_int(params, "k", 1, 3))
-    elif family == "free_product_z2":
-        base = FreeProductZ2Model(_require_int(params, "m", 2, 4))
-    elif family == "lamplighter":
-        base = LamplighterModel()
-    else:
-        raise ValueError(f"unknown family {family!r}; supported: {', '.join(_FAMILIES)}")
-    if extra is not None:
-        if not isinstance(extra, (list, tuple)) or not all(
-            isinstance(w, (list, tuple)) and all(isinstance(label, str) for label in w) for w in extra
-        ):
-            raise ValueError(f"extra_generators must be a list of generator-label words, got {extra!r}")
-        base = ExtendedGeneratorModel(base, [list(w) for w in extra])
-    return base
+        return FreeAbelianModel(_require_int(params, "d", 1, 4), extra)
+    if family == "free":
+        return FreeGroupModel(_require_int(params, "k", 1, 3), extra)
+    if family == "free_product_z2":
+        return FreeProductZ2Model(_require_int(params, "m", 2, 4), extra)
+    if family == "lamplighter":
+        return LamplighterModel(extra)
+    raise ValueError(f"unknown family {family!r}; supported: {', '.join(_FAMILIES)}")

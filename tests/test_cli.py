@@ -121,6 +121,22 @@ def test_royden_and_massive_commands(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "group, subset, name",
+    [
+        ('{"family":"free","params":{"k":2,"extra_generators":[["a","b"]]}}', "subtree:a", "subtree_a"),
+        ('{"family":"free_abelian","params":{"d":2,"extra_generators":[["x1","x2"]]}}', "half_space", "half_space_x2"),
+    ],
+)
+def test_massive_command_on_extended_generating_sets(tmp_path, group, subset, name):
+    """The subsets read the elements, which an extended generating set
+    leaves as they are."""
+    out = tmp_path / "massive.json"
+    assert run_cli(["massive", "--group", group, "--p", "2.0", "--radii", "4,5,6", "--subset", subset, "--out", str(out)]) == 0
+    results = load(out)["results"]
+    assert "+[" in results["model"] and results["subset"] == name
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["solve", "--group", "lamplighter", "--radius", "2", "--p", "2.0"],
@@ -164,8 +180,8 @@ def test_tilf_command(tmp_path):
 
 
 def test_tilf_solves_each_radius_once(tmp_path, monkeypatch):
-    """The witness solves n radii; the defects add one cold solve for each
-    radius but the last, whose field the witness already gives."""
+    """The witness solves n radii, and the defects read their fields off
+    the witness rows: n solves in all."""
     calls = []
 
     def counting(problem, *args, **kwargs):
@@ -176,7 +192,7 @@ def test_tilf_solves_each_radius_once(tmp_path, monkeypatch):
     monkeypatch.setattr(pharmonic.exhaustion, "solve_dirichlet", counting)
     out = tmp_path / "tilf.json"
     assert run_cli(["tilf", "--group", "free:k=2", "--p", "2.0", "--radii", "3,4,5", "--out", str(out)]) == 0
-    assert calls == [3, 4, 5, 3, 4]
+    assert calls == [3, 4, 5]
     assert [row["radius"] for row in load(out)["results"]["invariance_defects"]] == [3, 4, 5]
 
 

@@ -16,6 +16,7 @@ from pharmonic import (
     SolverConfig,
     SubsetSpec,
     boundary_witness,
+    build_group,
     default_marking,
     half_space_subset,
     inner_potential,
@@ -269,6 +270,28 @@ def test_f2_subtree_massive_at_p_three_halves(f2_model):
     profile = radial_drop_profile([3 ** (d - 1) for d in range(1, 7)], 1.5)
     assert profile[0] == pytest.approx((8.0 / 9.0) / (1.0 - 9.0 ** -6), rel=1e-12)
     assert field.value_at(a) == pytest.approx(profile[0], abs=1e-7)
+
+
+def test_f2_subtree_is_massive_on_an_extended_generating_set(f2_model):
+    """Massiveness survives the change of generating set F_2 -> F_2 + [a,b]:
+    the same subtree of words starting with a reads massive on both."""
+    ext = build_group({"family": "free", "params": {"k": 2, "extra_generators": [["a", "b"]]}})
+    subset = letter_subtree_subset(ext, "a")
+    assert subset.name == letter_subtree_subset(f2_model, "a").name
+    _, report = inner_potential(ext, subset, [4, 5, 6], 2.0)
+    _, stock = inner_potential(f2_model, letter_subtree_subset(f2_model, "a"), [4, 5, 6], 2.0)
+    assert report.verdict == stock.verdict == "massive"
+    assert [row.core_sup for row in report.rows] == pytest.approx([0.9412, 0.9384, 0.9377], abs=1e-4)
+    with pytest.raises(ValueError):
+        letter_subtree_subset(ext, "u1")
+
+
+def test_half_space_subset_on_an_extended_generating_set(z2_model):
+    ext = build_group({"family": "free_abelian", "params": {"d": 2, "extra_generators": [["x1", "x2"]]}})
+    subset = half_space_subset(ext)
+    assert subset.name == half_space_subset(z2_model).name == "half_space_x2"
+    ball = ext.ball(3)
+    assert [subset.contains(g) for g in ball.vertices] == [g[1] >= 1 for g in ball.vertices]
 
 
 def test_z_half_line_is_not_massive(z_model):

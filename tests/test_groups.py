@@ -337,6 +337,8 @@ def test_spell_gives_geodesic_words(model):
         ({"family": "free_abelian", "params": {"d": 2}}, [1, 2, 3]),
         ({"family": "free", "params": {"k": 2}}, [["a"]]),
         ({"family": "free", "params": {"k": 2}}, "ab"),
+        # elements stay words over the family's letters, not the generator labels
+        ({"family": "free", "params": {"k": 2, "extra_generators": [["a", "b"]]}}, ["u1"]),
         ({"family": "free_product_z2", "params": {"m": 3}}, [1]),
         ({"family": "lamplighter", "params": {}}, [3, 0]),
         ({"family": "lamplighter", "params": {}}, [[0.5], 0]),
