@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .dirichlet import DirichletProblem, SolverConfig, solve_dirichlet
+from .dirichlet import DirichletProblem, SolverConfig, SolveReport, solve_dirichlet
 from .energy import ScalarField, bdp_norm, seminorm_p
 from .exhaustion import (
     boundary_witness,
@@ -388,13 +388,12 @@ def _run_witness(manifest: dict):
     return results, rows, all(r.converged for r in report.rows)
 
 
-def _witness_field(model: GroupModel, ball, p: float, config: SolverConfig) -> ScalarField:
-    """The cold marked solve on ``ball``: 1 on the marked sphere, 0 on the rest."""
-    u, _ = solve_dirichlet(DirichletProblem(ball, default_marking(model).sphere_clamps(ball), p), config)
-    return u
-
-
-def _preset_field(manifest: dict, model: GroupModel, ball, p: float, config: SolverConfig) -> ScalarField:
+def _preset_field(
+    manifest: dict, model: GroupModel, ball, p: float, config: SolverConfig
+) -> Tuple[ScalarField, Optional[SolveReport]]:
+    """The manifest's field on ``ball``, with the report of the solve that
+    made it: the witness preset is the cold marked solve, 1 on the marked
+    sphere and 0 on the rest; the other fields come from no solve."""
     field_spec = manifest.get("field", {"preset": "witness"})
     if not isinstance(field_spec, dict):
         raise _CliError(f"manifest 'field' must be an object, got {field_spec!r}")
@@ -404,14 +403,14 @@ def _preset_field(manifest: dict, model: GroupModel, ball, p: float, config: Sol
         values = [_as_float("field.values", v) for v in field_spec["values"]]
         if len(values) != len(ball):
             raise _CliError(f"field values list has length {len(values)}, ball has {len(ball)} vertices")
-        return ScalarField(ball, np.asarray(values))
+        return ScalarField(ball, np.asarray(values)), None
     preset = field_spec.get("preset", "witness")
     if preset == "witness":
-        return _witness_field(model, ball, p, config)
+        return solve_dirichlet(DirichletProblem(ball, default_marking(model).sphere_clamps(ball), p), config)
     if preset == "delta":
-        return ScalarField.delta(ball, model.identity())
+        return ScalarField.delta(ball, model.identity()), None
     if preset == "indicator":
-        return ScalarField.indicator(ball, default_marking(model).contains)
+        return ScalarField.indicator(ball, default_marking(model).contains), None
     raise _CliError(f"unknown field preset {preset!r}")
 
 
@@ -421,8 +420,11 @@ def _run_royden(manifest: dict):
     radii = _radii_from(manifest)
     config = _config_from(manifest)
     ball = model.ball(max(radii), _budget_from(manifest))
-    f = _preset_field(manifest, model, ball, p, config)
-    u, h, report = royden_decompose(model, f, p, radii, config, _budget_from(manifest))
+    f, f_report = _preset_field(manifest, model, ball, p, config)
+    # the witness field is the cold solve of the final radius's problem: its
+    # sphere carries the marked clamps
+    final_solve = None if f_report is None else (f, f_report)
+    u, h, report = royden_decompose(model, f, p, radii, config, _budget_from(manifest), final_solve)
     results = report.to_dict()
     results["h_value_at_identity"] = h.value_at(model.identity())
     results["u_sup_norm"] = u.sup_norm()

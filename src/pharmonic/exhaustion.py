@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .dirichlet import DirichletProblem, Record, SolverConfig, capacity, solve_dirichlet
+from .dirichlet import DirichletProblem, Record, SolverConfig, SolveReport, capacity, solve_dirichlet
 from .energy import ScalarField, check_exponent
 from .groups import (
     CayleyBall,
@@ -314,6 +314,7 @@ def royden_decompose(
     radii: Sequence[int],
     config: Optional[SolverConfig] = None,
     budget: Optional[int] = None,
+    final_solve: Optional[Tuple[ScalarField, SolveReport]] = None,
 ) -> Tuple[ScalarField, ScalarField, RoydenReport]:
     """Split f = u + h on the final ball, h p-harmonic with f's sphere values.
 
@@ -322,6 +323,11 @@ def royden_decompose(
     sphere values of f are extended p-harmonically inward; the core rows
     track how fast these extensions settle. The returned h is the extension
     at the final radius and u = f - h vanishes on the final sphere.
+
+    ``final_solve`` is the (field, report) of ``solve_dirichlet`` on the
+    final problem when the caller has it already, say because f itself is
+    the cold solve with those sphere values; it stands in for that radius's
+    solve. Its field must lie on the final ball with f's sphere values.
     """
     check_exponent(p)
     radii = _ascending_radii(radii, minimum=CORE_RADIUS)
@@ -345,12 +351,20 @@ def royden_decompose(
     rows: List[RoydenRow] = []
     prev_core: Optional[np.ndarray] = None
     h_field: Optional[ScalarField] = None
+    if final_solve is not None:
+        sphere = slice(final_ball.n_interior, None)
+        h_final = final_solve[0]
+        if not (h_final.ball.compatible(final_ball) and np.array_equal(h_final.values[sphere], f_final.values[sphere])):
+            raise ValueError("final_solve is not a field on the final ball with f's sphere values")
     for radius in radii:
-        ball = final_ball if radius == final else model.ball(radius, budget)
-        n = len(ball)
-        clamped = np.full(n, np.nan)
-        clamped[ball.n_interior :] = f_final.values[ball.n_interior : n]
-        h_n, rep = solve_dirichlet(DirichletProblem(ball, clamped, p), config)
+        if radius == final and final_solve is not None:
+            h_n, rep = final_solve
+        else:
+            ball = final_ball if radius == final else model.ball(radius, budget)
+            n = len(ball)
+            clamped = np.full(n, np.nan)
+            clamped[ball.n_interior :] = f_final.values[ball.n_interior : n]
+            h_n, rep = solve_dirichlet(DirichletProblem(ball, clamped, p), config)
         core_vals = h_n.values[core_idx]
         delta = float("nan") if prev_core is None else float(np.max(np.abs(core_vals - prev_core)))
         rows.append(RoydenRow(radius, rep.final_energy, delta, rep.iterations, rep.residual, rep.converged))

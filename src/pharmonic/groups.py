@@ -35,29 +35,37 @@ integers, and the identity is the zero row. Reduced words are their letter
 codes padded with zeros, Z^d elements their coordinates, lamplighter elements
 the cursor followed by the lamp bits (position x at bit 2x, or -2x - 1 for
 x < 0). A ball of radius R gets (R + 1) x (longest generator word) letters of
-room, so that one step out of its sphere still fits. Rows compare as whole
-``np.void`` keys, and each model right-multiplies a whole array of rows by a
-generator word at once, one letter after another. This row law is the only
-group law on elements: the tuple operations (``apply_gen``, ``neighbors``,
-``reduce``) never touch the codes, and they are the independent reference
-the codes are tested against.
+room, so that one step out of its sphere still fits, and each model
+right-multiplies a whole array of rows by a generator word at once, one
+letter after another. This row law is the only group law on elements: the
+tuple operations (``apply_gen``, ``neighbors``, ``reduce``) never touch the
+codes, and they are the independent reference the codes are tested against.
+
+Rows are compared through one lookup key each, in a layout fixed per pass
+by the model and the letter capacity (``_KeyLayout``): one exact ``uint64``
+where the row fits in 64 bits (4 bits per letter of a reduced word, so up to
+16 letters; Z^d coordinates offset by their bound; the lamplighter's cursor
+beside its lamp bits), else the whole row as an ``np.void`` (F_1 at R = 300,
+F_2 + [a,b,a,b,a] at R = 7, the lamplighter past 28 letters of room).
 
 All enumeration is deterministic: breadth-first from the identity, level by
 level. The rows of level r - 1 times the inverse generators, taken in
 row-major order (vertex, then generator), give the neighbor lists
-[g s^{-1} for s in S]; each is looked up among levels r - 2 and r - 1 with
-one ``searchsorted`` each, and the rest become level r, numbered in order of
-first encounter (``np.unique(return_index=True)``). This is the vertex order
-of a vertex-by-vertex breadth-first search. The pass records each expanded
-vertex's adjacency row as it goes. A model keeps the largest ball it has
-built: a larger ball continues that ball's pass, and a smaller one is a
-prefix view of it.
+[g s^{-1} for s in S]. Their keys are sorted once and looked up, with one
+``searchsorted``, in a sorted index of levels r - 2 and r - 1; each run of
+equal keys left over is one vertex of level r, numbered in order of first
+encounter. This is the vertex order of a vertex-by-vertex breadth-first
+search. The pass records each expanded vertex's adjacency row as it goes. A
+model keeps the largest ball it has built: a larger ball continues that
+ball's pass, with the layout of its own capacity, and a smaller one is a
+prefix view of it, sharing its layout.
 
 ``CayleyBall.locate`` maps code rows to vertex ids through a sorted key
 index of the whole ball, built on first use. Rows from a ball of the same
 group under another generating set may be narrower or wider: a zero column
 is no letter, no coordinate and no lamp word, so rows are padded or trimmed
-with zero columns. This is how vertices move between balls, and no ball is
+with zero columns, and a row with a value outside the ball's key layout is
+no vertex of it. This is how vertices move between balls, and no ball is
 decoded on the way; TILF translates a field the same way, multiplying code
 rows by the letters of x^-1. ``CayleyBall.vertices`` and ``CayleyBall.index``
 decode the rows into tuples and an element -> id dict on first use; they
@@ -231,6 +239,11 @@ class GroupModel:
         ``n_letters`` letters of the family."""
         raise NotImplementedError
 
+    def _code_bounds(self, n_letters: int) -> Tuple[List[int], List[int]]:
+        """The least and greatest value of each of the ``_code_width`` columns
+        over the elements spelled by at most ``n_letters`` letters."""
+        raise NotImplementedError
+
     def _times_letters(self, codes: np.ndarray, letters: Sequence[str]) -> np.ndarray:
         """New rows: each row of ``codes`` right-multiplied by the word ``letters``."""
         raise NotImplementedError
@@ -271,6 +284,10 @@ class GroupModel:
     def _word_bound(self) -> int:
         """Letters in the longest generator word."""
         return max(map(len, self._words.values()))
+
+    def _key_layout(self, n_letters: int) -> "_KeyLayout":
+        """The lookup keys of a pass with room for ``n_letters`` letters."""
+        return _KeyLayout(*self._code_bounds(n_letters), self._code_dtype)
 
     def _neighbor_codes(self, codes: np.ndarray) -> np.ndarray:
         """The rows of [g s^{-1} for s in S] for every row g, row-major."""
@@ -405,6 +422,9 @@ class FreeAbelianModel(GroupModel):
     def _code_width(self, n_letters: int) -> int:
         return self.d
 
+    def _code_bounds(self, n_letters: int) -> Tuple[List[int], List[int]]:
+        return [-n_letters] * self.d, [n_letters] * self.d
+
     def _times_letters(self, codes: np.ndarray, letters: Sequence[str]) -> np.ndarray:
         step = np.zeros(self.d, dtype=codes.dtype)
         for label in letters:
@@ -462,6 +482,9 @@ class _ReducedWordModel(GroupModel):
 
     def _code_width(self, n_letters: int) -> int:
         return n_letters
+
+    def _code_bounds(self, n_letters: int) -> Tuple[List[int], List[int]]:
+        return [min(0, *self._codes.values())] * n_letters, [max(0, *self._codes.values())] * n_letters
 
     def _times_letters(self, codes: np.ndarray, letters: Sequence[str]) -> np.ndarray:
         out = codes.copy()
@@ -551,6 +574,16 @@ class LamplighterModel(GroupModel):
     def _code_width(self, n_letters: int) -> int:
         return 2 + (2 * n_letters) // 64
 
+    def _code_bounds(self, n_letters: int) -> Tuple[List[int], List[int]]:
+        # lamps lie within n_letters of 0, on bits 0 to 2 n_letters; a word
+        # whose bit 63 may be set takes every int64 value
+        lo, hi = [-n_letters], [n_letters]
+        for first in range(0, 2 * n_letters + 1, 64):
+            bits = min(64, 2 * n_letters + 1 - first)
+            lo.append(-(1 << 63) if bits == 64 else 0)
+            hi.append((1 << 63) - 1 if bits == 64 else (1 << bits) - 1)
+        return lo, hi
+
     def _times_letters(self, codes: np.ndarray, letters: Sequence[str]) -> np.ndarray:
         out = codes.copy()
         rows = np.arange(len(out))
@@ -599,38 +632,110 @@ def _over_budget(model: GroupModel, radius: int, budget: int, r: int) -> BudgetE
     )
 
 
-def _keys(codes: np.ndarray) -> np.ndarray:
-    """One ``np.void`` key per row, so that whole rows sort and compare at once."""
-    codes = np.ascontiguousarray(codes)
-    return codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1]))).reshape(-1)
+class _KeyLayout:
+    """How one breadth-first pass turns its code rows into lookup keys.
+
+    Column j of a row holds a value in [lo[j], hi[j]] for every element the
+    pass can meet, which is every element spelled by at most its letter
+    capacity. A row's key is one ``uint64`` with a bit field per column: a
+    letter of a reduced word takes the low 4 bits of its ``int8`` code (codes
+    lie in [-8, 7]), two letters to a byte; any other column holds row[j] -
+    lo[j] in just enough bits for hi[j] - lo[j]. Two rows inside the layout
+    share a key only if they are equal. Where the fields do not fit in 64
+    bits, the key is the row's bytes as one ``np.void``. The layout is fixed
+    per pass, never per array, so all keys of a ball have one dtype; rows
+    from elsewhere are checked with ``inside`` before their keys are trusted.
+    """
+
+    def __init__(self, lo: Sequence[int], hi: Sequence[int], dtype):
+        self._dtype = np.dtype(dtype)
+        self._nibbles = self._dtype.itemsize == 1
+        if self._nibbles:
+            self.packed = len(lo) <= 16 and min(lo) >= -8 and max(hi) <= 7
+        else:
+            bits = [int(h - l).bit_length() for l, h in zip(lo, hi)]
+            shifts = np.cumsum([0] + bits[:-1]).tolist()
+            self.packed = sum(bits) <= 64
+            self._fields = [(j, int(l), np.uint64(shift)) for j, (l, shift) in enumerate(zip(lo, shifts))]
+        self._lo = np.array(lo, dtype=np.int64)
+        self._hi = np.array(hi, dtype=np.int64)
+
+    def keys(self, codes: np.ndarray) -> np.ndarray:
+        """One key per row of ``codes``; exact for rows inside the layout."""
+        codes = np.asarray(codes, dtype=self._dtype)
+        if not self.packed:
+            codes = np.ascontiguousarray(codes)
+            return codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1]))).reshape(-1)
+        if self._nibbles:
+            # uint8 shifts drop the high half of each code
+            letters = codes.view(np.uint8)
+            width = letters.shape[1]
+            key = np.zeros((len(codes), 8), dtype=np.uint8)
+            np.bitwise_and(letters[:, 0::2], 15, out=key[:, : (width + 1) // 2])
+            key[:, : width // 2] |= letters[:, 1::2] << 4
+            return key.view(np.uint64).reshape(-1)
+        key = np.zeros(len(codes), dtype=np.uint64)
+        for j, lo, shift in self._fields:
+            # keys stay uint64 throughout: numpy < 2 promotes uint64 with int64 to float64
+            key |= (codes[:, j].astype(np.int64) - lo).view(np.uint64) << shift
+        return key
+
+    def inside(self, codes: np.ndarray) -> np.ndarray:
+        """Whether each row's columns lie within their bounds."""
+        return ((codes >= self._lo) & (codes <= self._hi)).all(axis=1)
 
 
-def _sorted_level(codes: np.ndarray, first_id: int) -> Tuple[np.ndarray, np.ndarray]:
+def _sorted_level(codes: np.ndarray, first_id: int, layout: _KeyLayout) -> Tuple[np.ndarray, np.ndarray]:
     """A level's keys in sorted order, with the vertex id of each."""
-    keys = _keys(codes)
+    keys = layout.keys(codes)
     order = np.argsort(keys)
     return keys[order], first_id + order
 
 
-def _locate(keys: np.ndarray, levels: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """The vertex id of each key among the sorted levels, -1 where absent."""
-    ids = np.full(keys.size, -1, dtype=np.int64)
-    for level_keys, level_ids in levels:
-        pos = np.minimum(np.searchsorted(level_keys, keys), level_keys.size - 1)
-        hit = level_keys[pos] == keys
-        ids[hit] = level_ids[pos[hit]]
+def _merge(a: Tuple[np.ndarray, np.ndarray], b: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Two sorted (keys, ids) indexes as one; the stable sort merges the two runs."""
+    keys = np.concatenate([a[0], b[0]])
+    order = np.argsort(keys, kind="stable")
+    return keys[order], np.concatenate([a[1], b[1]])[order]
+
+
+def _search(sorted_keys: np.ndarray, index: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The vertex id of each of some sorted keys in a sorted (keys, ids)
+    index, -1 where absent. Sorted needles keep each binary search near the
+    last one."""
+    index_keys, index_ids = index
+    pos = np.searchsorted(index_keys, sorted_keys)
+    np.minimum(pos, index_keys.size - 1, out=pos)
+    hit = index_keys[pos] == sorted_keys
+    ids = np.full(sorted_keys.size, -1, dtype=np.int64)
+    ids[hit] = index_ids[pos[hit]]
+    return ids
+
+
+def _locate(keys: np.ndarray, index: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The vertex id of each key in a sorted (keys, ids) index, -1 where absent."""
+    order = np.argsort(keys)
+    found = _search(keys[order], index)
+    ids = np.empty_like(found)
+    ids[order] = found
     return ids
 
 
 def _enumerate(model: GroupModel, radius: int, budget: int, start: Optional["CayleyBall"]) -> "CayleyBall":
     """The one breadth-first pass, from the identity or from the sphere of a
     smaller enumerated ball, one level at a time, recording the adjacency
-    rows of each expanded level."""
-    width = model._code_width((radius + 1) * model._word_bound)
+    rows of each expanded level.
+
+    A level sorts its candidates' keys once: the sorted keys are looked up
+    in one sorted index of the two levels before, and the runs of equal keys
+    left over are the new vertices, numbered by the first candidate of each
+    run."""
+    capacity = (radius + 1) * model._word_bound
+    width, layout = model._code_width(capacity), model._key_layout(capacity)
     if start is None:
         frontier = np.zeros((1, width), dtype=model._code_dtype)
         codes, depth, rows = [frontier], [np.zeros(1, dtype=np.int32)], []
-        levels = [_sorted_level(frontier, 0)]
+        last = index = _sorted_level(frontier, 0, layout)
         first = 1
     else:
         padded = np.zeros((len(start), width), dtype=model._code_dtype)
@@ -638,28 +743,37 @@ def _enumerate(model: GroupModel, radius: int, budget: int, start: Optional["Cay
         inner, sphere = int(np.searchsorted(start.depth, start.radius - 1)), start.n_interior
         frontier = padded[sphere:]
         codes, depth, rows = [padded], [start.depth], [start._rows]
-        levels = [_sorted_level(padded[inner:sphere], inner), _sorted_level(frontier, sphere)]
+        last, index = _sorted_level(frontier, sphere, layout), _sorted_level(padded[inner:], inner, layout)
         first = start.radius + 1
     n = len(codes[0])
     for r in range(first, radius + 1):
         candidates = model._neighbor_codes(frontier)
-        keys = _keys(candidates)
-        ids = _locate(keys, levels)
+        keys = layout.keys(candidates)
+        order = np.argsort(keys)
+        keys = keys[order]
+        ids = _search(keys, index)
         new = np.flatnonzero(ids < 0)
-        level_keys, first_seen, which = np.unique(keys[new], return_index=True, return_inverse=True)
-        if n + level_keys.size > budget:
+        # a run of equal new keys is one vertex, first met at its least candidate
+        run = np.ones(new.size, dtype=bool)
+        run[1:] = keys[new[1:]] != keys[new[:-1]]
+        starts = np.flatnonzero(run)
+        if n + starts.size > budget:
             raise _over_budget(model, radius, budget, r)
+        first_seen = np.minimum.reduceat(order[new], starts)
         encounter = np.argsort(first_seen)
         rank = np.empty_like(encounter)
         rank[encounter] = np.arange(encounter.size)
-        ids[new] = n + rank[which.reshape(-1)]
-        frontier = candidates[new[first_seen[encounter]]]
-        rows.append(ids.reshape(-1, model.degree))
+        ids[new] = n + rank[np.cumsum(run) - 1]
+        frontier = candidates[first_seen[encounter]]
+        adjacency = np.empty_like(ids)
+        adjacency[order] = ids
+        rows.append(adjacency.reshape(-1, model.degree))
         codes.append(frontier)
-        depth.append(np.full(level_keys.size, r, dtype=np.int32))
-        levels = [levels[-1], (level_keys, n + rank)]
-        n += level_keys.size
-    return CayleyBall(model, radius, np.concatenate(codes), np.concatenate(depth), np.concatenate(rows), levels)
+        depth.append(np.full(starts.size, r, dtype=np.int32))
+        level = (keys[new[starts]], n + rank)
+        last, index = level, _merge(last, level)
+        n += starts.size
+    return CayleyBall(model, radius, layout, np.concatenate(codes), np.concatenate(depth), np.concatenate(rows), index)
 
 
 class CayleyBall:
@@ -687,10 +801,12 @@ class CayleyBall:
     ball shares the arrays of the larger one it is a prefix of.
     """
 
-    def __init__(self, model: GroupModel, radius: int, codes: np.ndarray, depth: np.ndarray, rows: np.ndarray,
-                 levels: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None):
+    def __init__(self, model: GroupModel, radius: int, layout: _KeyLayout, codes: np.ndarray, depth: np.ndarray,
+                 rows: np.ndarray, last_levels: Optional[Tuple[np.ndarray, np.ndarray]] = None):
         self.model = model
         self.radius = radius
+        # the key layout of the pass that made the codes, shared by its prefix views
+        self._layout = layout
         self._codes = codes
         self.depth = depth
         self.n_interior = int(np.searchsorted(depth, radius))
@@ -698,8 +814,8 @@ class CayleyBall:
         # has them for its sphere too, pointing past the ball where it ends
         self._rows = rows
         self.adj = rows[: self.n_interior]
-        # sorted keys of the last two levels, for the sphere rows of full_adj
-        self._levels = levels
+        # sorted (keys, ids) index of the last two levels, for the sphere rows of full_adj
+        self._last_levels = last_levels
         self._sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._vertices: Optional[List[Element]] = None
         self._index: Optional[Dict[Element, int]] = None
@@ -719,16 +835,18 @@ class CayleyBall:
         """The vertex id of each code row, -1 where the row is not in the
         ball. Rows of another width over the same group are padded with zero
         columns, or trimmed where their extra columns are zero; a wider row
-        with a nonzero extra column is absent. The rows are searched in a
+        with a nonzero extra column is absent, and so is a row with a value
+        outside the key layout of the ball's pass. The rows are searched in a
         sorted key index of the whole ball, built on first use."""
         codes = np.asarray(codes)
         width = self._codes.shape[1]
         if codes.shape[1] < width:
             codes = np.pad(codes, ((0, 0), (0, width - codes.shape[1])))
+        codes, extra = codes[:, :width], codes[:, width:]
         if self._sorted is None:
-            self._sorted = _sorted_level(self._codes, 0)
-        ids = _locate(_keys(codes[:, :width]), [self._sorted])
-        ids[codes[:, width:].any(axis=1)] = -1
+            self._sorted = _sorted_level(self._codes, 0, self._layout)
+        ids = _locate(self._layout.keys(codes), self._sorted)
+        ids[extra.any(axis=1) | ~self._layout.inside(codes)] = -1
         return ids
 
     @property
@@ -752,7 +870,7 @@ class CayleyBall:
         if radius == self.radius:
             return self
         size = int(np.searchsorted(self.depth, radius, side="right"))
-        return CayleyBall(self.model, radius, self._codes[:size], self.depth[:size], self._rows[:size])
+        return CayleyBall(self.model, radius, self._layout, self._codes[:size], self.depth[:size], self._rows[:size])
 
     def boundary_elements(self) -> List[Element]:
         return self.vertices[self.n_interior :]
@@ -786,8 +904,8 @@ class CayleyBall:
             full = np.empty((n, self.model.degree), dtype=np.int64)
             full[:known] = self._rows
             if known < n:
-                sphere_nbrs = self.model._neighbor_codes(self._codes[known:])
-                full[known:] = _locate(_keys(sphere_nbrs), self._levels).reshape(-1, self.model.degree)
+                nbr_keys = self._layout.keys(self.model._neighbor_codes(self._codes[known:]))
+                full[known:] = _locate(nbr_keys, self._last_levels).reshape(-1, self.model.degree)
             full[full >= n] = -1
             self._full_adj = full
         return self._full_adj

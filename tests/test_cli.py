@@ -196,6 +196,26 @@ def test_tilf_solves_each_radius_once(tmp_path, monkeypatch):
     assert [row["radius"] for row in load(out)["results"]["invariance_defects"]] == [3, 4, 5]
 
 
+def test_royden_witness_solves_the_final_radius_once(tmp_path, monkeypatch):
+    """The witness field is the cold solve of the last radius's problem, and
+    royden reuses it for that radius: one solve per radius."""
+    calls = []
+
+    def counting(problem, *args, **kwargs):
+        calls.append(problem.ball.radius)
+        return solve_dirichlet(problem, *args, **kwargs)
+
+    monkeypatch.setattr(pharmonic.cli, "solve_dirichlet", counting)
+    monkeypatch.setattr(pharmonic.exhaustion, "solve_dirichlet", counting)
+    out = tmp_path / "roy.json"
+    assert run_cli(["royden", "--group", "lamplighter", "--radii", "6,7,8", "--p", "1.5", "--out", str(out)]) == 0
+    assert sorted(calls) == [6, 7, 8]
+    rows = load(out)["results"]["rows"]
+    assert [row["radius"] for row in rows] == [6, 7, 8]
+    assert all(row["converged"] for row in rows)
+    assert load(out)["results"]["u_sphere_sup"] == 0.0
+
+
 def test_roughiso_command(tmp_path):
     out = tmp_path / "ri.json"
     code = run_cli(

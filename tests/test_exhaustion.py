@@ -12,6 +12,7 @@ import pytest
 
 from pharmonic import (
     DirectionMarking,
+    DirichletProblem,
     ScalarField,
     SolverConfig,
     SubsetSpec,
@@ -26,6 +27,7 @@ from pharmonic import (
     parabolicity_profile,
     royden_decompose,
     seminorm_p,
+    solve_dirichlet,
 )
 
 
@@ -332,3 +334,11 @@ def test_subset_missing_sphere_rejected(z_model):
     bounded = SubsetSpec("bounded_blob", lambda g: 1 <= g[0] <= 2)
     with pytest.raises(ValueError):
         inner_potential(z_model, bounded, [4, 6], 2.0)
+
+
+def test_royden_decompose_refuses_a_final_solve_of_another_problem(f2_model):
+    ball = f2_model.ball(4)
+    f = ScalarField(ball, np.linspace(0.0, 1.0, len(ball)))
+    h, report = solve_dirichlet(DirichletProblem(ball, default_marking(f2_model).sphere_clamps(ball), 2.0))
+    with pytest.raises(ValueError, match="final_solve"):
+        royden_decompose(f2_model, f, 2.0, [3, 4], final_solve=(h, report))
