@@ -634,7 +634,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         manifest = _merge_manifest(args.task, args)
         results, csv_rows, converged = _RUNNERS[args.task](manifest)
         _write_outputs(args, manifest, results, csv_rows)
-    except (_CliError, BudgetError, FitError, ValueError, KeyError) as exc:
+    except (_CliError, BudgetError, FitError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     elapsed = time.perf_counter() - started

@@ -289,11 +289,12 @@ class GroupModel:
         """The lookup keys of a pass with room for ``n_letters`` letters."""
         return _KeyLayout(*self._code_bounds(n_letters), self._code_dtype)
 
-    def _neighbor_codes(self, codes: np.ndarray) -> np.ndarray:
-        """The rows of [g s^{-1} for s in S] for every row g, row-major."""
+    def _neighbor_codes(self, codes: np.ndarray, **row_facts) -> np.ndarray:
+        """The rows of [g s^{-1} for s in S] for every row g, row-major.
+        ``row_facts`` go to every ``_times_letters`` call."""
         out = np.empty((len(codes), self.degree, codes.shape[1]), dtype=codes.dtype)
         for j, s in enumerate(self.gen_labels):
-            out[:, j] = self._times_letters(codes, self._letters(self._inv_label[s]))
+            out[:, j] = self._times_letters(codes, self._letters(self._inv_label[s]), **row_facts)
         return out.reshape(-1, codes.shape[1])
 
     def reduce(self, labels: Iterable[str]) -> Element:
@@ -486,18 +487,26 @@ class _ReducedWordModel(GroupModel):
     def _code_bounds(self, n_letters: int) -> Tuple[List[int], List[int]]:
         return [min(0, *self._codes.values())] * n_letters, [max(0, *self._codes.values())] * n_letters
 
-    def _times_letters(self, codes: np.ndarray, letters: Sequence[str]) -> np.ndarray:
+    def _times_letters(
+        self, codes: np.ndarray, letters: Sequence[str], length: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``length``, if given, is the word length of each row of ``codes``."""
         out = codes.copy()
         rows = np.arange(len(out))
-        length = np.count_nonzero(out, axis=1)
+        if length is None:
+            length = np.count_nonzero(out, axis=1)
         for label in letters:
             code = self._codes[label]
             # an empty row reads its last column, which is 0 and no letter
             cancel = out[rows, length - 1] == self._inv_code[code]
             out[rows[cancel], length[cancel] - 1] = 0
             out[rows[~cancel], length[~cancel]] = code
-            length += np.where(cancel, -1, 1)
+            length = length + np.where(cancel, -1, 1)
         return out
+
+    def _neighbor_codes(self, codes: np.ndarray) -> np.ndarray:
+        # the word lengths are the same for every generator: count them once
+        return super()._neighbor_codes(codes, length=np.count_nonzero(codes, axis=1))
 
     def _decode(self, codes: np.ndarray) -> List[Element]:
         lengths = np.count_nonzero(codes, axis=1)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+import scipy.sparse.linalg
 
 import pharmonic
 import pharmonic.exhaustion
@@ -169,6 +170,16 @@ def test_tilf_radius_below_3_exits_1_naming_the_minimum(capsys):
     assert run_cli(["tilf", "--group", "free:k=2", "--radii", "2,3", "--p", "2.0"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: radii must be >= 3, got [2, 3]"]
+
+
+def test_factorization_out_of_memory_exits_1_with_one_line(monkeypatch, capsys):
+    def failing_splu(*args, **kwargs):
+        raise SystemError("failed to allocate")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_splu)
+    assert run_cli(["solve", "--group", "free:k=2", "--radius", "3", "--p", "2.0"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: out of memory factoring the Newton system of 17 free vertices"]
 
 
 def test_tilf_command(tmp_path):

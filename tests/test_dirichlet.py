@@ -21,6 +21,7 @@ from pharmonic import (
     seminorm_p,
     solve_dirichlet,
 )
+from pharmonic import dirichlet
 from pharmonic.dirichlet import _NewtonStep
 
 from conftest import dense_linear_solve, optimize_energy, radial_capacity, reference_energy
@@ -271,24 +272,86 @@ def fresh_factor_solve(problem, w, shift, rhs):
     return matrix, lu.solve(rhs)
 
 
+SPARSE_PANELS = {"relax": dirichlet.SPARSE_FILL_RELAX, "panel_size": dirichlet.SPARSE_FILL_PANEL}
+
+
 def test_one_minimum_degree_ordering_per_problem(monkeypatch):
-    specs = []
+    """One MMD_AT_PLUS_A factorization with SuperLU's default panels, then
+    NATURAL ones with the problem's chosen panels: the narrow ones on these
+    sparse-fill balls, the defaults once the fill limit is forced to 0."""
+    calls = []
     real_splu = scipy.sparse.linalg.splu
 
     def counting_splu(*args, **kwargs):
-        specs.append(kwargs.get("permc_spec"))
+        calls.append(kwargs)
         return real_splu(*args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
-    for spec, radius in FOUR_FAMILIES:
-        specs.clear()
-        ball = family_ball(spec, radius)
-        problem = DirichletProblem(ball, random_clamps(ball, 17), 1.2)
-        _, rep = solve_dirichlet(problem)
-        assert rep.converged
-        assert len(specs) > rep.iterations
-        assert [s for s in specs if s != "NATURAL"] == ["MMD_AT_PLUS_A"]
-        assert specs[0] == "MMD_AT_PLUS_A"
+    for limit, panels in ((dirichlet.SPARSE_FILL, SPARSE_PANELS), (0, {})):
+        monkeypatch.setattr(dirichlet, "SPARSE_FILL", limit)
+        for spec, radius in FOUR_FAMILIES:
+            calls.clear()
+            ball = family_ball(spec, radius)
+            problem = DirichletProblem(ball, random_clamps(ball, 17), 1.2)
+            _, rep = solve_dirichlet(problem)
+            assert rep.converged
+            assert len(calls) > rep.iterations
+            specs = [call.get("permc_spec") for call in calls]
+            assert [s for s in specs if s != "NATURAL"] == ["MMD_AT_PLUS_A"]
+            assert specs[0] == "MMD_AT_PLUS_A"
+            assert "relax" not in calls[0] and "panel_size" not in calls[0]
+            assert problem._system.panels == panels
+            for call in calls[1:]:
+                assert {k: call[k] for k in ("relax", "panel_size") if k in call} == panels
+
+
+@pytest.mark.parametrize(
+    "spec,radius,sparse",
+    [
+        ({"family": "free", "params": {"k": 2}}, 8, True),
+        ({"family": "free_product_z2", "params": {"m": 3}}, 9, True),
+        ({"family": "lamplighter", "params": {}}, 9, True),
+        ({"family": "free_abelian", "params": {"d": 2}}, 30, True),
+        ({"family": "free_abelian", "params": {"d": 3}}, 14, True),
+        ({"family": "free_abelian", "params": {"d": 3}}, 20, False),
+    ],
+)
+def test_fill_density_chooses_the_panels(spec, radius, sparse):
+    """Factors of 4 to 103 nonzeros per free vertex take narrow panels and
+    little relaxation; Z^3 R=20 (185 per free vertex) keeps the defaults."""
+    problem = zero_sphere_problem(spec, radius)
+    linear_dirichlet(problem)
+    assert problem._system.panels == (SPARSE_PANELS if sparse else {})
+
+
+@pytest.mark.parametrize("p", [1.2, 3.0, 8.0])
+@pytest.mark.parametrize("spec,radius", FOUR_FAMILIES)
+def test_sparse_fill_panels_keep_the_solve(monkeypatch, spec, radius, p):
+    """Narrow panels change only the rounding: the same Newton steps, the
+    same verdict and the energy to 1e-13 of a solve with the defaults."""
+    ball = family_ball(spec, radius)
+    problem = DirichletProblem(ball, random_clamps(ball, 21), p)
+    _, rep = solve_dirichlet(problem)
+    assert problem._system.panels == SPARSE_PANELS
+    monkeypatch.setattr(dirichlet, "SPARSE_FILL", 0)
+    forced = DirichletProblem(ball, random_clamps(ball, 21), p)
+    _, rep_forced = solve_dirichlet(forced)
+    assert forced._system.panels == {}
+    assert (rep.iterations, rep.converged) == (rep_forced.iterations, rep_forced.converged)
+    assert rep.final_energy == pytest.approx(rep_forced.final_energy, rel=1e-13)
+
+
+@pytest.mark.parametrize("error", [MemoryError, SystemError])
+def test_factorization_out_of_memory_names_the_free_vertices(monkeypatch, z2_model, error):
+    ball = z2_model.ball(4)
+    problem = DirichletProblem(ball, random_clamps(ball, 22), 2.0)
+
+    def failing_splu(*args, **kwargs):
+        raise error("failed to allocate")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_splu)
+    with pytest.raises(MemoryError, match=f"{problem.free.size} free vertices"):
+        solve_dirichlet(problem)
 
 
 @pytest.mark.parametrize("spec,radius", FOUR_FAMILIES)
