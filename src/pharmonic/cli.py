@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .dirichlet import DirichletProblem, SolverConfig, SolveReport, solve_dirichlet
-from .energy import ScalarField, bdp_norm, seminorm_p
+from .energy import ScalarField, bdp_norm, check_exponent, p_laplacian, seminorm_p
 from .exhaustion import (
     boundary_witness,
     default_marking,
@@ -216,8 +216,6 @@ def _config_from(manifest: dict) -> SolverConfig:
 
 def _exponent_from(manifest: dict) -> float:
     p = _as_float("p", _require(manifest, "p"))
-    from .energy import check_exponent
-
     try:
         return check_exponent(p)
     except ValueError as exc:
@@ -351,7 +349,7 @@ def _run_solve(manifest: dict):
         "n_vertices": len(ball),
         "n_free": int(problem.free.size),
         "report": rep.to_dict(),
-        "value_at_identity": u.value_at(model.identity()),
+        "value_at_identity": float(u.values[0]),
         "sup_norm": u.sup_norm(),
         "seminorm": seminorm_p(u, p),
         "bdp_norm": bdp_norm(u, p),
@@ -408,7 +406,7 @@ def _preset_field(
     if preset == "witness":
         return solve_dirichlet(DirichletProblem(ball, default_marking(model).sphere_clamps(ball), p), config)
     if preset == "delta":
-        return ScalarField.delta(ball, model.identity()), None
+        return ScalarField.delta(ball, 0), None
     if preset == "indicator":
         return ScalarField.indicator(ball, default_marking(model).contains), None
     raise _CliError(f"unknown field preset {preset!r}")
@@ -426,7 +424,7 @@ def _run_royden(manifest: dict):
     final_solve = None if f_report is None else (f, f_report)
     u, h, report = royden_decompose(model, f, p, radii, config, _budget_from(manifest), final_solve)
     results = report.to_dict()
-    results["h_value_at_identity"] = h.value_at(model.identity())
+    results["h_value_at_identity"] = float(h.values[0])
     results["u_sup_norm"] = u.sup_norm()
     rows = _rows_from_dicts([r.to_dict() for r in report.rows])
     return results, rows, all(r.converged for r in report.rows)
@@ -473,7 +471,7 @@ def _run_roughiso(manifest: dict):
     budget = _budget_from(manifest)
     domain = base_model.ball(radius, budget)
     codomain = extended.ball(radius, budget)
-    cmap = CoarseMap.fit(domain, codomain, None, seed)
+    cmap = CoarseMap.fit(domain, codomain, seed)
     validation = validate_rough_map(cmap, n_pairs=_int_from(manifest, "n_pairs", 1000), seed=seed + 1)
     psi, inv_report = rough_inverse(cmap, seed)
 
@@ -499,7 +497,7 @@ def _run_roughiso(manifest: dict):
         fwd_radii = [scope_r - 1, scope_r]
         phi_fwd, t1 = transport_harmonic(h, psi, p, fwd_radii, config, budget)
         back_ball = base_model.ball(scope_r, budget)
-        back_map = CoarseMap.fit(back_ball, phi_fwd.ball, None, seed)
+        back_map = CoarseMap.fit(back_ball, phi_fwd.ball, seed)
         h_back, t2 = transport_harmonic(phi_fwd, back_map, p, fwd_radii, config, budget)
         converged = converged and all(r.converged for r in t1.royden.rows) and all(
             r.converged for r in t2.royden.rows
@@ -541,26 +539,24 @@ def _run_tilf(manifest: dict):
     ball = h.ball
     converged = all(r.converged for r in report.rows)
 
-    from .energy import p_laplacian
-
     delta_rows = []
     obj = model.element_to_obj
-    for i in ball.core_indices(2):
-        g = ball.vertices[int(i)]
-        d = ScalarField.delta(ball, g)
-        t_val = tilf_evaluate(h, d, p)
-        lap = -2.0 * p_laplacian(h, g, p)
-        delta_rows.append({"vertex": json.dumps(obj(g)), "T": t_val, "minus_2_laplacian": lap, "gap": abs(t_val - lap)})
+    for i in ball.core_indices(2).tolist():
+        t_val = tilf_evaluate(h, ScalarField.delta(ball, i), p)
+        lap = -2.0 * p_laplacian(h, i, p)
+        vertex = json.dumps(obj(ball.vertices[i]))
+        delta_rows.append({"vertex": vertex, "T": t_val, "minus_2_laplacian": lap, "gap": abs(t_val - lap)})
 
     marking = default_marking(model)
     indicator = ScalarField.indicator(ball, marking.contains)
     t_ind = tilf_evaluate(h, indicator, p)
 
     defects = []
-    x = ball.vertices[1]  # first generator direction
+    # vertex 1, the inverse of the first generator (a-, s1, x1-, t-) on every row's ball
+    x = 1
     # the witness rows keep their solved fields: one solve per radius
     for row in report.rows:
-        f_r = ScalarField.delta(row.field.ball, model.identity())
+        f_r = ScalarField.delta(row.field.ball, 0)
         defects.append({"radius": row.radius, "defect": invariance_defect(row.field, f_r, x, p)})
 
     results = {

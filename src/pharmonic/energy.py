@@ -26,8 +26,8 @@ Exponents are restricted to the closed desk range [1.1, 8].
 
 from __future__ import annotations
 
-import csv
-from typing import Callable, Iterable, Union
+import numbers
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +43,14 @@ def check_exponent(p: float) -> float:
     if not np.isfinite(p) or not (P_MIN <= p <= P_MAX):
         raise ValueError(f"exponent p={p} outside the supported range [{P_MIN}, {P_MAX}]")
     return p
+
+
+def vertex_id(v, n: int) -> int:
+    """v as a vertex id of a ball of n vertices. ValueError for anything but
+    an integer in [0, n): a negative id would silently index from the end."""
+    if not isinstance(v, numbers.Integral) or not 0 <= v < n:
+        raise ValueError(f"vertex id {v!r} outside [0, {n})")
+    return int(v)
 
 
 def phi_p(diff, p: float):
@@ -71,9 +79,10 @@ class ScalarField:
         return cls(ball, np.full(len(ball), float(c)))
 
     @classmethod
-    def delta(cls, ball: CayleyBall, g: Element) -> "ScalarField":
+    def delta(cls, ball: CayleyBall, v: int) -> "ScalarField":
+        """1 at vertex id v, 0 elsewhere."""
         values = np.zeros(len(ball))
-        values[ball.index[g]] = 1.0
+        values[vertex_id(v, len(ball))] = 1.0
         return cls(ball, values)
 
     @classmethod
@@ -84,9 +93,6 @@ class ScalarField:
     # -- access ----------------------------------------------------------------
     def value_at(self, g: Element) -> float:
         return float(self.values[self.ball.index[g]])
-
-    def support_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.values != 0.0)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -121,30 +127,6 @@ class ScalarField:
 
     __rmul__ = __mul__
 
-    # -- serialization ---------------------------------------------------------
-    def to_json_list(self) -> list:
-        return [float(v) for v in self.values]
-
-    @classmethod
-    def from_json_list(cls, ball: CayleyBall, values: Iterable[float]) -> "ScalarField":
-        return cls(ball, np.asarray(list(values), dtype=np.float64))
-
-    def to_csv(self, path_or_buf) -> None:
-        """CSV rows (vertex canonical form, value) in ball vertex order."""
-        import json as _json
-
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(["vertex", "value"])
-            model = self.ball.model
-            for g, v in zip(self.ball.vertices, self.values):
-                writer.writerow([_json.dumps(model.element_to_obj(g)), f"{v:.17g}"])
-        finally:
-            if own:
-                fh.close()
-
 
 def seminorm_p(f: ScalarField, p: float) -> float:
     """p-th root of the truncated energy sum over the ball's arc multiset."""
@@ -159,11 +141,11 @@ def bdp_norm(f: ScalarField, p: float) -> float:
     return f.sup_norm() + seminorm_p(f, p)
 
 
-def p_laplacian(f: ScalarField, g: Union[Element, int], p: float) -> float:
-    """Discrete p-Laplacian at an interior vertex (zero-difference terms drop)."""
+def p_laplacian(f: ScalarField, v: int, p: float) -> float:
+    """Discrete p-Laplacian at interior vertex id v (zero-difference terms drop)."""
     p = check_exponent(p)
     ball = f.ball
-    i = g if isinstance(g, (int, np.integer)) else ball.index[g]
+    i = vertex_id(v, len(ball))
     if i >= ball.n_interior:
         raise ValueError(f"vertex index {i} lies on the bounding sphere; the p-Laplacian needs all neighbors")
     diffs = f.values[ball.adj[i]] - f.values[i]

@@ -76,12 +76,14 @@ def _ascending_radii(radii: Sequence[int], minimum: int) -> List[int]:
 
 @dataclass
 class DirectionMarking:
-    """A named half of the group plus two opposite probe vertices at radius 1."""
+    """A named half of the group, as a predicate on elements, plus two
+    opposite probes at radius 1, as generator labels. An extended generating
+    set keeps the family's letters, so the same labels probe it too."""
 
     name: str
     contains: Callable[[Element], bool]
-    plus_probe: Element
-    minus_probe: Element
+    plus_probe: str
+    minus_probe: str
 
     def sphere_clamps(self, ball: CayleyBall) -> np.ndarray:
         """Clamp values: 1 on the marked sphere vertices, 0 on the rest of the
@@ -102,16 +104,14 @@ def default_marking(model: GroupModel) -> DirectionMarking:
     family's extended generating sets share the marking of its stock set.
     """
     if isinstance(model, FreeGroupModel):
-        return DirectionMarking("first_letter_a", lambda g: len(g) > 0 and g[0] == 1, (1,), (-1,))
+        return DirectionMarking("first_letter_a", lambda g: len(g) > 0 and g[0] == 1, "a", "a-")
     if isinstance(model, FreeProductZ2Model):
-        return DirectionMarking("first_letter_s1", lambda g: len(g) > 0 and g[0] == 1, (1,), (2,))
+        return DirectionMarking("first_letter_s1", lambda g: len(g) > 0 and g[0] == 1, "s1", "s2")
     if isinstance(model, FreeAbelianModel):
         d = model.d
-        plus = tuple(0 for _ in range(d - 1)) + (1,)
-        minus = tuple(0 for _ in range(d - 1)) + (-1,)
-        return DirectionMarking("last_coordinate_positive", lambda g: g[-1] > 0, plus, minus)
+        return DirectionMarking("last_coordinate_positive", lambda g: g[-1] > 0, f"x{d}", f"x{d}-")
     if isinstance(model, LamplighterModel):
-        return DirectionMarking("cursor_positive", lambda g: g[1] > 0, ((), 1), ((), -1))
+        return DirectionMarking("cursor_positive", lambda g: g[1] > 0, "t", "t-")
     raise ValueError(f"no default marking for model {model.name}")
 
 
@@ -170,12 +170,16 @@ def boundary_witness(
     radii = _ascending_radii(radii, minimum=2)
     marking = marking or default_marking(model)
     config = config or SolverConfig()
+    # ball.adj[0, j] is the vertex of gen_labels[j]^-1, so slot[s] holds that of s
+    slot = {model._inv_label[s]: j for j, s in enumerate(model.gen_labels)}
+    probes = (marking.plus_probe, marking.minus_probe)
+    if not all(label in slot for label in probes):
+        raise ValueError(f"probes {probes} are not generator labels of {model.name}")
 
     rows: List[WitnessRow] = []
     for radius in radii:
         ball = model.ball(radius, budget)
-        if marking.plus_probe not in ball.index or marking.minus_probe not in ball.index:
-            raise ValueError(f"probe vertices missing from ball of radius {radius}")
+        plus, minus = (ball.adj[0, slot[label]] for label in probes)
         clamped = marking.sphere_clamps(ball)
         marked = int(np.count_nonzero(clamped[ball.n_interior :]))
         unmarked = ball.n_boundary - marked
@@ -185,8 +189,8 @@ def boundary_witness(
                 f" (marked={marked}, unmarked={unmarked})"
             )
         u, rep = solve_dirichlet(DirichletProblem(ball, clamped, p), config)
-        u_plus = u.value_at(marking.plus_probe)
-        u_minus = u.value_at(marking.minus_probe)
+        u_plus = float(u.values[plus])
+        u_minus = float(u.values[minus])
         rows.append(
             WitnessRow(
                 radius=radius,
@@ -309,7 +313,7 @@ class RoydenReport(Record):
 
 def royden_decompose(
     model: GroupModel,
-    f,
+    f: ScalarField,
     p: float,
     radii: Sequence[int],
     config: Optional[SolverConfig] = None,
@@ -319,10 +323,10 @@ def royden_decompose(
     """Split f = u + h on the final ball, h p-harmonic with f's sphere values.
 
     ``f`` is a ScalarField on a ball of ``model`` at least as large as the
-    final radius, or a callable on elements. For each scheduled radius the
-    sphere values of f are extended p-harmonically inward; the core rows
-    track how fast these extensions settle. The returned h is the extension
-    at the final radius and u = f - h vanishes on the final sphere.
+    final radius. For each scheduled radius the sphere values of f are
+    extended p-harmonically inward; the core rows track how fast these
+    extensions settle. The returned h is the extension at the final radius
+    and u = f - h vanishes on the final sphere.
 
     ``final_solve`` is the (field, report) of ``solve_dirichlet`` on the
     final problem when the caller has it already, say because f itself is
@@ -334,16 +338,13 @@ def royden_decompose(
     config = config or SolverConfig()
     final = radii[-1]
     final_ball = model.ball(final, budget)
-    if isinstance(f, ScalarField):
-        if f.ball.model.spec.to_dict() != model.spec.to_dict():
-            raise ValueError("field was built on a different group")
-        if f.ball.radius < final:
-            raise ValueError(f"field lives on radius {f.ball.radius} < final radius {final}")
-        f_final = f.restrict(final_ball) if f.ball.radius != final else f
-    elif callable(f):
-        f_final = ScalarField(final_ball, np.array([float(f(g)) for g in final_ball.vertices]))
-    else:
-        raise TypeError("f must be a ScalarField or a callable on group elements")
+    if not isinstance(f, ScalarField):
+        raise TypeError(f"f must be a ScalarField, got {type(f).__name__}")
+    if f.ball.model.spec.to_dict() != model.spec.to_dict():
+        raise ValueError("field was built on a different group")
+    if f.ball.radius < final:
+        raise ValueError(f"field lives on radius {f.ball.radius} < final radius {final}")
+    f_final = f.restrict(final_ball) if f.ball.radius != final else f
 
     # every ball of a model is a prefix of one breadth-first order, so the
     # core has the same indices at every radius

@@ -26,9 +26,10 @@ letters: each letter is the word of itself, and a spec may add extra
 generators as words over the letters (``extra_generators`` in the spec
 params). The elements and the group law stay those of the family; only the
 word metric and the Cayley graph change. A family supplies its per-letter
-law, its array codes and its closed forms on the stock generating set; on an
-extended set, ball sizes have no closed form and word lengths are read off
-the cached ball.
+law, its array codes and its closed-form ball sizes on the stock generating
+set; on an extended set, ball sizes have no closed form. Word lengths are
+ball depths (``CayleyBall.depth``); the closed forms above are the
+independent reference the tests check depth against.
 
 Inside a ball, elements are array-coded: each is one fixed-width row of small
 integers, and the identity is the zero row. Reduced words are their letter
@@ -67,10 +68,15 @@ is no letter, no coordinate and no lamp word, so rows are padded or trimmed
 with zero columns, and a row with a value outside the ball's key layout is
 no vertex of it. This is how vertices move between balls, and no ball is
 decoded on the way; TILF translates a field the same way, multiplying code
-rows by the letters of x^-1. ``CayleyBall.vertices`` and ``CayleyBall.index``
-decode the rows into tuples and an element -> id dict on first use; they
-serve only element-level callers: JSON manifests and reports, subset
-predicates and ``ScalarField.value_at``.
+rows by the letters of x^-1.
+
+Inside the package a vertex is named by its id, which is prefix-stable: it
+means the same element in every ball of the model that holds it. The
+identity is vertex 0, and generator s is vertex ``adj[0, j]`` where s_j is
+s^-1. ``CayleyBall.vertices`` and ``CayleyBall.index`` decode the rows into
+tuples and an element -> id dict on first use; they are the public decode,
+for the element-level edges only: JSON manifests and reports, the tuple
+predicates of markings and subsets, and ``ScalarField.value_at``.
 
 Hop distances inside a ball come from one bit-parallel breadth-first pass
 over ``CayleyBall.full_adj``: up to 64 searches run at once, each vertex
@@ -159,8 +165,8 @@ class GroupModel:
     Every model holds its generating set as a table of words over the
     family's letters: a letter is the word of itself, and each extra
     generator is the word it was given as. Subclasses supply the per-letter
-    tuple law, the array codes and the closed forms on the stock generating
-    set. Everything else (the generator law, neighbors, balls, word lengths,
+    tuple law, the array codes and the closed-form ball sizes on the stock
+    generating set. Everything else (the generator law, neighbors, balls,
     describe) is generic.
     """
 
@@ -220,10 +226,6 @@ class GroupModel:
         raise NotImplementedError
 
     def element_from_obj(self, obj) -> Element:
-        raise NotImplementedError
-
-    def _stock_word_length(self, g: Element) -> int:
-        """Word length of g over the family's letters."""
         raise NotImplementedError
 
     def _stock_ball_size(self, n: int) -> Optional[int]:
@@ -362,19 +364,6 @@ class GroupModel:
         self._cached_ball = ball
         return ball
 
-    def word_length(self, g: Element) -> int:
-        """The closed form on the stock generating set; on an extended one,
-        the depth of g in the cached ball, enlarged one layer at a time up to
-        radius 64."""
-        if not self._extended:
-            return self._stock_word_length(g)
-        ball = self._cached_ball if self._cached_ball is not None else self.ball(1)
-        while g not in ball.index:
-            if ball.radius >= 64:
-                raise ValueError(f"element {g!r} not reached within radius 64")
-            ball = self.ball(ball.radius + 1)
-        return int(ball.depth[ball.index[g]])
-
     def describe(self, radius: int = 6, budget: Optional[int] = None) -> dict:
         ball = self.ball(radius, budget)
         sizes = [int(np.sum(ball.depth == r)) for r in range(radius + 1)]
@@ -408,9 +397,6 @@ class FreeAbelianModel(GroupModel):
     def _apply_letter(self, g: Element, letter: str) -> Element:
         i, sign = self._moves[letter]
         return g[:i] + (g[i] + sign,) + g[i + 1 :]
-
-    def _stock_word_length(self, g: Element) -> int:
-        return int(sum(abs(a) for a in g))
 
     def _stock_ball_size(self, n: int) -> int:
         # l^1 ball count: sum_k 2^k C(d,k) C(n,k)
@@ -470,9 +456,6 @@ class _ReducedWordModel(GroupModel):
         if g and g[-1] == self._inv_code[code]:
             return g[:-1]
         return g + (code,)
-
-    def _stock_word_length(self, g: Element) -> int:
-        return len(g)
 
     def _stock_ball_size(self, n: int) -> int:
         q = len(self._codes)
@@ -571,11 +554,6 @@ class LamplighterModel(GroupModel):
         if cursor in lamps:
             return (tuple(x for x in lamps if x != cursor), cursor)
         return (tuple(sorted(lamps + (cursor,))), cursor)
-
-    def _stock_word_length(self, g: Element) -> int:
-        lamps, c = g
-        lo, hi = min(lamps + (0, c)), max(lamps + (0, c))
-        return len(lamps) + (hi - lo) + min(-lo + abs(hi - c), hi + abs(c - lo))
 
     # rows: the cursor, then 64-bit words of lamp bits, position x at bit 2x or -2x - 1
     _code_dtype = np.int64
@@ -790,13 +768,15 @@ class CayleyBall:
 
     Vertices are numbered with the interior (word length < radius) first,
     then the bounding sphere (word length == radius), both in deterministic
-    BFS order. ``codes`` holds one array-coded element per vertex, and
+    BFS order; vertex 0 is the identity, and ``depth`` is each vertex's word
+    length. ``codes`` holds one array-coded element per vertex, and
     ``locate(codes)`` gives the vertex id of each code row, or -1, also for
     rows from a ball of the same group under other generators. ``vertices``
     (the elements as tuples) and ``index`` (element -> vertex id) are decoded
-    from the codes on first use, for element-level callers only: JSON
-    manifests and reports, subset predicates and ``ScalarField.value_at``.
-    ``adj[i, j]`` is the vertex index of
+    from the codes on first use. They are the public decode, for the
+    element-level edges only: JSON manifests and reports, the tuple
+    predicates of markings and subsets, and ``ScalarField.value_at``; the
+    probes name vertices by id. ``adj[i, j]`` is the vertex index of
     ``neighbors(vertices[i])[j]`` for interior ``i``; every neighbor of an
     interior vertex stays in the ball.
     ``arcs()`` returns the directed arc multiset used by truncated energy

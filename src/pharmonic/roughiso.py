@@ -35,14 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from math import ceil
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dirichlet import Record, SolverConfig
 from .energy import ScalarField, check_exponent, seminorm_p
 from .exhaustion import RoydenReport, royden_decompose
-from .groups import CayleyBall, Element, build_group
+from .groups import CayleyBall, build_group
 
 A_GRID = tuple(1.0 + 0.25 * i for i in range(13))  # 1.0 .. 4.0
 B_GRID = tuple(range(0, 9))
@@ -221,19 +221,16 @@ class CoarseMap:
     _pull_cache: Optional[dict] = dc_field(default=None, repr=False)
 
     @classmethod
-    def fit(cls, domain: CayleyBall, codomain: CayleyBall, fn: Optional[Callable[[Element], Element]] = None,
-            seed: int = 0) -> "CoarseMap":
-        """The map x -> fn(x) with its fitted constants. ``fn=None`` is the
-        inclusion of one group's ball in another ball of the same group,
-        under any generating sets; it is looked up by array code, so neither
-        ball is decoded. An explicit ``fn`` maps the decoded elements one at
-        a time. ValueError when an image lies outside the codomain ball, or
-        when ``fn=None`` and the balls are over different groups."""
-        if fn is None:
-            _check_same_group(domain, codomain)
-            images = codomain.locate(domain.codes)
-        else:
-            images = np.array([codomain.index.get(fn(g), -1) for g in domain.vertices], dtype=np.int64)
+    def fit(cls, domain: CayleyBall, codomain: CayleyBall, seed: int = 0) -> "CoarseMap":
+        """The inclusion of one group's ball in another ball of the same
+        group, under any generating sets, with its fitted constants. It is
+        looked up by array code, so neither ball is decoded. Other maps are
+        built as ``CoarseMap(...)`` from their image ids, with the constants
+        of ``fit_rough_constants`` and ``coverage_radius``. ValueError when
+        the balls are over different groups, or when an image lies outside
+        the codomain ball."""
+        _check_same_group(domain, codomain)
+        images = codomain.locate(domain.codes)
         outside = np.flatnonzero(images < 0)
         if outside.size:
             raise ValueError(

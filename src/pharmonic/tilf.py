@@ -12,14 +12,15 @@ the honest noise floor of that invariance.
 
 Right translation f_x(g) = f(g x^{-1}) shortens the ball it lives on by the
 word length of x, so every helper here reports the shrunken radius it ended
-up on. Translates are row lookups: x is spelled as a geodesic word off the
-ball's adjacency, the code rows of the shrunken ball are right-multiplied by
-the letters of x^{-1} all at once, and ``CayleyBall.locate`` finds the
-products in f's ball. difference_approximation splits f into a mean of
-translates along powers of x (the remainder, small in l^p when n is large)
-plus a sum of difference functions that any T_h annihilates; with pairwise
-disjoint supports the remainder norm is exactly n^(1/p - 1) times the norm
-of f.
+up on. x is a vertex id of f's ball; ids are prefix-stable, so x names the
+same element on every ball of the model that holds it. Translates are row
+lookups: x is spelled as a geodesic word off the ball's adjacency, the code
+rows of the shrunken ball are right-multiplied by the letters of x^{-1} all
+at once, and ``CayleyBall.locate`` finds the products in f's ball.
+difference_approximation splits f into a mean of translates along powers of
+x (the remainder, small in l^p when n is large) plus a sum of difference
+functions that any T_h annihilates; with pairwise disjoint supports the
+remainder norm is exactly n^(1/p - 1) times the norm of f.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .dirichlet import Record
-from .energy import ScalarField, check_exponent, p_laplacian_interior, pairing
-from .groups import CayleyBall, Element
+from .energy import ScalarField, check_exponent, p_laplacian_interior, pairing, vertex_id
+from .groups import CayleyBall
 
 
 @dataclass
@@ -41,14 +42,10 @@ class TranslateReport(Record):
     radius: int
 
 
-def _inverse_letters(ball: CayleyBall, x: Element) -> Tuple[int, List[str]]:
-    """|x| and the family letters spelling x^{-1}, x read off ``ball``."""
-    try:
-        v = ball.index[x]
-    except KeyError:
-        raise ValueError(f"element {x!r} lies outside the ball of radius {ball.radius}") from None
+def _inverse_letters(ball: CayleyBall, x: int) -> Tuple[int, List[str]]:
+    """|x| and the family letters spelling x^{-1}, for vertex id x of ``ball``."""
     model = ball.model
-    word = ball._spell(v)
+    word = ball._spell(vertex_id(x, len(ball)))
     return len(word), [l for s in reversed(word) for l in model._letters(model._inv_label[s])]
 
 
@@ -60,8 +57,9 @@ def _values_times(f: ScalarField, sub: CayleyBall, letters: List[str]) -> np.nda
     return f.values[ids]
 
 
-def translate(f: ScalarField, x: Element) -> Tuple[ScalarField, TranslateReport]:
-    """Right translate f_x(g) = f(g x^{-1}) on the ball shrunk by |x|."""
+def translate(f: ScalarField, x: int) -> Tuple[ScalarField, TranslateReport]:
+    """Right translate f_x(g) = f(g x^{-1}) on the ball shrunk by |x|, x a
+    vertex id of f's ball."""
     shift, letters = _inverse_letters(f.ball, x)
     radius = f.ball.radius - shift
     if radius < 1:
@@ -83,9 +81,10 @@ class DifferenceReport(Record):
 
 
 def difference_approximation(
-    f: ScalarField, x: Element, n: int, p: float
+    f: ScalarField, x: int, n: int, p: float
 ) -> Tuple[ScalarField, ScalarField, DifferenceReport]:
-    """Split f = d + r with r the mean of the translates along x^0 .. x^(n-1).
+    """Split f = d + r with r the mean of the translates along x^0 .. x^(n-1),
+    x a vertex id of f's ball.
 
     The difference part d = (1/n) sum_k (f - f_{x^k}) is a combination of
     translate differences, so any translation-invariant functional sends it
@@ -112,7 +111,7 @@ def difference_approximation(
         taken = idx[owner[idx] >= 0]
         if taken.size:
             i = int(taken[0])
-            raise ValueError(f"translates along x^{owner[i]} and x^{k} overlap at vertex {sub.vertices[i]}")
+            raise ValueError(f"translates along x^{owner[i]} and x^{k} overlap at vertex id {i}")
         owner[idx] = k
 
     remainder_vals = np.mean(translates, axis=0)
@@ -148,8 +147,9 @@ def tilf_evaluate(h: ScalarField, f: ScalarField, p: float, harmonic_tol: Option
     return pairing(h, f, p)
 
 
-def invariance_defect(h: ScalarField, f: ScalarField, x: Element, p: float) -> float:
-    """|T_h(f) - T_h(f_x)| computed on the common shrunken ball.
+def invariance_defect(h: ScalarField, f: ScalarField, x: int, p: float) -> float:
+    """|T_h(f) - T_h(f_x)| computed on the common shrunken ball, x a vertex
+    id of f's ball.
 
     Both pairings are evaluated against h restricted to the ball on which
     the translate is defined; for an exactly p-harmonic h and finitely

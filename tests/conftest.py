@@ -39,6 +39,21 @@ def lamp_model():
     return build_group({"family": "lamplighter", "params": {}})
 
 
+def closed_form_word_length(model, g) -> int:
+    """Word length of element g over a family's stock letters, by the closed
+    forms of the ``groups`` docstring; an independent reference for depth."""
+    family = model.spec.family
+    if family == "free_abelian":
+        return sum(abs(a) for a in g)
+    if family in ("free", "free_product_z2"):
+        return len(g)
+    # lamplighter: each lamp toggled once, the cursor sweeping [lo, hi] from
+    # 0 and turning at one end, to end at c
+    lamps, c = g
+    lo, hi = min(lamps + (0, c)), max(lamps + (0, c))
+    return len(lamps) + (hi - lo) + min(-lo + abs(hi - c), hi + abs(c - lo))
+
+
 def reference_arcs(ball: CayleyBall):
     """Directed arcs with an interior endpoint, rebuilt from neighbors()."""
     model = ball.model

@@ -12,7 +12,7 @@ import scipy.sparse.linalg
 
 import pharmonic
 import pharmonic.exhaustion
-from pharmonic import solve_dirichlet
+from pharmonic import CayleyBall, solve_dirichlet
 from pharmonic.cli import TASKS, main
 
 
@@ -119,6 +119,55 @@ def test_royden_and_massive_commands(tmp_path):
     out2 = tmp_path / "massive.json"
     assert run_cli(["massive", "--group", "free:k=2", "--p", "2.0", "--radii", "4,5,6", "--subset", "subtree:a", "--out", str(out2)]) == 0
     assert load(out2)["results"]["verdict"] == "massive"
+
+
+def test_royden_indicator_rows_are_the_witness_solves(tmp_path):
+    """The indicator preset clamps every sphere to the default marking, so
+    each royden row is the witness solve of its radius; h(e) is 1/4 by the
+    branch symmetry of F_2, and u(e) = -h(e) since the indicator is 0 at e."""
+    roy, wit = tmp_path / "roy.json", tmp_path / "wit.json"
+    args = ["--group", "free:k=2", "--radii", "4,5,6", "--p", "2.0"]
+    assert run_cli(["royden", *args, "--field", "indicator", "--out", str(roy)]) == 0
+    assert run_cli(["witness", *args, "--out", str(wit)]) == 0
+    results, witness = load(roy)["results"], load(wit)["results"]
+    assert [row["energy"] for row in results["rows"]] == [row["energy"] for row in witness["rows"]]
+    assert results["h_energy"] == witness["rows"][-1]["energy"]
+    assert results["h_value_at_identity"] == pytest.approx(0.25, abs=1e-12)
+    assert results["u_sphere_sup"] == 0.0
+    assert results["u_core_sup"] >= results["h_value_at_identity"] > 0.0
+
+
+EXTENDED_F2 = '{"family":"free","params":{"k":2,"extra_generators":[["a","b"]]}}'
+PROBE_RUNS = [
+    ["describe", "--group", "free:k=2", "--radius", "3"],
+    ["solve", "--group", "lamplighter", "--radius", "3", "--p", "1.5", "--boundary", "marked"],
+    ["solve", "--group", "lamplighter", "--radius", "3", "--p", "1.5", "--boundary", "random", "--seed", "7"],
+    ["capacity", "--group", "free:k=2", "--radii", "2,3", "--p", "2.0"],
+    ["witness", "--group", "free_product_z2:m=3", "--radii", "3,4", "--p", "2.0"],
+    ["witness", "--group", EXTENDED_F2, "--radii", "3,4", "--p", "2.0"],
+    ["royden", "--group", "free:k=2", "--radii", "3,4", "--p", "2.0", "--field", "witness"],
+    ["royden", "--group", "free:k=2", "--radii", "3,4", "--p", "2.0", "--field", "delta"],
+    ["royden", "--group", "free:k=2", "--radii", "3,4", "--p", "2.0", "--field", "indicator"],
+    ["massive", "--group", "free:k=2", "--radii", "3,4", "--p", "2.0", "--subset", "subtree:a"],
+    ["roughiso", "--group", "free:k=2", "--radius", "4", "--extra", "a,b", "--p", "2.0"],
+    ["tilf", "--group", "free_abelian:d=2", "--radii", "3,4", "--p", "2.0"],
+]
+
+
+def test_probes_build_no_element_dict(tmp_path, monkeypatch):
+    """Inside the probes a vertex is named by its id: no task builds the
+    element -> id dict, except to read the vertices of manifest clamps."""
+
+    def no_index(ball):
+        raise AssertionError("CayleyBall.index was built")
+
+    monkeypatch.setattr(CayleyBall, "index", property(no_index))
+    for args in PROBE_RUNS:
+        assert run_cli(args + ["--out", str(tmp_path / "report.json")]) == 0, args
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"group": F2, "p": 2.0, "radius": 1, "boundary": {"clamps": [[["a"], 1.0]]}}))
+    with pytest.raises(AssertionError, match="index was built"):
+        run_cli(["solve", "--manifest", str(path)])
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,5 @@
 """Field container, truncated energy, and the discrete pairing."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -45,15 +43,25 @@ def test_field_constructors(z_model):
     ball = z_model.ball(3)
     c = ScalarField.constant(ball, 2.5)
     assert c.sup_norm() == 2.5
-    d = ScalarField.delta(ball, z_model.identity())
+    d = ScalarField.delta(ball, 0)
     assert d.value_at(z_model.identity()) == 1.0
-    assert d.support_indices().tolist() == [0]
+    assert np.flatnonzero(d.values).tolist() == [0]
     ind = ScalarField.indicator(ball, lambda g: z_model.element_to_obj(g)[0] > 0)
     assert int(ind.values.sum()) == 3
     with pytest.raises(ValueError):
         ScalarField(ball, np.zeros(5))
     with pytest.raises(ValueError):
         ScalarField(ball, np.full(len(ball), np.nan))
+
+
+def test_delta_rejects_ids_outside_the_ball(z_model):
+    # a -1 from CayleyBall.locate must not light the last vertex
+    ball = z_model.ball(3)
+    for bad in (-1, len(ball), (0,), 1.0):
+        with pytest.raises(ValueError):
+            ScalarField.delta(ball, bad)
+    assert ScalarField.delta(ball, len(ball) - 1).values[-1] == 1.0
+    assert ScalarField.delta(ball, np.int64(2)).values[2] == 1.0
 
 
 def test_value_at_missing_raises(z_model):
@@ -66,7 +74,7 @@ def test_value_at_missing_raises(z_model):
 
 def test_field_arithmetic(z_model):
     ball = z_model.ball(3)
-    f = ScalarField.delta(ball, z_model.identity())
+    f = ScalarField.delta(ball, 0)
     g = ScalarField.constant(ball, 1.0)
     np.testing.assert_allclose((f + g).values, f.values + 1.0)
     np.testing.assert_allclose((f - g).values, f.values - 1.0)
@@ -88,24 +96,10 @@ def test_restrict(f2_model):
         g.restrict(big)
 
 
-def test_serialization_roundtrip(zz2_model):
-    ball = zz2_model.ball(3)
-    rng = np.random.default_rng(1)
-    f = ScalarField(ball, rng.standard_normal(len(ball)))
-    g = ScalarField.from_json_list(ball, f.to_json_list())
-    np.testing.assert_array_equal(f.values, g.values)
-    buf = io.StringIO()
-    f.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == len(ball) + 1  # header plus one row per vertex
-    value = float(lines[1].rsplit(",", 1)[1])
-    assert value == f.values[0]
-
-
 def test_delta_seminorm_oracle(z_model):
     # two edges meet the origin; four arcs of unit difference
     ball = z_model.ball(3)
-    d = ScalarField.delta(ball, z_model.identity())
+    d = ScalarField.delta(ball, 0)
     assert seminorm_p(d, 2.0) == pytest.approx(2.0, abs=1e-15)
     assert seminorm_p(d, 3.0) == pytest.approx(4.0 ** (1 / 3), abs=1e-15)
     assert bdp_norm(d, 2.0) == pytest.approx(1.0 + 2.0, abs=1e-15)  # sup plus seminorm
@@ -124,15 +118,30 @@ def test_affine_is_harmonic_on_z(z_model):
     f = ScalarField(ball, np.array([z_model.element_to_obj(g)[0] * 0.7 + 0.1 for g in ball.vertices]))
     for p in (1.5, 2.0, 4.0):
         np.testing.assert_allclose(p_laplacian_interior(f, p), 0.0, atol=1e-15)
-        assert p_laplacian(f, z_model.identity(), p) == pytest.approx(0.0, abs=1e-15)
+        assert p_laplacian(f, 0, p) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_laplacian_sphere_rejected(z_model):
     ball = z_model.ball(3)
     f = ScalarField.constant(ball, 0.0)
     edge = z_model.element_from_obj([3])
+    with pytest.raises(ValueError, match="bounding sphere"):
+        p_laplacian(f, ball.index[edge], 2.0)
+
+
+def test_laplacian_rejects_ids_outside_the_interior(lamp_model):
+    # id -1 used to read adj[-1], the last interior row, against values[-1],
+    # the last sphere vertex, and return a wrong number
+    ball = lamp_model.ball(3)
+    f = ScalarField(ball, np.random.default_rng(0).standard_normal(len(ball)))
+    assert p_laplacian(f, ball.n_interior - 1, 2.0) == pytest.approx(
+        float(np.sum(f.values[ball.adj[-1]] - f.values[ball.n_interior - 1])), rel=1e-12
+    )
+    for bad in (-1, -len(ball), ball.n_interior, len(ball), len(ball) + 5):
+        with pytest.raises(ValueError):
+            p_laplacian(f, bad, 2.0)
     with pytest.raises(ValueError):
-        p_laplacian(f, edge, 2.0)
+        p_laplacian(f, lamp_model.identity(), 2.0)
 
 
 def test_laplacian_matches_loops(lamp_model):
@@ -148,7 +157,7 @@ def test_laplacian_matches_loops(lamp_model):
             phi_p(f.value_at(h) - f.values[i], p) for h in lamp_model.neighbors(g)
         )
         assert lap[i] == pytest.approx(expected, rel=1e-12)
-        assert p_laplacian(f, g, p) == pytest.approx(expected, rel=1e-12)
+        assert p_laplacian(f, i, p) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.3, 2.0, 3.5])

@@ -64,6 +64,35 @@ def test_witness_probe_values_on_f2(f2_model):
     assert report.field.value_at(a_inv) == pytest.approx(1.0 / 12.0, abs=0.01)
 
 
+WITNESS_MODELS = [
+    build_group(spec)
+    for spec in (
+        {"family": "free", "params": {"k": 2}},
+        {"family": "free", "params": {"k": 2, "extra_generators": [["a", "b"]]}},
+        {"family": "free_product_z2", "params": {"m": 3}},
+        {"family": "free_product_z2", "params": {"m": 3, "extra_generators": [["s1", "s2"]]}},
+        {"family": "free_abelian", "params": {"d": 2}},
+        {"family": "free_abelian", "params": {"d": 3, "extra_generators": [["x1", "x3"]]}},
+        {"family": "lamplighter", "params": {}},
+        {"family": "lamplighter", "params": {"extra_generators": [["t", "a"]]}},
+    )
+]
+
+
+@pytest.mark.parametrize("model", WITNESS_MODELS, ids=lambda m: m.name)
+def test_witness_probes_are_the_generator_vertices(model):
+    """The probe ids read off the identity's adjacency row are the elements
+    of the probe labels, folded by the tuple law, on stock and extended
+    generating sets alike."""
+    marking = default_marking(model)
+    plus, minus = (model.reduce([label]) for label in (marking.plus_probe, marking.minus_probe))
+    assert marking.contains(plus) and not marking.contains(minus)
+    report = boundary_witness(model, 2.0, [2, 3])
+    for row in report.rows:
+        assert row.u_plus == row.field.value_at(plus)
+        assert row.u_minus == row.field.value_at(minus)
+
+
 def test_witness_gap_is_one_over_radius_on_z(z_model):
     report = boundary_witness(z_model, 2.0, [4, 8, 16])
     for row in report.rows:
@@ -94,14 +123,14 @@ def test_witness_found_on_free_product(zz2_model):
 
 
 def test_witness_custom_marking_validation(f2_model):
-    everything = DirectionMarking("all", lambda g: True, f2_model.identity(), f2_model.identity())
-    with pytest.raises(ValueError):
+    everything = DirectionMarking("all", lambda g: True, "a", "a-")
+    with pytest.raises(ValueError, match="does not split"):
         boundary_witness(f2_model, 2.0, [3, 4], everything)
-    outside = default_marking(f2_model)
-    far = f2_model.element_from_obj(["a"] * 9)
-    bad_probe = DirectionMarking(outside.name, outside.contains, far, far)
-    with pytest.raises(ValueError):
-        boundary_witness(f2_model, 2.0, [3, 4], bad_probe)
+    stock = default_marking(f2_model)
+    for label in ("x1", "u1", ""):
+        bad_probe = DirectionMarking(stock.name, stock.contains, "a", label)
+        with pytest.raises(ValueError, match="not generator labels"):
+            boundary_witness(f2_model, 2.0, [3, 4], bad_probe)
 
 
 def test_witness_radii_validation(f2_model):
@@ -118,8 +147,8 @@ def test_default_marking_dispatch(f2_model, z2_model, lamp_model):
 
     for model in (f2_model, z2_model, lamp_model):
         marking = default_marking(model)
-        assert marking.contains(marking.plus_probe)
-        assert not marking.contains(marking.minus_probe)
+        assert marking.contains(model.reduce([marking.plus_probe]))
+        assert not marking.contains(model.reduce([marking.minus_probe]))
     ext = build_group({"family": "free", "params": {"k": 2, "extra_generators": [["a", "b"]]}})
     base_marking = default_marking(f2_model)
     ext_marking = default_marking(ext)
@@ -172,12 +201,12 @@ def test_profile_monotone_and_validated(f2_model):
 def test_royden_radii_start_at_the_core_radius(f2_model):
     # a radius-1 ball lacks the core the rows compare
     with pytest.raises(ValueError, match="radii must be >= 2"):
-        royden_decompose(f2_model, lambda g: 0.0, 2.0, [1, 3])
+        royden_decompose(f2_model, ScalarField.constant(f2_model.ball(3), 0.0), 2.0, [1, 3])
 
 
 def test_royden_of_compact_bump_is_all_u(f2_model):
     ball = f2_model.ball(5)
-    f = ScalarField.indicator(ball, lambda g: f2_model.word_length(g) <= 1)
+    f = ScalarField(ball, (ball.depth <= 1).astype(float))
     u, h, report = royden_decompose(f2_model, f, 2.0, [3, 4, 5])
     np.testing.assert_allclose(h.values, 0.0, atol=1e-12)
     np.testing.assert_allclose(u.values, f.restrict(u.ball).values, atol=1e-12)
@@ -190,7 +219,7 @@ def test_royden_recovers_harmonic_part(f2_model):
     p = 2.0
     witness = boundary_witness(f2_model, p, [5, 6]).field
     ball = witness.ball
-    bump = ScalarField.indicator(ball, lambda g: f2_model.word_length(g) <= 1)
+    bump = ScalarField(ball, (ball.depth <= 1).astype(float))
     f = witness + bump
     u, h, report = royden_decompose(f2_model, f, p, [4, 5, 6])
     core = ball.core_indices(2)
@@ -208,7 +237,7 @@ def test_royden_pairing_orthogonality(f2_model, p):
     so their pairing must vanish."""
     witness = boundary_witness(f2_model, p, [5, 6]).field
     ball = witness.ball
-    bump = ScalarField.delta(ball, f2_model.identity())
+    bump = ScalarField.delta(ball, 0)
     f = witness + bump
     u, h, report = royden_decompose(f2_model, f, p, [4, 5, 6])
     assert abs(pairing(h, u, p)) <= 1e-8
@@ -217,7 +246,7 @@ def test_royden_pairing_orthogonality(f2_model, p):
 def test_royden_schedule_invariance(f2_model):
     p = 2.0
     ball = f2_model.ball(6)
-    f = ScalarField.indicator(ball, lambda g: f2_model.word_length(g) <= 2) + (
+    f = ScalarField(ball, (ball.depth <= 2).astype(float)) + (
         boundary_witness(f2_model, p, [5, 6]).field * 0.5
     )
     u1, h1, _ = royden_decompose(f2_model, f, p, [4, 6])
@@ -225,17 +254,10 @@ def test_royden_schedule_invariance(f2_model):
     np.testing.assert_allclose(h1.values, h2.values, atol=1e-9)
 
 
-def test_royden_callable_and_field_agree(z2_model):
-    ball = z2_model.ball(5)
-
-    def fn(g):
-        x, y = z2_model.element_to_obj(g)
-        return float(x) / (1.0 + abs(x) + abs(y))
-
-    field = ScalarField(ball, np.array([fn(g) for g in ball.vertices]))
-    u1, h1, _ = royden_decompose(z2_model, fn, 2.0, [3, 5])
-    u2, h2, _ = royden_decompose(z2_model, field, 2.0, [3, 5])
-    np.testing.assert_array_equal(h1.values, h2.values)
+def test_royden_refuses_a_callable(z2_model):
+    # a field on elements is built as a ScalarField at the edge, then split
+    with pytest.raises(TypeError, match="ScalarField"):
+        royden_decompose(z2_model, lambda g: 0.0, 2.0, [3, 5])
 
 
 def test_royden_field_radius_validation(z2_model):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from pharmonic import BudgetError, CayleyBall, build_group
 
-from conftest import reference_arcs
+from conftest import closed_form_word_length, reference_arcs
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_extended_generators_ball(f2_model):
     assert len(ball) == sum(sizes)
     # the shortcut word has length one in the new metric
     ab = ext.element_from_obj(["a", "b"])
-    assert ext.word_length(ab) == 1
+    assert ball.depth[ball.index[ab]] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +181,10 @@ def test_extended_generators_ball(f2_model):
 def test_ball_invariants(spec):
     model = build_group(spec)
     ball = model.ball(4)
-    # depth is nondecreasing along the vertex order and matches word_length
+    # depth is nondecreasing along the vertex order and matches the closed-form word length
     assert np.all(np.diff(ball.depth) >= 0)
     for i, g in enumerate(ball.vertices):
-        assert model.word_length(g) == ball.depth[i]
+        assert closed_form_word_length(model, g) == ball.depth[i]
     # interior prefix: exactly the depth < radius vertices
     assert ball.n_interior == int(np.sum(ball.depth < 4))
     assert np.all(ball.depth[: ball.n_interior] < 4)

@@ -17,6 +17,7 @@ from pharmonic import (
     build_group,
     check_coarse_identity,
     coverage_radius,
+    fit_rough_constants,
     pullback,
     rough_inverse,
     seminorm_p,
@@ -44,7 +45,7 @@ def ext_model():
 
 
 def scenario_map(f2_model, ext_model, radius, seed=0):
-    return CoarseMap.fit(f2_model.ball(radius), ext_model.ball(radius), lambda g: g, seed)
+    return CoarseMap.fit(f2_model.ball(radius), ext_model.ball(radius), seed)
 
 
 def with_extra(spec, word):
@@ -81,7 +82,7 @@ def test_sample_pairs_equal_the_per_source_loop(n):
 
 def test_identity_self_fit(f2_model):
     ball = f2_model.ball(4)
-    cmap = CoarseMap.fit(ball, ball, lambda g: g)
+    cmap = CoarseMap.fit(ball, ball)
     assert (cmap.a, cmap.b, cmap.c) == (1.0, 0, 1)
     assert cmap.fit_report.max_stretch <= 1.0
 
@@ -112,25 +113,27 @@ def test_coverage_grows_with_radius(f2_model, ext_model):
 
 def test_fit_rejects_collapsing_map(z_model):
     ball = z_model.ball(40)
-    e = z_model.identity()
+    # every vertex to the identity, vertex 0
     with pytest.raises(FitError):
-        CoarseMap.fit(ball, ball, lambda g: e)
+        fit_rough_constants(ball, ball, np.zeros(len(ball), dtype=np.int64))
 
 
 def test_fit_rejects_images_outside_codomain(z_model):
-    big, small = z_model.ball(6), z_model.ball(3)
-    with pytest.raises(ValueError):
-        CoarseMap.fit(big, small, lambda g: (g[0] + 2,))
+    # Z + [x1, x1] reaches 4 in two steps: the stock ball of radius 6 sticks out
+    big, small = z_model.ball(6), with_extra({"family": "free_abelian", "params": {"d": 1}}, ["x1", "x1"]).ball(2)
+    with pytest.raises(ValueError, match="outside the codomain ball"):
+        CoarseMap.fit(big, small)
+    assert CoarseMap.fit(z_model.ball(4), small).images.min() >= 0
 
 
 def test_doubling_map_on_z(z_model):
     domain = z_model.ball(8)
     codomain = z_model.ball(16)
-
-    def double(g):
-        return z_model.element_from_obj([2 * z_model.element_to_obj(g)[0]])
-
-    cmap = CoarseMap.fit(domain, codomain, double)
+    # Z code rows are the coordinates: doubling them doubles the element
+    images = codomain.locate(2 * domain.codes)
+    assert images.min() >= 0
+    a, b, report = fit_rough_constants(domain, codomain, images)
+    cmap = CoarseMap(domain, codomain, images, a, b, coverage_radius(codomain, images), fit_report=report)
     assert cmap.a == 2.0
     assert cmap.b == 0
     # only even points are hit, so coverage needs one step
@@ -158,19 +161,17 @@ def test_fit_by_code_equals_the_element_loop(spec, word, radius):
     for domain, codomain in ((stock.ball(radius), extended.ball(radius)),
                              (extended.ball(radius // 2), stock.ball(radius))):
         by_code = CoarseMap.fit(domain, codomain)
-        by_element = CoarseMap.fit(domain, codomain, lambda g: g)
-        assert np.array_equal(by_code.images, by_element.images)
-        assert (by_code.a, by_code.b, by_code.c) == (by_element.a, by_element.b, by_element.c)
+        by_element = np.array([codomain.index[g] for g in domain.vertices])
+        assert np.array_equal(by_code.images, by_element)
+        a, b, _ = fit_rough_constants(domain, codomain, by_element)
+        assert (by_code.a, by_code.b, by_code.c) == (a, b, coverage_radius(codomain, by_element))
 
 
 def test_fit_by_code_names_the_first_vertex_outside(z_model):
     big, small = z_model.ball(6), z_model.ball(3)
-    messages = []
-    for fn in (None, lambda g: g):
-        with pytest.raises(ValueError) as err:
-            CoarseMap.fit(big, small, fn)
-        messages.append(str(err.value))
-    assert messages == ["image of domain vertex 7 lies outside the codomain ball of radius 3"] * 2
+    with pytest.raises(ValueError) as err:
+        CoarseMap.fit(big, small)
+    assert str(err.value) == "image of domain vertex 7 lies outside the codomain ball of radius 3"
 
 
 def test_fit_by_code_refuses_balls_of_another_group():
@@ -207,7 +208,7 @@ def test_coverage_radius_identity(f2_model):
 
 def test_inverse_of_identity_is_identity(f2_model):
     ball = f2_model.ball(5)
-    cmap = CoarseMap.fit(ball, ball, lambda g: g)
+    cmap = CoarseMap.fit(ball, ball)
     psi, report = rough_inverse(cmap)
     assert report.max_displacement_domain == 0
     assert report.max_displacement_codomain == 0
@@ -254,7 +255,7 @@ def test_pullback_bound_on_random_fields(f2_model, ext_model, p):
 
 def test_pullback_identity_is_tight(f2_model):
     ball = f2_model.ball(5)
-    cmap = CoarseMap.fit(ball, ball, lambda g: g)
+    cmap = CoarseMap.fit(ball, ball)
     rng = np.random.default_rng(9)
     f = ScalarField(ball, rng.standard_normal(len(ball)))
     pulled, report = pullback(f, cmap, 2.0)
@@ -336,7 +337,7 @@ def test_pullback_requires_codomain_field(f2_model, ext_model):
 
 def test_coarse_identity_of_identity_map(f2_model):
     ball = f2_model.ball(5)
-    cmap = CoarseMap.fit(ball, ball, lambda g: g)
+    cmap = CoarseMap.fit(ball, ball)
     psi, _ = rough_inverse(cmap)
     rng = np.random.default_rng(10)
     f = ScalarField(ball, rng.standard_normal(len(ball)))
@@ -370,7 +371,7 @@ def roundtrip_core_error(f2_model, ext_model, radius, p):
     radii = [scope_r - 2, scope_r - 1, scope_r] if scope_r >= 4 else [scope_r - 1, scope_r]
     moved, t1 = transport_harmonic(h, psi, p, radii)
     back_ball = f2_model.ball(scope_r)
-    back = CoarseMap.fit(back_ball, moved.ball, lambda g: g)
+    back = CoarseMap.fit(back_ball, moved.ball)
     returned, t2 = transport_harmonic(moved, back, p, radii)
     core = back_ball.core_indices(2)
     h_small = h.restrict(back_ball)
