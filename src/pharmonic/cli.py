@@ -422,7 +422,7 @@ def _run_royden(manifest: dict):
     # the witness field is the cold solve of the final radius's problem: its
     # sphere carries the marked clamps
     final_solve = None if f_report is None else (f, f_report)
-    u, h, report = royden_decompose(model, f, p, radii, config, _budget_from(manifest), final_solve)
+    u, h, report = royden_decompose(model, f, p, radii, config, final_solve)
     results = report.to_dict()
     results["h_value_at_identity"] = float(h.values[0])
     results["u_sup_norm"] = u.sup_norm()
@@ -495,10 +495,10 @@ def _run_roughiso(manifest: dict):
     roundtrip_error = None
     if scope_r >= 3:
         fwd_radii = [scope_r - 1, scope_r]
-        phi_fwd, t1 = transport_harmonic(h, psi, p, fwd_radii, config, budget)
-        back_ball = base_model.ball(scope_r, budget)
+        phi_fwd, t1 = transport_harmonic(h, psi, p, fwd_radii, config)
+        back_ball = domain.prefix(scope_r)
         back_map = CoarseMap.fit(back_ball, phi_fwd.ball, seed)
-        h_back, t2 = transport_harmonic(phi_fwd, back_map, p, fwd_radii, config, budget)
+        h_back, t2 = transport_harmonic(phi_fwd, back_map, p, fwd_radii, config)
         converged = converged and all(r.converged for r in t1.royden.rows) and all(
             r.converged for r in t2.royden.rows
         )

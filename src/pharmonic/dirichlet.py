@@ -62,7 +62,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .energy import ScalarField, check_exponent, phi_p
-from .groups import CayleyBall, GroupModel
+from .groups import CayleyBall
 
 # continuation exponents between 2 and a target above 2, in the order visited
 P_STAGES_UP = (3.0, 4.0, 5.0, 6.0, 7.0)
@@ -443,21 +443,18 @@ def solve_dirichlet(
 
 
 def capacity(
-    model: GroupModel,
+    ball: CayleyBall,
     inner_radius: int,
-    outer_radius: int,
     p: float,
     config: Optional[SolverConfig] = None,
-    budget: Optional[int] = None,
 ) -> Tuple[float, ScalarField, SolveReport]:
     """Truncated p-capacity between the closed ball of inner_radius and the
-    sphere of outer_radius: clamp 1 inside, 0 on the sphere, solve, and
-    return the energy sum (each edge counted twice), the potential, and the
-    solve report."""
+    sphere of ``ball``: clamp 1 inside, 0 on the sphere, solve, and return
+    the energy sum (each edge counted twice), the potential, and the solve
+    report."""
     p = check_exponent(p)
-    if inner_radius < 0 or inner_radius >= outer_radius:
-        raise ValueError(f"need 0 <= inner_radius < outer_radius, got {inner_radius}, {outer_radius}")
-    ball = model.ball(outer_radius, budget)
+    if inner_radius < 0 or inner_radius >= ball.radius:
+        raise ValueError(f"need 0 <= inner_radius < outer radius, got {inner_radius}, {ball.radius}")
     clamped = np.where(ball.depth <= inner_radius, 1.0, np.nan)
     clamped[ball.n_interior :] = 0.0
     if not np.isnan(clamped).any():

@@ -164,7 +164,9 @@ def boundary_witness(
     verdict compares the last two radii: ``witness_found`` needs the gap to
     have stabilized (change <= GAP_STAB_TOL) away from zero (>= GAP_FLOOR)
     with bounded energy growth; ``gap_vanishing`` needs the gap below the
-    floor, or strictly shrinking to at most half its first value.
+    floor, or strictly shrinking to at most half its first value. The ball
+    of the last radius is built first, so a schedule over the budget fails
+    before any solve, and the smaller balls are its prefixes.
     """
     check_exponent(p)
     radii = _ascending_radii(radii, minimum=2)
@@ -176,9 +178,10 @@ def boundary_witness(
     if not all(label in slot for label in probes):
         raise ValueError(f"probes {probes} are not generator labels of {model.name}")
 
+    last_ball = model.ball(radii[-1], budget)
     rows: List[WitnessRow] = []
     for radius in radii:
-        ball = model.ball(radius, budget)
+        ball = last_ball.prefix(radius)
         plus, minus = (ball.adj[0, slot[label]] for label in probes)
         clamped = marking.sphere_clamps(ball)
         marked = int(np.count_nonzero(clamped[ball.n_interior :]))
@@ -270,13 +273,15 @@ def parabolicity_profile(
     The verdict reads the log-log slope between the first and last radius:
     decaying capacity (slope <= SLOPE_PARABOLIC, or outright tiny) with a
     nonincreasing profile is ``parabolic``; a profile that stays above
-    CAP_LARGE and is flat in the log-log sense is ``non_parabolic``.
+    CAP_LARGE and is flat in the log-log sense is ``non_parabolic``. The
+    ball of the last radius is built first and the others are its prefixes.
     """
     check_exponent(p)
     radii = _ascending_radii(radii, minimum=inner_radius + 1)
+    last_ball = model.ball(radii[-1], budget)
     rows: List[CapacityRow] = []
     for radius in radii:
-        cap, _, rep = capacity(model, inner_radius, radius, p, config, budget)
+        cap, _, rep = capacity(last_ball.prefix(radius), inner_radius, p, config)
         rows.append(CapacityRow(radius, cap, rep.iterations, rep.residual, rep.converged))
     caps = [r.capacity for r in rows]
     slope = log(max(caps[-1], 1e-300) / caps[0]) / log(radii[-1] / radii[0])
@@ -317,7 +322,6 @@ def royden_decompose(
     p: float,
     radii: Sequence[int],
     config: Optional[SolverConfig] = None,
-    budget: Optional[int] = None,
     final_solve: Optional[Tuple[ScalarField, SolveReport]] = None,
 ) -> Tuple[ScalarField, ScalarField, RoydenReport]:
     """Split f = u + h on the final ball, h p-harmonic with f's sphere values.
@@ -326,7 +330,8 @@ def royden_decompose(
     final radius. For each scheduled radius the sphere values of f are
     extended p-harmonically inward; the core rows track how fast these
     extensions settle. The returned h is the extension at the final radius
-    and u = f - h vanishes on the final sphere.
+    and u = f - h vanishes on the final sphere. Every ball of the split is
+    a prefix of f's ball, so no ball is enumerated.
 
     ``final_solve`` is the (field, report) of ``solve_dirichlet`` on the
     final problem when the caller has it already, say because f itself is
@@ -337,17 +342,16 @@ def royden_decompose(
     radii = _ascending_radii(radii, minimum=CORE_RADIUS)
     config = config or SolverConfig()
     final = radii[-1]
-    final_ball = model.ball(final, budget)
     if not isinstance(f, ScalarField):
         raise TypeError(f"f must be a ScalarField, got {type(f).__name__}")
     if f.ball.model.spec.to_dict() != model.spec.to_dict():
         raise ValueError("field was built on a different group")
     if f.ball.radius < final:
         raise ValueError(f"field lives on radius {f.ball.radius} < final radius {final}")
+    final_ball = f.ball.prefix(final)
     f_final = f.restrict(final_ball) if f.ball.radius != final else f
 
-    # every ball of a model is a prefix of one breadth-first order, so the
-    # core has the same indices at every radius
+    # vertex ids are prefix-stable, so the core has the same indices at every radius
     core_idx = final_ball.core_indices(CORE_RADIUS)
     rows: List[RoydenRow] = []
     prev_core: Optional[np.ndarray] = None
@@ -361,7 +365,7 @@ def royden_decompose(
         if radius == final and final_solve is not None:
             h_n, rep = final_solve
         else:
-            ball = final_ball if radius == final else model.ball(radius, budget)
+            ball = final_ball.prefix(radius)
             n = len(ball)
             clamped = np.full(n, np.nan)
             clamped[ball.n_interior :] = f_final.values[ball.n_interior : n]
@@ -451,7 +455,9 @@ def inner_potential(
     ball is connected (ValueError otherwise, naming the radius). The verdict
     watches the potential on the core ball: uniformly positive and settled
     means ``massive``; decaying below CORE_FLOOR or halving from the first
-    radius means ``not_massive``.
+    radius means ``not_massive``. The ball of the last radius is built
+    first, so a schedule over the budget fails before any solve, and the
+    smaller balls are its prefixes.
     """
     check_exponent(p)
     radii = _ascending_radii(radii, minimum=2)
@@ -460,8 +466,9 @@ def inner_potential(
     rows: List[MassiveRow] = []
     prev_core: Optional[np.ndarray] = None
     last_field: Optional[ScalarField] = None
+    last_ball = model.ball(radii[-1], budget)
     for radius in radii:
-        ball = model.ball(radius, budget)
+        ball = last_ball.prefix(radius)
         in_a = np.fromiter((subset.contains(g) for g in ball.vertices), dtype=bool, count=len(ball))
         a_idx = np.flatnonzero(in_a)
         if a_idx.size == 0:

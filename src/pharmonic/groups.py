@@ -56,13 +56,15 @@ row-major order (vertex, then generator), give the neighbor lists
 ``searchsorted``, in a sorted index of levels r - 2 and r - 1; each run of
 equal keys left over is one vertex of level r, numbered in order of first
 encounter. This is the vertex order of a vertex-by-vertex breadth-first
-search. The pass records each expanded vertex's adjacency row as it goes. A
-model keeps the largest ball it has built: a larger ball continues that
-ball's pass, with the layout of its own capacity, and a smaller one is a
-prefix view of it, sharing its layout.
+search. The pass records each expanded vertex's adjacency row as it goes.
+Every ``GroupModel.ball`` call is one fresh pass from the identity, and a
+model keeps no ball. Since vertex ids are prefix-stable, the ball of a
+smaller radius is a prefix of every larger one: ``CayleyBall.prefix`` takes
+it as a view of the larger ball's arrays, with no enumeration.
 
 ``CayleyBall.locate`` maps code rows to vertex ids through a sorted key
-index of the whole ball, built on first use. Rows from a ball of the same
+index of the whole ball, built on first use; ``full_adj`` finds the
+neighbors of an enumerated ball's sphere through it. Rows from a ball of the same
 group under another generating set may be narrower or wider: a zero column
 is no letter, no coordinate and no lamp word, so rows are padded or trimmed
 with zero columns, and a row with a value outside the ball's key layout is
@@ -176,7 +178,6 @@ class GroupModel:
     _inv_label: Dict[str, str]
     _inv_letter: Dict[str, str]
     _words: Dict[str, Tuple[str, ...]]
-    _cached_ball: Optional["CayleyBall"] = None  # the largest ball built so far
 
     def _set_generators(self, name: str, spec: GroupSpec, inv_letter: Dict[str, str], extra_words) -> None:
         """The generating set: the family's letters (``inv_letter`` maps each
@@ -329,12 +330,12 @@ class GroupModel:
         return self._stock_ball_size(n * self._word_bound)
 
     def ball(self, n: int, budget: Optional[int] = None) -> "CayleyBall":
-        """The closed ball of radius n: a prefix view of the cached ball when
-        that is at least as large, else the cached ball's pass continued.
-        BudgetError when the ball has more than ``budget`` vertices, or when
-        a pass would hold more than CODE_BYTES_PER_VERTEX bytes of codes per
-        vertex of the budget (counting ``budget`` vertices, or fewer where a
-        closed form bounds the ball's size)."""
+        """The closed ball of radius n, enumerated afresh; take a smaller
+        ball of one already built with ``CayleyBall.prefix``. BudgetError
+        when the ball has more than ``budget`` vertices, or when the pass
+        would hold more than CODE_BYTES_PER_VERTEX bytes of codes per vertex
+        of the budget (counting ``budget`` vertices, or fewer where a closed
+        form bounds the ball's size)."""
         if n < 1:
             raise ValueError(f"ball radius must be >= 1, got {n}")
         budget = DEFAULT_VERTEX_BUDGET if budget is None else int(budget)
@@ -344,13 +345,6 @@ class GroupModel:
                 f"ball of radius {n} on {self.name} has {projected} vertices, "
                 f"over the budget {budget}"
             )
-        cached = self._cached_ball
-        if cached is not None:
-            # the vertices a fresh enumeration would have counted against the budget
-            if np.searchsorted(cached.depth, n, side="right") > budget:
-                raise _over_budget(self, n, budget, int(cached.depth[budget]))
-            if n <= cached.radius:
-                return cached._prefix(n)
         row_bytes = self._code_width((n + 1) * self._word_bound) * np.dtype(self._code_dtype).itemsize
         # narrower rows always fit, and the size bound can be a huge integer
         bound = self._size_bound(n) if row_bytes > CODE_BYTES_PER_VERTEX else None
@@ -360,9 +354,7 @@ class GroupModel:
                 f"ball of radius {n} on {self.name} would hold {code_bytes} bytes of codes, "
                 f"over {CODE_BYTES_PER_VERTEX} per vertex of the budget {budget}"
             )
-        ball = _enumerate(self, n, budget, cached)
-        self._cached_ball = ball
-        return ball
+        return _enumerate(self, n, budget)
 
     def describe(self, radius: int = 6, budget: Optional[int] = None) -> dict:
         ball = self.ball(radius, budget)
@@ -612,13 +604,6 @@ class LamplighterModel(GroupModel):
         return (lamps, cursor)
 
 
-def _over_budget(model: GroupModel, radius: int, budget: int, r: int) -> BudgetError:
-    return BudgetError(
-        f"ball of radius {radius} on {model.name} exceeds the vertex budget "
-        f"{budget} (already {budget + 1} vertices at radius {r})"
-    )
-
-
 class _KeyLayout:
     """How one breadth-first pass turns its code rows into lookup keys.
 
@@ -708,32 +693,21 @@ def _locate(keys: np.ndarray, index: Tuple[np.ndarray, np.ndarray]) -> np.ndarra
     return ids
 
 
-def _enumerate(model: GroupModel, radius: int, budget: int, start: Optional["CayleyBall"]) -> "CayleyBall":
-    """The one breadth-first pass, from the identity or from the sphere of a
-    smaller enumerated ball, one level at a time, recording the adjacency
-    rows of each expanded level.
+def _enumerate(model: GroupModel, radius: int, budget: int) -> "CayleyBall":
+    """The one breadth-first pass, from the identity, one level at a time,
+    recording the adjacency rows of each expanded level.
 
     A level sorts its candidates' keys once: the sorted keys are looked up
     in one sorted index of the two levels before, and the runs of equal keys
     left over are the new vertices, numbered by the first candidate of each
     run."""
     capacity = (radius + 1) * model._word_bound
-    width, layout = model._code_width(capacity), model._key_layout(capacity)
-    if start is None:
-        frontier = np.zeros((1, width), dtype=model._code_dtype)
-        codes, depth, rows = [frontier], [np.zeros(1, dtype=np.int32)], []
-        last = index = _sorted_level(frontier, 0, layout)
-        first = 1
-    else:
-        padded = np.zeros((len(start), width), dtype=model._code_dtype)
-        padded[:, : start._codes.shape[1]] = start._codes
-        inner, sphere = int(np.searchsorted(start.depth, start.radius - 1)), start.n_interior
-        frontier = padded[sphere:]
-        codes, depth, rows = [padded], [start.depth], [start._rows]
-        last, index = _sorted_level(frontier, sphere, layout), _sorted_level(padded[inner:], inner, layout)
-        first = start.radius + 1
-    n = len(codes[0])
-    for r in range(first, radius + 1):
+    layout = model._key_layout(capacity)
+    frontier = np.zeros((1, model._code_width(capacity)), dtype=model._code_dtype)
+    codes, depth, rows = [frontier], [np.zeros(1, dtype=np.int32)], []
+    last = index = _sorted_level(frontier, 0, layout)
+    n = 1
+    for r in range(1, radius + 1):
         candidates = model._neighbor_codes(frontier)
         keys = layout.keys(candidates)
         order = np.argsort(keys)
@@ -745,7 +719,10 @@ def _enumerate(model: GroupModel, radius: int, budget: int, start: Optional["Cay
         run[1:] = keys[new[1:]] != keys[new[:-1]]
         starts = np.flatnonzero(run)
         if n + starts.size > budget:
-            raise _over_budget(model, radius, budget, r)
+            raise BudgetError(
+                f"ball of radius {radius} on {model.name} exceeds the vertex budget "
+                f"{budget} (already {budget + 1} vertices at radius {r})"
+            )
         first_seen = np.minimum.reduceat(order[new], starts)
         encounter = np.argsort(first_seen)
         rank = np.empty_like(encounter)
@@ -757,10 +734,11 @@ def _enumerate(model: GroupModel, radius: int, budget: int, start: Optional["Cay
         rows.append(adjacency.reshape(-1, model.degree))
         codes.append(frontier)
         depth.append(np.full(starts.size, r, dtype=np.int32))
-        level = (keys[new[starts]], n + rank)
-        last, index = level, _merge(last, level)
+        if r < radius:  # the index of the last level would go unread
+            level = (keys[new[starts]], n + rank)
+            last, index = level, _merge(last, level)
         n += starts.size
-    return CayleyBall(model, radius, layout, np.concatenate(codes), np.concatenate(depth), np.concatenate(rows), index)
+    return CayleyBall(model, radius, layout, np.concatenate(codes), np.concatenate(depth), np.concatenate(rows))
 
 
 class CayleyBall:
@@ -786,12 +764,13 @@ class CayleyBall:
     ``hops(sources)`` gives the hop distances in it from the nearest of some
     vertices, and ``pair_hops(ia, ib)`` the distance of each vertex pair.
 
-    Balls come from ``GroupModel.ball`` and are never modified; a smaller
-    ball shares the arrays of the larger one it is a prefix of.
+    Balls come from ``GroupModel.ball`` and are never modified; the model
+    keeps none of them. ``prefix(r)`` is the ball of a smaller radius r as a
+    view sharing this ball's arrays.
     """
 
     def __init__(self, model: GroupModel, radius: int, layout: _KeyLayout, codes: np.ndarray, depth: np.ndarray,
-                 rows: np.ndarray, last_levels: Optional[Tuple[np.ndarray, np.ndarray]] = None):
+                 rows: np.ndarray):
         self.model = model
         self.radius = radius
         # the key layout of the pass that made the codes, shared by its prefix views
@@ -803,8 +782,6 @@ class CayleyBall:
         # has them for its sphere too, pointing past the ball where it ends
         self._rows = rows
         self.adj = rows[: self.n_interior]
-        # sorted (keys, ids) index of the last two levels, for the sphere rows of full_adj
-        self._last_levels = last_levels
         self._sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._vertices: Optional[List[Element]] = None
         self._index: Optional[Dict[Element, int]] = None
@@ -832,11 +809,16 @@ class CayleyBall:
         if codes.shape[1] < width:
             codes = np.pad(codes, ((0, 0), (0, width - codes.shape[1])))
         codes, extra = codes[:, :width], codes[:, width:]
-        if self._sorted is None:
-            self._sorted = _sorted_level(self._codes, 0, self._layout)
-        ids = _locate(self._layout.keys(codes), self._sorted)
+        ids = self._find(self._layout.keys(codes))
         ids[extra.any(axis=1) | ~self._layout.inside(codes)] = -1
         return ids
+
+    def _find(self, keys: np.ndarray) -> np.ndarray:
+        """The vertex id of each key of the ball's layout, -1 where absent,
+        from a sorted key index of the whole ball built on first use."""
+        if self._sorted is None:
+            self._sorted = _sorted_level(self._codes, 0, self._layout)
+        return _locate(keys, self._sorted)
 
     @property
     def vertices(self) -> List[Element]:
@@ -854,8 +836,12 @@ class CayleyBall:
     def n_boundary(self) -> int:
         return len(self) - self.n_interior
 
-    def _prefix(self, radius: int) -> "CayleyBall":
-        """The ball of a radius no larger than this one's, as a prefix view."""
+    def prefix(self, radius: int) -> "CayleyBall":
+        """The ball of radius 1 <= ``radius`` <= this one's, as a view of the
+        first vertices of this ball: vertex ids are prefix-stable, so it is
+        the ball ``model.ball(radius)`` enumerates, without a pass."""
+        if not 1 <= radius <= self.radius:
+            raise ValueError(f"prefix radius must lie in [1, {self.radius}], got {radius}")
         if radius == self.radius:
             return self
         size = int(np.searchsorted(self.depth, radius, side="right"))
@@ -886,15 +872,18 @@ class CayleyBall:
 
     def full_adj(self) -> np.ndarray:
         """Adjacency rows for every vertex, sphere included; -1 marks a
-        neighbor that falls outside the ball."""
+        neighbor that falls outside the ball. The pass recorded the rows of
+        the vertices it expanded; those of a sphere the pass did not expand
+        are looked up in the key index of ``locate``."""
         if self._full_adj is None:
             n = len(self)
             known = len(self._rows)
             full = np.empty((n, self.model.degree), dtype=np.int64)
             full[:known] = self._rows
             if known < n:
+                # one step out of the sphere stays inside the pass's key layout
                 nbr_keys = self._layout.keys(self.model._neighbor_codes(self._codes[known:]))
-                full[known:] = _locate(nbr_keys, self._last_levels).reshape(-1, self.model.degree)
+                full[known:] = self._find(nbr_keys).reshape(-1, self.model.degree)
             full[full >= n] = -1
             self._full_adj = full
         return self._full_adj
@@ -947,10 +936,20 @@ class CayleyBall:
             ids = pull[new]
             seen[ids] |= reached[new]
 
+    def _ids(self, ids) -> np.ndarray:
+        """``ids`` as an int64 array of vertex ids; ValueError naming the
+        first outside [0, len(self)), such as the -1 of ``locate``."""
+        ids = np.asarray(ids, dtype=np.int64)
+        bad = (ids < 0) | (ids >= len(self))
+        if bad.any():
+            raise ValueError(f"vertex id {int(ids[bad].flat[0])} outside [0, {len(self)})")
+        return ids
+
     def hops(self, sources) -> np.ndarray:
         """Hop distances inside the ball from one vertex, or from the nearest
-        of an array of vertices; -1 where unreached."""
-        sources = np.unique(np.asarray(sources, dtype=np.int64))
+        of an array of vertices; -1 where unreached. ValueError for a source
+        that is no vertex id of the ball."""
+        sources = np.unique(self._ids(sources))
         dist = np.full(len(self), -1, dtype=np.int64)
         for level, (ids, _) in enumerate(self._search(sources, np.ones(sources.size, dtype=np.uint64))):
             dist[ids] = level
@@ -958,12 +957,12 @@ class CayleyBall:
 
     def pair_hops(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
         """Hop distance inside the ball from ``ia[k]`` to ``ib[k]`` for each
-        k, -1 where unreached. The distinct sources run 64 at a time, one bit
-        each (Then et al., "The More the Merrier", VLDB 2014): a pair's
-        distance is the level at which its source's bit first reaches its
-        target, and a block stops once all of its pairs are resolved."""
-        ia = np.asarray(ia, dtype=np.int64)
-        ib = np.asarray(ib, dtype=np.int64)
+        k, -1 where unreached; ValueError for an entry that is no vertex id
+        of the ball. The distinct sources run 64 at a time, one bit each
+        (Then et al., "The More the Merrier", VLDB 2014): a pair's distance
+        is the level at which its source's bit first reaches its target, and
+        a block stops once all of its pairs are resolved."""
+        ia, ib = self._ids(ia), self._ids(ib)
         out = np.full(ia.size, -1, dtype=np.int64)
         sources, slot = np.unique(ia, return_inverse=True)
         for first in range(0, sources.size, 64):

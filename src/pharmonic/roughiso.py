@@ -42,7 +42,7 @@ import numpy as np
 from .dirichlet import Record, SolverConfig
 from .energy import ScalarField, check_exponent, seminorm_p
 from .exhaustion import RoydenReport, royden_decompose
-from .groups import CayleyBall, build_group
+from .groups import CayleyBall
 
 A_GRID = tuple(1.0 + 0.25 * i for i in range(13))  # 1.0 .. 4.0
 B_GRID = tuple(range(0, 9))
@@ -121,6 +121,19 @@ def _sample_pairs(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     return ia, np.concatenate([head_b, targets[keep]]).astype(np.int64)
 
 
+def _check_images(codomain: CayleyBall, images) -> np.ndarray:
+    """The image ids as an int64 array; ValueError naming the first domain
+    vertex whose image is no vertex of the codomain, such as the -1 of
+    ``CayleyBall.locate``."""
+    images = np.asarray(images, dtype=np.int64)
+    outside = np.flatnonzero((images < 0) | (images >= len(codomain)))
+    if outside.size:
+        raise ValueError(
+            f"image of domain vertex {outside[0]} lies outside the codomain ball of radius {codomain.radius}"
+        )
+    return images
+
+
 def _pair_distances(ball: CayleyBall, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     out = ball.pair_hops(ia, ib)
     if np.any(out < 0):
@@ -143,10 +156,12 @@ def fit_rough_constants(
     images: np.ndarray,
     seed: int = 0,
 ) -> Tuple[float, int, FitReport]:
-    """Smallest grid constants (b first, then a) valid on the sampled pairs."""
+    """Smallest grid constants (b first, then a) valid on the sampled pairs.
+    ValueError when an image is no vertex of the codomain."""
     images = np.asarray(images, dtype=np.int64)
     if images.shape != (len(domain),):
         raise ValueError("images must assign one codomain index per domain vertex")
+    _check_images(codomain, images)
     ia, ib = _sample_pairs(len(domain), seed)
     d_x = _pair_distances(domain, ia, ib)
     d_y = _pair_distances(codomain, images[ia], images[ib])
@@ -165,8 +180,8 @@ def fit_rough_constants(
 
 def coverage_radius(codomain: CayleyBall, images: np.ndarray) -> int:
     """Smallest c >= 1 with every vertex of depth <= R - c within distance c
-    of the image set."""
-    dist = codomain.hops(images)
+    of the image set. ValueError when an image is no vertex of the codomain."""
+    dist = codomain.hops(_check_images(codomain, images))
     radius = codomain.radius
     for c in range(1, radius + 1):
         inside = codomain.depth <= radius - c
@@ -231,43 +246,9 @@ class CoarseMap:
         the codomain ball."""
         _check_same_group(domain, codomain)
         images = codomain.locate(domain.codes)
-        outside = np.flatnonzero(images < 0)
-        if outside.size:
-            raise ValueError(
-                f"image of domain vertex {outside[0]} lies outside the codomain ball of radius {codomain.radius}"
-            )
         a, b, report = fit_rough_constants(domain, codomain, images, seed)
         c = coverage_radius(codomain, images)
         return cls(domain, codomain, images, a, b, c, fit_report=report)
-
-    def to_dict(self, include_images: bool = False) -> dict:
-        out = {
-            "domain": {"group": self.domain.model.spec.to_dict(), "radius": self.domain.radius},
-            "codomain": {"group": self.codomain.model.spec.to_dict(), "radius": self.codomain.radius},
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "n_vertices": len(self.domain),
-        }
-        if include_images:
-            to_obj = self.codomain.model.element_to_obj
-            out["images"] = [to_obj(self.codomain.vertices[int(i)]) for i in self.images]
-        return out
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CoarseMap":
-        dom_model = build_group(obj["domain"]["group"])
-        cod_model = build_group(obj["codomain"]["group"])
-        domain = dom_model.ball(int(obj["domain"]["radius"]))
-        codomain = cod_model.ball(int(obj["codomain"]["radius"]))
-        if "images" not in obj:
-            raise ValueError("serialized coarse map lacks the image list")
-        images = np.array(
-            [codomain.index[cod_model.element_from_obj(o)] for o in obj["images"]], dtype=np.int64
-        )
-        if images.shape != (len(domain),):
-            raise ValueError("image list length does not match the domain ball")
-        return cls(domain, codomain, images, float(obj["a"]), int(obj["b"]), int(obj["c"]))
 
 
 @dataclass
@@ -286,7 +267,7 @@ def rough_inverse(cmap: CoarseMap, seed: int = 0) -> Tuple[CoarseMap, InverseRep
     scope_radius = cmap.codomain.radius - cmap.c
     if scope_radius < 1:
         raise FitError(f"coverage radius {cmap.c} leaves no room inside radius {cmap.codomain.radius}")
-    scope = cmap.codomain.model.ball(scope_radius)
+    scope = cmap.codomain.prefix(scope_radius)
     n_scope = len(scope)
 
     # distance to the image set, and layer by layer the smallest domain
@@ -525,13 +506,13 @@ def transport_harmonic(
     p: float,
     radii: Sequence[int],
     config: Optional[SolverConfig] = None,
-    budget: Optional[int] = None,
 ) -> Tuple[ScalarField, TransportReport]:
     """Move a (near-)harmonic field to the other group along a rough inverse.
 
     ``pull_map`` goes from the target ball into the group carrying ``field``;
     the composite field value at y is field(pull_map(y)). The harmonic part
-    of its Royden split at the scheduled radii is the transported field.
+    of its Royden split at the scheduled radii is the transported field;
+    its balls are prefixes of the map's domain ball.
     """
     check_exponent(p)
     radii = [int(r) for r in radii]
@@ -544,7 +525,7 @@ def transport_harmonic(
     if np.any(ids < 0):
         raise ValueError("field does not cover the image of the transport map")
     pulled = ScalarField(pull_map.domain, field.values[ids])
-    _, h, royden_report = royden_decompose(pull_map.domain.model, pulled, p, radii, config, budget)
+    _, h, royden_report = royden_decompose(pull_map.domain.model, pulled, p, radii, config)
     report = TransportReport(
         model=pull_map.domain.model.name,
         p=p,

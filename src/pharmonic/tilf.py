@@ -12,8 +12,9 @@ the honest noise floor of that invariance.
 
 Right translation f_x(g) = f(g x^{-1}) shortens the ball it lives on by the
 word length of x, so every helper here reports the shrunken radius it ended
-up on. x is a vertex id of f's ball; ids are prefix-stable, so x names the
-same element on every ball of the model that holds it. Translates are row
+up on; the shrunken ball is a prefix of f's ball (``CayleyBall.prefix``).
+x is a vertex id of f's ball; ids are prefix-stable, so x names the same
+element on every ball of the model that holds it. Translates are row
 lookups: x is spelled as a geodesic word off the ball's adjacency, the code
 rows of the shrunken ball are right-multiplied by the letters of x^{-1} all
 at once, and ``CayleyBall.locate`` finds the products in f's ball.
@@ -66,7 +67,7 @@ def translate(f: ScalarField, x: int) -> Tuple[ScalarField, TranslateReport]:
         raise ValueError(
             f"translating by a word of length {shift} leaves no ball inside radius {f.ball.radius}"
         )
-    sub = f.ball.model.ball(radius) if shift > 0 else f.ball
+    sub = f.ball.prefix(radius)
     return ScalarField(sub, _values_times(f, sub, letters)), TranslateReport(shift, f.ball.radius, radius)
 
 
@@ -102,7 +103,7 @@ def difference_approximation(
         raise ValueError(
             f"{n} translates along a word of length {shift} do not fit inside radius {f.ball.radius}"
         )
-    sub = f.ball.model.ball(radius)
+    sub = f.ball.prefix(radius)
     translates = [_values_times(f, sub, letters * k) for k in range(n)]
 
     supports = [np.flatnonzero(v != 0.0) for v in translates]

@@ -150,13 +150,13 @@ def test_criterion_02_maximum_principle_residual_uniqueness():
 
 
 def test_criterion_03_z_capacity_law():
-    """capacity(Z, 0, R, p) = 4 R^(1-p) within 1% for R in {8, 16, 32},
+    """capacity(Z.ball(R), 0, p) = 4 R^(1-p) within 1% for R in {8, 16, 32},
     p in {1.5, 2, 3}."""
     z = build_group(FAMILIES["Z"])
     worst = 0.0
     for p in (1.5, 2.0, 3.0):
         for radius in (8, 16, 32):
-            cap, _, rep = capacity(z, 0, radius, p)
+            cap, _, rep = capacity(z.ball(radius), 0, p)
             exact = 4.0 * radius ** (1.0 - p)
             rel = abs(cap - exact) / exact
             assert rep.converged
@@ -166,17 +166,17 @@ def test_criterion_03_z_capacity_law():
 
 
 def test_criterion_04_f2_capacity_floor():
-    """capacity(F_2, 0, R, 2) >= 2 for every R <= 8 and within 2% of the
+    """capacity(F_2.ball(R), 0, 2) >= 2 for every R <= 8 and within 2% of the
     tree-conductance limit 16/3 at R = 8; the series-rule oracle is matched
     along the way."""
     f2 = build_group(FAMILIES["F_2"])
     for radius in range(1, 9):
-        cap, _, rep = capacity(f2, 0, radius, 2.0)
+        cap, _, rep = capacity(f2.ball(radius), 0, 2.0)
         assert rep.converged
         assert cap >= 2.0
         oracle = radial_capacity([4 * 3 ** (r - 1) for r in range(1, radius + 1)], 2.0)
         assert cap == pytest.approx(oracle, rel=1e-6)
-    final, _, _ = capacity(f2, 0, 8, 2.0)
+    final, _, _ = capacity(f2.ball(8), 0, 2.0)
     assert abs(final - 16.0 / 3.0) / (16.0 / 3.0) <= 0.02
     verdict(4, f"caps >= 2 for R <= 8; cap(8) = {final:.4f} within 2% of 16/3")
 

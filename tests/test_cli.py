@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse.linalg
 
 import pharmonic
+import pharmonic.dirichlet
 import pharmonic.exhaustion
 from pharmonic import CayleyBall, solve_dirichlet
 from pharmonic.cli import TASKS, main
@@ -274,6 +275,25 @@ def test_royden_witness_solves_the_final_radius_once(tmp_path, monkeypatch):
     assert [row["radius"] for row in rows] == [6, 7, 8]
     assert all(row["converged"] for row in rows)
     assert load(out)["results"]["u_sphere_sup"] == 0.0
+
+
+@pytest.mark.parametrize("task, extra", [("witness", []), ("capacity", []), ("massive", ["--subset", "subtree:a"])])
+def test_over_budget_last_radius_exits_1_before_any_solve(monkeypatch, capsys, task, extra):
+    """The probes build the ball of their last radius first: F_2 at R = 12
+    has 1 062 881 vertices, over the default budget, so R = 4 and 5 are
+    never solved."""
+    calls = []
+
+    def counting(problem, *args, **kwargs):
+        calls.append(problem.ball.radius)
+        return solve_dirichlet(problem, *args, **kwargs)
+
+    monkeypatch.setattr(pharmonic.dirichlet, "solve_dirichlet", counting)
+    monkeypatch.setattr(pharmonic.exhaustion, "solve_dirichlet", counting)
+    assert run_cli([task, "--group", "free:k=2", "--radii", "4,5,12", "--p", "2.0", *extra]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: ball of radius 12 on F_2 has 1062881 vertices, over the budget 200000"]
+    assert calls == []
 
 
 def test_roughiso_command(tmp_path):

@@ -445,16 +445,16 @@ def test_sweep_budget_reports_nonconvergence(lamp_model):
 
 def test_capacity_validation(z_model):
     with pytest.raises(ValueError):
-        capacity(z_model, 3, 3, 2.0)
+        capacity(z_model.ball(3), 3, 2.0)
     with pytest.raises(ValueError):
-        capacity(z_model, -1, 3, 2.0)
+        capacity(z_model.ball(3), -1, 2.0)
 
 
 @pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 6.0])
 def test_capacity_on_z(z_model, p):
     """Two independent rays of R unit edges each: value 4 R^(1-p)."""
     for radius in (3, 6, 12):
-        cap, field, rep = capacity(z_model, 0, radius, p)
+        cap, field, rep = capacity(z_model.ball(radius), 0, p)
         assert rep.converged
         assert cap == pytest.approx(4.0 * radius ** (1.0 - p), rel=1e-7)
         assert field.value_at(z_model.identity()) == 1.0
@@ -464,7 +464,7 @@ def test_capacity_on_z(z_model, p):
 def test_capacity_on_f2(f2_model, p):
     """Shell counts 4 * 3^(r-1); series rule gives the condenser value."""
     for radius in (2, 4, 6):
-        cap, _, rep = capacity(f2_model, 0, radius, p)
+        cap, _, rep = capacity(f2_model.ball(radius), 0, p)
         expected = radial_capacity([4 * 3 ** (r - 1) for r in range(1, radius + 1)], p)
         assert rep.converged
         assert cap == pytest.approx(expected, rel=1e-7)
@@ -472,7 +472,7 @@ def test_capacity_on_f2(f2_model, p):
 
 def test_capacity_on_free_product(zz2_model):
     for p in (2.0, 2.5):
-        cap, _, rep = capacity(zz2_model, 0, 5, p)
+        cap, _, rep = capacity(zz2_model.ball(5), 0, p)
         expected = radial_capacity([3 * 2 ** (r - 1) for r in range(1, 6)], p)
         assert rep.converged
         assert cap == pytest.approx(expected, rel=1e-7)
@@ -481,7 +481,7 @@ def test_capacity_on_free_product(zz2_model):
 def test_capacity_inner_radius(f2_model):
     """Clamping a fatter core only removes inner shells from the series."""
     p = 2.0
-    cap, field, rep = capacity(f2_model, 2, 6, p)
+    cap, field, rep = capacity(f2_model.ball(6), 2, p)
     expected = radial_capacity([4 * 3 ** (r - 1) for r in range(3, 7)], p)
     assert rep.converged
     assert cap == pytest.approx(expected, rel=1e-7)
@@ -492,7 +492,7 @@ def test_capacity_inner_radius(f2_model):
 def test_capacity_small_ball_scipy_check(z2_model):
     """No closed form on the grid: check against direct minimization."""
     p = 2.0
-    cap, field, rep = capacity(z2_model, 0, 2, p)
+    cap, field, rep = capacity(z2_model.ball(2), 0, p)
     ball = z2_model.ball(2)
     clamps = {ball.index[g]: 0.0 for g in ball.boundary_elements()}
     clamps[ball.index[z2_model.identity()]] = 1.0

@@ -2,8 +2,8 @@
 
 Distances and parents read off the ball's sparse adjacency are compared
 with a plain breadth-first search over ``model.neighbors`` written here;
-prefix views and enlarged balls are compared field by field with balls
-freshly enumerated by a new model of the same spec.
+prefix views are compared field by field with balls freshly enumerated by a
+new model of the same spec.
 """
 
 import json
@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pharmonic import BudgetError, build_group
+from pharmonic import BudgetError, CoarseMap, ScalarField, build_group, groups
 from pharmonic.cli import main
-from pharmonic.roughiso import _bfs_parents, _pair_distances
+from pharmonic.roughiso import _bfs_parents, _pair_distances, rough_inverse
+from pharmonic.tilf import difference_approximation, translate
 
 from conftest import closed_form_word_length
 
@@ -82,6 +83,13 @@ def assert_same_ball(got, want):
     assert np.array_equal(got.hops(len(want) - 1), want.hops(len(want) - 1))
     for a, b in zip(got.arcs(), want.arcs()):
         assert np.array_equal(a, b)
+    # the rows agree up to zero columns, and each ball finds the other's rows
+    ids = np.arange(len(want))
+    assert np.array_equal(got.locate(want.codes), ids)
+    assert np.array_equal(want.locate(got.codes), ids)
+    width = min(got.codes.shape[1], want.codes.shape[1])
+    assert np.array_equal(got.codes[:, :width], want.codes[:, :width])
+    assert not got.codes[:, width:].any() and not want.codes[:, width:].any()
 
 
 @settings(max_examples=25, deadline=None)
@@ -141,47 +149,65 @@ def test_hops_from_many_sources_is_the_nearest_source_distance(sr, n_sources, se
     assert np.array_equal(got, want)
 
 
-@settings(max_examples=25, deadline=None)
-@given(spec_and_radius, st.integers(0, 3))
-def test_prefix_view_and_enlarged_ball_match_fresh_enumeration(sr, extra):
-    spec, radius = sr
-    model = build_group(spec)
-    big = model.ball(radius + extra)
-    small = model.ball(radius)  # a prefix view of the cached ball unless extra == 0
-    if extra:
+# each family with its stock and one extended generating set
+PREFIX_SPECS = SPECS[:4] + [
+    ({"family": "free_abelian", "params": {"d": 2, "extra_generators": [["x1", "x2"]]}}, 6),
+    SPECS[4],
+    ({"family": "free_product_z2", "params": {"m": 3, "extra_generators": [["s1", "s2"]]}}, 5),
+    LAMP_TA,
+]
+
+
+def _radii_up_to(sr):
+    return st.integers(1, sr[1]).flatmap(lambda big: st.tuples(st.just(sr[0]), st.just(big), st.integers(1, big)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PREFIX_SPECS).flatmap(_radii_up_to))
+def test_prefix_matches_fresh_enumeration(sbr):
+    spec, big, radius = sbr
+    ball = build_group(spec).ball(big)
+    small = ball.prefix(radius)
+    if radius < big:
         assert small._rows.max() >= len(small)  # its sphere rows point past its end
+    else:
+        assert small is ball
     assert_same_ball(small, build_group(spec).ball(radius))
-    larger = model.ball(radius + extra + 1)  # continues the cached ball's pass
-    assert_same_ball(larger, build_group(spec).ball(radius + extra + 1))
 
 
-@settings(max_examples=15, deadline=None)
-@given(spec_and_radius)
-def test_budget_error_while_enlarging_leaves_model_usable(sr):
-    spec, radius = sr
-    model = build_group(spec)
-    ball = model.ball(radius)
+@pytest.mark.parametrize("radius", [0, -1, 5])
+def test_prefix_radius_outside_the_ball_is_refused(f2_model, radius):
+    with pytest.raises(ValueError, match=r"prefix radius must lie in \[1, 4\]"):
+        f2_model.ball(4).prefix(radius)
+
+
+def test_smaller_balls_keep_the_budget_of_the_ball_they_come_from(monkeypatch):
+    # every smaller ball is a prefix of a ball built over the default budget
+    monkeypatch.setattr(groups, "DEFAULT_VERTEX_BUDGET", 100)
+    z2 = build_group({"family": "free_abelian", "params": {"d": 2}})
+    ball = z2.ball(10, budget=1000)
     with pytest.raises(BudgetError):
-        model.ball(radius + 3, budget=len(ball) + 1)
-    assert model.ball(radius) is ball
-    assert_same_ball(model.ball(radius + 1), build_group(spec).ball(radius + 1))
-    if radius > 1:
-        assert_same_ball(model.ball(radius - 1), build_group(spec).ball(radius - 1))
+        z2.ball(9)
+    shifted, report = translate(ScalarField.delta(ball, 0), 1)
+    assert (report.radius, len(shifted.ball)) == (9, 181)
+    _, remainder, report = difference_approximation(ScalarField.delta(ball, 0), 1, 3, 2.0)
+    assert (report.radius, len(remainder.ball), report.mass_preserved) == (8, 145, True)
+    extended = build_group({"family": "free_abelian", "params": {"d": 2, "extra_generators": [["x1", "x2"]]}})
+    psi, report = rough_inverse(CoarseMap.fit(ball, extended.ball(10, budget=1000)))
+    assert report.n_scope == len(psi.domain) > 100
 
 
-@pytest.mark.parametrize("cached, requested", [(6, 5), (5, 7)])
-def test_budget_error_text_matches_a_fresh_enumeration(cached, requested):
-    # no closed-form size: the budget is checked against the cached ball
-    lamp = build_group("lamplighter")
-    budget = len(build_group("lamplighter").ball(5)) - 1
-    lamp.ball(cached)
-    with pytest.raises(BudgetError) as got:
-        lamp.ball(requested, budget=budget)
-    with pytest.raises(BudgetError) as want:
-        build_group("lamplighter").ball(requested, budget=budget)
-    assert str(got.value) == str(want.value)
-
-
+def test_vertex_ids_outside_the_ball_are_refused(f2_model):
+    # -1 is what locate returns for a row outside the ball
+    ball = f2_model.ball(3)
+    for bad in (-1, len(ball)):
+        with pytest.raises(ValueError, match=f"vertex id {bad} outside \\[0, 53\\)"):
+            ball.hops(bad)
+        with pytest.raises(ValueError, match=f"vertex id {bad} outside"):
+            ball.pair_hops([0, bad], [1, 2])
+        with pytest.raises(ValueError, match=f"vertex id {bad} outside"):
+            ball.pair_hops([0, 1], [bad, 2])
+    assert ball.pair_hops([0], [52]).tolist() == [3]
 
 
 # every family at the widest rows it takes: long thin balls, the largest
@@ -221,21 +247,12 @@ def test_coded_ball_matches_plain_bfs_and_budget_names_the_level(spec, radius):
     assert np.array_equal(ball.full_adj(), rows)
     assert np.array_equal(ball.adj, rows[: ball.n_interior])
 
-    # the budget is crossed at `level`: from the identity, continuing a
-    # cached smaller ball, and against the cached larger ball
+    # the budget is crossed at `level`
     level = radius // 2 + 1
     budget = depth.index(level)
-    for cached in (None, level - 1, radius):
-        fresh = model if cached == radius else build_group(spec)
-        if cached:
-            fresh.ball(cached)
-        with pytest.raises(BudgetError) as err:
-            fresh.ball(radius, budget=budget)
-        assert str(err.value) == budget_text(fresh, radius, budget, level)
-        again = fresh.ball(radius)
-        assert np.array_equal(again.depth, ball.depth)
-        assert np.array_equal(again.full_adj(), rows)
-        assert again.vertices[-1] == vertices[-1]
+    with pytest.raises(BudgetError) as err:
+        model.ball(radius, budget=budget)
+    assert str(err.value) == budget_text(model, radius, budget, level)
 
 
 def test_thin_balls_of_long_words_exceed_the_code_budget_up_front():
@@ -247,7 +264,6 @@ def test_thin_balls_of_long_words_exceed_the_code_budget_up_front():
         model = build_group(spec)
         with pytest.raises(BudgetError, match="bytes of codes"):
             model.ball(99_999)
-        assert model._cached_ball is None
     assert len(build_group(f1).ball(3_000)) == 6_001
 
 
@@ -264,7 +280,6 @@ def test_thin_extended_balls_are_bounded_by_the_base_ball(capsys):
             model.ball(99_999)
         seconds.append(time.perf_counter() - start)
     assert min(seconds) < 1e-3
-    assert model._cached_ball is None
 
 
 # each family with its stock and one extended generating set; the extended

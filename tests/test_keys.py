@@ -125,7 +125,7 @@ def test_a_continued_pass_switches_from_packed_to_void_keys(spec, small_radius, 
     large = model.ball(large_radius)
     assert small._layout.packed and not large._layout.packed
     n, width = len(small), small.codes.shape[1]
-    # the continued pass keeps the smaller ball's vertices as its prefix
+    # the pass with void keys numbers the packed pass's vertices alike, as its prefix
     assert np.array_equal(large.codes[:n, :width], small.codes)
     assert not large.codes[:n, width:].any()
     assert np.array_equal(large.depth[:n], small.depth)

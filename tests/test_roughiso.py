@@ -174,6 +174,19 @@ def test_fit_by_code_names_the_first_vertex_outside(z_model):
     assert str(err.value) == "image of domain vertex 7 lies outside the codomain ball of radius 3"
 
 
+def test_constants_and_coverage_name_the_first_image_outside(z_model):
+    # -1 is locate's miss marker; an id past the codomain is no vertex either
+    big, small = z_model.ball(6), z_model.ball(3)
+    want = "image of domain vertex 7 lies outside the codomain ball of radius 3"
+    for images in (small.locate(big.codes), np.minimum(np.arange(len(big)), 7)):
+        with pytest.raises(ValueError) as err:
+            fit_rough_constants(big, small, images)
+        assert str(err.value) == want
+        with pytest.raises(ValueError) as err:
+            coverage_radius(small, images)
+        assert str(err.value) == want
+
+
 def test_fit_by_code_refuses_balls_of_another_group():
     # Z^2 and lamplighter rows are both two int64 columns, and F_2 rows are F_3 rows
     z2 = build_group({"family": "free_abelian", "params": {"d": 2}}).ball(3)
@@ -184,16 +197,6 @@ def test_fit_by_code_refuses_balls_of_another_group():
     for domain, codomain in ((z2, lamp), (lamp, z2), (f2, f3), (f2, zz2)):
         with pytest.raises(ValueError, match="not the same group"):
             CoarseMap.fit(domain, codomain)
-
-
-def test_map_serialization_roundtrip(f2_model, ext_model):
-    cmap = scenario_map(f2_model, ext_model, radius=4)
-    rebuilt = CoarseMap.from_dict(cmap.to_dict(include_images=True))
-    assert (rebuilt.a, rebuilt.b, rebuilt.c) == (cmap.a, cmap.b, cmap.c)
-    assert np.array_equal(rebuilt.images, cmap.images)
-    assert rebuilt.domain.compatible(cmap.domain)
-    with pytest.raises(ValueError):
-        CoarseMap.from_dict(cmap.to_dict(include_images=False))
 
 
 def test_coverage_radius_identity(f2_model):
