@@ -16,26 +16,42 @@ steps and save none, and Newton runs at the target alone. A Newton step
 solves the p-Laplacian equations linearized at the current field: the
 Hessian is the graph Laplacian of the free vertices weighted by
 (d^2 + mu^2)^((p-2)/2) on each arc, mu one ulp of the longest arc; it is
-symmetric positive definite and is factored without pivoting. For p < 2 an
+symmetric positive definite, and is factored without pivoting or solved
+by conjugate gradients (see "Factorization:" below). For p < 2 an
 arc that the step would carry across 0 takes the IRLS weight instead (see
 _NewtonStep.correction). The step is damped by backtracking on the energy.
 
 Factorization: every linear system of a problem, the p = 2 one included,
-has the same sparsity pattern and goes through the one symmetric SuperLU
-route of _NewtonStep.solve. Its first factorization computes a minimum
-degree order of the pattern; the pattern is renumbered into that order
-once, and every later factorization of the problem reuses it. The first
-factor's fill also sets SuperLU's panel width and supernode relaxation
-(Demmel et al., SIAM J. Matrix Anal. Appl. 20, 1999) for the later ones.
-The first keeps SuperLU's defaults, which suit dense fill. A factor with at
-most SPARSE_FILL nonzeros per free vertex (the free products, the
-lamplighter, Z^2, Z^3 up to R = 18) has sparse fill, and the later
-factorizations of its problem take panels of SPARSE_FILL_PANEL columns and
-a relaxation of SPARSE_FILL_RELAX. On a 2-core x86 machine that took 0.42
-of the default time on F_2 R=8 (4.4 nonzeros per free vertex), 0.68 on
-Z^2 R=30 (25), 0.77 on Z^3 R=14 (103) and 0.94 on Z^3 R=18 (149), but
-1.0 on Z^3 R=19 (172) and R=20 (185) and 1.1 on Z^3 R=26 (328), where the
-defaults stay.
+has the same sparsity pattern and goes through _NewtonStep.solve. Its first
+factorization, by symmetric SuperLU, computes a minimum degree order of the
+pattern; the pattern is renumbered into that order once, and every later
+factorization of the problem reuses it. The first factor's fill, its
+nonzeros per free vertex, then sets two things once per problem: the route
+of the later systems (CG or the factor, below), and SuperLU's panel width
+and supernode relaxation (Demmel et al., SIAM J. Matrix Anal. Appl. 20,
+1999) for any later factorization. The first keeps SuperLU's defaults,
+which suit dense fill. A factor with at most SPARSE_FILL nonzeros per
+free vertex (the free products, the lamplighter, Z^2, Z^3 up to R = 18)
+has sparse fill, and the later factorizations of its problem take panels
+of SPARSE_FILL_PANEL columns and a relaxation of SPARSE_FILL_RELAX. On a
+2-core x86 machine that took 0.42 of the default time on F_2 R=8 (4.4
+nonzeros per free vertex), 0.68 on Z^2 R=30 (25), 0.77 on Z^3 R=14 (103)
+and 0.94 on Z^3 R=18 (149), but 1.0 on Z^3 R=19 (172) and R=20 (185) and
+1.1 on Z^3 R=26 (328), where the defaults stay.
+
+Above CG_FILL (Z^3 from R = 13 on, Z^4 R=8) every later system, the IRLS
+re-solve of p < 2 included, goes to conjugate gradients preconditioned
+with the diagonal (Jacobi), on the same pattern, from 0. CG stops once the
+residual is at most CG_RTOL of the right-hand side (2-norms). A CG solve
+that takes more than CG_MAXITER iterations, or meets a non-finite value or
+a diagonal entry below the smallest normal float, is thrown away: that
+system is factored, with the panels chosen above, and so is every later
+system of the problem. Jacobi can stall on the weights of marked clamps
+at p <= 1.2 (Z^3 R=14 at 1.1 and 1.2, Z^4 R=8 at 1.1), and there that
+fallback takes over. Z^2 stays below CG_FILL up to the vertex budget (64
+at R = 300), and there the factor is faster: with marked clamps CG took
+1.25 to 3.6 times as long on Z^2 R=30 to 300 at p = 1.5 and 3, against
+0.45 to 0.53 on Z^3 R=14 (CHANGES.md has the sweep).
 
 Stopping: the sup of the Newton correction is the one stop test. A stage
 before the target ends once it is at most max(tolerance, STAGE_TOL); the
@@ -75,8 +91,16 @@ STAGE_TOL = 1e-3  # correction that ends a stage before the target one
 SPARSE_FILL = 150
 SPARSE_FILL_RELAX = 8
 SPARSE_FILL_PANEL = 4
+# A problem whose first factor holds more than CG_FILL nonzeros per free
+# vertex solves every later system by Jacobi-preconditioned CG, to a residual
+# of CG_RTOL of the right-hand side within CG_MAXITER iterations, or else
+# goes back to factoring for good (see "Factorization:" above)
+CG_FILL = 80
+CG_RTOL = 1e-13
+CG_MAXITER = 1000
 ENERGY_ROUNDOFF = 1e-12  # relative energy change below float64 summation resolution
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
 
 
 class Record:
@@ -220,9 +244,11 @@ class _NewtonStep:
     renumbered into that order once, and every later factorization takes
     the pre-ordered matrix as it stands, so the ordering runs once per
     problem. The first factor's nonzeros per free vertex, ``SuperLU.nnz``
-    over ``n_free``, choose the SuperLU settings of the later ones once:
+    over ``n_free``, choose once the route of the later systems, ``cg``
+    above CG_FILL, and the SuperLU settings of any later factorization:
     narrow panels and little supernode relaxation up to SPARSE_FILL,
-    SuperLU's defaults above it. Right-hand sides and solutions keep the
+    SuperLU's defaults above it. ``cg`` drops to False for good at the
+    first CG solve that fails. Right-hand sides and solutions keep the
     order of ``free``."""
 
     def __init__(self, problem: DirichletProblem):
@@ -240,6 +266,7 @@ class _NewtonStep:
         self.n_free = n_free
         self.order: Optional[np.ndarray] = None  # position of each free vertex in the factored matrix
         self.panels: Dict[str, int] = {}  # SuperLU settings of the NATURAL factorizations
+        self.cg = False  # whether the next system goes to CG before SuperLU
         self.slot, self.matrix = self._pattern(rows, cols)
         self.arcs = ball.arcs()
         self.n_total = len(ball)
@@ -263,14 +290,26 @@ class _NewtonStep:
     def solve(self, w: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
         """Solve with the Laplacian of weights w and diagonal shift: a
         symmetric positive definite system for positive weights and shift
-        (or unit weights and shift 0, the p = 2 system), factored without
-        pivoting. The first call orders it by minimum degree and renumbers
-        the pattern into that order; later calls factor the pre-ordered
-        matrix in its natural order, with the problem's ``panels``. All NaN
-        if the factorization meets a zero pivot (weights that underflow to
-        0); MemoryError if SuperLU runs out of memory."""
+        (or unit weights and shift 0, the p = 2 system). The first call
+        factors it without pivoting, orders it by minimum degree and
+        renumbers the pattern into that order. On the CG route a later call
+        runs Jacobi-preconditioned CG on the pre-ordered matrix; if CG
+        misses CG_RTOL within CG_MAXITER iterations or meets a non-finite
+        value, the route ends for good and the call factors the system like
+        any later call off the route: in its natural order, with the
+        problem's ``panels``. All NaN if the factorization meets a zero
+        pivot (weights that underflow to 0); MemoryError if SuperLU runs out
+        of memory."""
         first = self.order is None
         matrix = self.laplacian(w, shift)
+        if not first:
+            b = np.empty(self.n_free)
+            b[self.order] = rhs
+        if self.cg:
+            x = _jacobi_cg(matrix, b)
+            if x is not None:
+                return x[self.order]
+            self.cg = False
         ordering = {"permc_spec": "MMD_AT_PLUS_A"} if first else {"permc_spec": "NATURAL", **self.panels}
         try:
             lu = spla.splu(matrix, diag_pivot_thresh=0.0, options={"SymmetricMode": True}, **ordering)
@@ -284,16 +323,15 @@ class _NewtonStep:
             x = lu.solve(rhs)
             self._renumber(lu.perm_c, lu.nnz)
             return x
-        b = np.empty(self.n_free)
-        b[self.order] = rhs
         return lu.solve(b)[self.order]
 
     def _renumber(self, order: np.ndarray, factor_nnz: int) -> None:
         """Move free vertex k to position order[k] of the pattern, once, and
-        choose the SuperLU settings of the later factorizations from the
-        first factor's ``factor_nnz`` nonzeros."""
+        choose the route and the SuperLU settings of the later systems from
+        the first factor's ``factor_nnz`` nonzeros."""
         sparse_fill = factor_nnz <= SPARSE_FILL * self.n_free
         self.panels = {"relax": SPARSE_FILL_RELAX, "panel_size": SPARSE_FILL_PANEL} if sparse_fill else {}
+        self.cg = factor_nnz > CG_FILL * self.n_free
         order = order.astype(np.int64)
         m = self.matrix
         cols = np.repeat(np.arange(self.n_free, dtype=np.int64), np.diff(m.indptr))
@@ -354,6 +392,54 @@ class _NewtonStep:
         return 0.0
 
 
+def _jacobi_cg(matrix: sp.csc_matrix, b: np.ndarray) -> Optional[np.ndarray]:
+    """Solve the symmetric system by conjugate gradients preconditioned with
+    its diagonal, from 0, until the residual is at most CG_RTOL of |b|
+    (2-norms). None if that takes more than CG_MAXITER iterations, if a
+    diagonal entry is below the smallest normal float, or if a curvature
+    d^T A d or a residual is not finite and positive."""
+    # a symmetric CSC matrix read as CSR is itself, and CSR products are faster
+    a = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+    diag = a.diagonal()
+    top = np.max(np.abs(b), initial=0.0)
+    if not (np.all(diag >= _TINY) and top < np.inf):
+        return None
+    x = np.zeros_like(b)
+    if top == 0.0:
+        return x
+    # b scaled by a power of 2 to a largest entry in [1/2, 1), so that no
+    # residual norm underflows; the scaling is exact and undone at the end
+    exponent = int(np.frexp(top)[1])
+    r = np.ldexp(b, -exponent)
+    inv_diag = 1.0 / diag
+    stop = CG_RTOL * CG_RTOL * (r @ r)
+    # overflow and division by 0 end in a non-finite curvature or residual,
+    # which the loop checks
+    with np.errstate(all="ignore"):
+        z = inv_diag * r
+        d = z.copy()
+        rz = r @ z
+        for _ in range(CG_MAXITER):
+            q = a @ d
+            curvature = d @ q
+            if not 0.0 < curvature < np.inf:
+                return None
+            alpha = rz / curvature
+            x += alpha * d
+            r -= alpha * q
+            rr = r @ r
+            if rr <= stop:
+                return np.ldexp(x, exponent)
+            if not rr < np.inf:
+                return None
+            np.multiply(inv_diag, r, out=z)
+            rz_next = r @ z
+            d *= rz_next / rz
+            d += z
+            rz = rz_next
+    return None
+
+
 def _energy(u: np.ndarray, arcs, p: float) -> float:
     src, dst = arcs
     return float(np.sum(np.abs(u[dst] - u[src]) ** p))
@@ -372,6 +458,12 @@ def solve_dirichlet(
     it runs at the stages of P_STAGES_UP below a target above 2, none below
     2, and at the target. A supplied start at p > 2 that already passes the
     stop test at the target is returned as it is, after 0 iterations.
+
+    Each Newton step solves one linear system (two where the IRLS weights
+    of p < 2 apply). The first system of the problem is factored, and its
+    fill sends the later ones to Jacobi-preconditioned CG or to the factor,
+    with the factor taking over for good from the first CG solve that
+    fails (see "Factorization:" in the module docstring).
 
     The solve converges when the sup of the Newton correction at the target
     exponent is at most ``config.tolerance``; that last correction is added

@@ -631,6 +631,16 @@ class _KeyLayout:
             self._fields = [(j, int(l), np.uint64(shift)) for j, (l, shift) in enumerate(zip(lo, shifts))]
         self._lo = np.array(lo, dtype=np.int64)
         self._hi = np.array(hi, dtype=np.int64)
+        # row[j] lies in [lo[j], hi[j]] exactly when row[j] - lo[j], wrapped
+        # to the unsigned type of the rows' width, is at most hi[j] - lo[j];
+        # columns whose bounds take every value of the dtype need no check
+        info = np.iinfo(self._dtype)
+        self._unsigned = np.dtype(f"u{self._dtype.itemsize}")
+        self._checks = [
+            (j, self._dtype.type(l), self._unsigned.type(h - l))
+            for j, (l, h) in enumerate(zip(lo, hi))
+            if l > info.min or h < info.max
+        ]
 
     def keys(self, codes: np.ndarray) -> np.ndarray:
         """One key per row of ``codes``; exact for rows inside the layout."""
@@ -653,8 +663,15 @@ class _KeyLayout:
         return key
 
     def inside(self, codes: np.ndarray) -> np.ndarray:
-        """Whether each row's columns lie within their bounds."""
-        return ((codes >= self._lo) & (codes <= self._hi)).all(axis=1)
+        """Whether each row's columns lie within their bounds. Rows of the
+        layout's dtype are checked in that dtype, one column at a time;
+        others are compared with the bounds as int64."""
+        if codes.dtype != self._dtype:
+            return ((codes >= self._lo) & (codes <= self._hi)).all(axis=1)
+        ok = np.ones(len(codes), dtype=bool)
+        for j, lo, span in self._checks:
+            ok &= (codes[:, j] - lo).view(self._unsigned) <= span
+        return ok
 
 
 def _sorted_level(codes: np.ndarray, first_id: int, layout: _KeyLayout) -> Tuple[np.ndarray, np.ndarray]:

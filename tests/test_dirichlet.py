@@ -5,6 +5,8 @@ scratch in conftest; other exponents go through scipy.optimize on small
 balls and closed forms on radially symmetric networks.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -275,10 +277,9 @@ def fresh_factor_solve(problem, w, shift, rhs):
 SPARSE_PANELS = {"relax": dirichlet.SPARSE_FILL_RELAX, "panel_size": dirichlet.SPARSE_FILL_PANEL}
 
 
-def test_one_minimum_degree_ordering_per_problem(monkeypatch):
-    """One MMD_AT_PLUS_A factorization with SuperLU's default panels, then
-    NATURAL ones with the problem's chosen panels: the narrow ones on these
-    sparse-fill balls, the defaults once the fill limit is forced to 0."""
+def counted_splu(monkeypatch):
+    """Route every SuperLU factorization through a counter; returns the list
+    of their keyword arguments."""
     calls = []
     real_splu = scipy.sparse.linalg.splu
 
@@ -287,6 +288,14 @@ def test_one_minimum_degree_ordering_per_problem(monkeypatch):
         return real_splu(*args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    return calls
+
+
+def test_one_minimum_degree_ordering_per_problem(monkeypatch):
+    """One MMD_AT_PLUS_A factorization with SuperLU's default panels, then
+    NATURAL ones with the problem's chosen panels: the narrow ones on these
+    sparse-fill balls, the defaults once the fill limit is forced to 0."""
+    calls = counted_splu(monkeypatch)
     for limit, panels in ((dirichlet.SPARSE_FILL, SPARSE_PANELS), (0, {})):
         monkeypatch.setattr(dirichlet, "SPARSE_FILL", limit)
         for spec, radius in FOUR_FAMILIES:
@@ -322,6 +331,108 @@ def test_fill_density_chooses_the_panels(spec, radius, sparse):
     problem = zero_sphere_problem(spec, radius)
     linear_dirichlet(problem)
     assert problem._system.panels == (SPARSE_PANELS if sparse else {})
+
+
+Z3 = {"family": "free_abelian", "params": {"d": 3}}
+
+
+@pytest.mark.parametrize(
+    "spec,radius,cg",
+    [
+        ({"family": "free", "params": {"k": 2}}, 8, False),
+        ({"family": "free", "params": {"k": 2, "extra_generators": [["a", "b"]]}}, 7, False),
+        ({"family": "free_product_z2", "params": {"m": 3}}, 9, False),
+        ({"family": "lamplighter", "params": {}}, 9, False),
+        ({"family": "lamplighter", "params": {"extra_generators": [["t", "a", "t"]]}}, 7, False),
+        ({"family": "free_abelian", "params": {"d": 2}}, 30, False),
+        ({"family": "free_abelian", "params": {"d": 2}}, 300, False),
+        (Z3, 12, False),
+        (Z3, 14, True),
+        (Z3, 20, True),
+        ({"family": "free_abelian", "params": {"d": 4}}, 8, True),
+    ],
+)
+def test_fill_density_chooses_the_route(spec, radius, cg):
+    """Factors of at most CG_FILL nonzeros per free vertex keep factoring:
+    the trees, the lamplighter and extended sets (4 to 7), Z^2 up to the
+    vertex budget (64 at R = 300) and Z^3 R=12 (65). Z^3 R=14 (103), Z^3
+    R=20 (185) and Z^4 R=8 (124) go to CG."""
+    problem = zero_sphere_problem(spec, radius)
+    linear_dirichlet(problem)
+    assert problem._system.cg is cg
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
+def test_cg_route_matches_the_factor(monkeypatch, p):
+    """On Z^3 R=14 every system after the p = 2 start goes to CG, which
+    takes the same Newton steps to the same verdict, and an energy within
+    1e-12 of the one the factors give once CG_FILL is above the fill."""
+    ball = family_ball(Z3, 14)
+    calls = counted_splu(monkeypatch)
+    problem = DirichletProblem(ball, random_clamps(ball, 24), p)
+    _, rep = solve_dirichlet(problem)
+    assert problem._system.cg and len(calls) == 1
+    monkeypatch.setattr(dirichlet, "CG_FILL", float("inf"))
+    calls.clear()
+    direct = DirichletProblem(ball, random_clamps(ball, 24), p)
+    _, rep_direct = solve_dirichlet(direct)
+    assert not direct._system.cg and len(calls) > rep_direct.iterations
+    assert rep.converged and (rep.iterations, rep.converged) == (rep_direct.iterations, rep_direct.converged)
+    assert rep.final_energy == pytest.approx(rep_direct.final_energy, rel=1e-12)
+
+
+def test_cg_that_misses_its_tolerance_hands_the_problem_to_the_factor(monkeypatch):
+    """With one CG iteration allowed, the first CG solve misses its
+    tolerance: that system and every later one is factored, so the solve is
+    the direct one, energy and all. At p = 3 a cold solve has the p = 2
+    start and one system per Newton correction, iterations + 1 of them."""
+    ball = family_ball(Z3, 14)
+    calls = counted_splu(monkeypatch)
+    monkeypatch.setattr(dirichlet, "CG_MAXITER", 1)
+    problem = DirichletProblem(ball, random_clamps(ball, 25), 3.0)
+    _, rep = solve_dirichlet(problem)
+    assert rep.converged and not problem._system.cg
+    assert len(calls) == 1 + rep.iterations + 1
+    monkeypatch.setattr(dirichlet, "CG_FILL", float("inf"))
+    direct = DirichletProblem(ball, random_clamps(ball, 25), 3.0)
+    _, rep_direct = solve_dirichlet(direct)
+    assert (rep.iterations, rep.final_energy) == (rep_direct.iterations, rep_direct.final_energy)
+
+
+def test_the_fallback_to_the_factor_is_for_good(monkeypatch):
+    """Once a CG solve fails, no later system of the problem tries CG: with
+    the third CG solve failing, two systems of the p = 3 solve go to CG and
+    all the others to SuperLU."""
+    ball = family_ball(Z3, 14)
+    attempts = []
+    real_cg = dirichlet._jacobi_cg
+
+    def failing_third(matrix, b):
+        attempts.append(matrix.shape)
+        return None if len(attempts) == 3 else real_cg(matrix, b)
+
+    monkeypatch.setattr(dirichlet, "_jacobi_cg", failing_third)
+    calls = counted_splu(monkeypatch)
+    problem = DirichletProblem(ball, random_clamps(ball, 26), 3.0)
+    _, rep = solve_dirichlet(problem)
+    assert rep.converged and not problem._system.cg
+    assert len(attempts) == 3
+    # the p = 2 start and one system per correction, less the two CG solved
+    assert len(calls) == 1 + rep.iterations + 1 - 2
+
+
+def test_underflowing_weights_stop_the_cg_route_without_warnings():
+    """Clamps of size 1e-60 at p = 8 give arc weights that underflow to 0:
+    CG refuses the zero diagonal, the factor meets a zero pivot, and the
+    solve reports converged=False at once, without a warning."""
+    ball = family_ball(Z3, 14)
+    clamps = {i: 1e-60 * v for i, v in random_clamps(ball, 27).items()}
+    problem = DirichletProblem(ball, clamps, 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rep = solve_dirichlet(problem)
+    assert not rep.converged and rep.iterations == 0
+    assert not problem._system.cg
 
 
 @pytest.mark.parametrize("p", [1.2, 3.0, 8.0])

@@ -141,3 +141,35 @@ def test_a_continued_pass_switches_from_packed_to_void_keys(spec, small_radius, 
     assert small.locate(small.codes).tolist() == list(range(n))
     assert large.locate(small.codes).tolist() == list(range(n))
     assert small.locate(large.codes).tolist() == list(range(n)) + [-1] * (len(large) - n)
+
+
+@pytest.mark.parametrize("spec, extra, stock_radii, extended_radii", KEY_SETS)
+def test_bounds_check_in_the_rows_dtype_matches_int64_comparisons(spec, extra, stock_radii, extended_radii):
+    """Rows of the ball's own dtype are checked column by column in that
+    dtype; on random rows, values outside the bounds and at the ends of the
+    dtype included, that agrees with comparing every column as int64."""
+    extended = {"family": spec["family"], "params": {**spec["params"], "extra_generators": extra}}
+    rng = np.random.default_rng(23)
+    for group, radii in ((spec, stock_radii), (extended, extended_radii)):
+        for radius, _ in radii:
+            ball = build_group(group).ball(radius)
+            layout = ball._layout
+            dtype = ball.codes.dtype
+            info = np.iinfo(dtype)
+            n, width = 3000, ball.codes.shape[1]
+            lo, hi = layout._lo, layout._hi
+            # a third anywhere in the dtype, a third within 3 of the bounds,
+            # a third at the ends of the dtype or on a bound
+            anywhere = rng.integers(info.min, info.max, size=(n, width), dtype=dtype, endpoint=True)
+            near = np.clip(rng.integers(-3, 4, size=(n, width)) + np.where(rng.random((n, width)) < 0.5, lo, hi),
+                           info.min, info.max).astype(dtype)
+            ends = np.choose(rng.integers(0, 4, size=(n, width)), [np.full(width, info.min), np.full(width, info.max), lo, hi])
+            rows = np.concatenate([anywhere, near, ends.astype(dtype)])
+            rows = np.concatenate([rows, ball.codes[rng.integers(0, len(ball), size=n)]])
+            wide = rows.astype(np.int64)
+            want = ((wide >= lo) & (wide <= hi)).all(axis=1)
+            got = layout.inside(rows)
+            assert np.array_equal(got, want)
+            assert want.any() and not want.all()
+            assert np.array_equal(layout.inside(wide), want)
+            assert np.array_equal(ball.locate(rows), reference_locate(ball, rows))
