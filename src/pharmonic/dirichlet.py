@@ -16,28 +16,47 @@ steps and save none, and Newton runs at the target alone. A Newton step
 solves the p-Laplacian equations linearized at the current field: the
 Hessian is the graph Laplacian of the free vertices weighted by
 (d^2 + mu^2)^((p-2)/2) on each arc, mu one ulp of the longest arc; it is
-symmetric positive definite, and is factored without pivoting or solved
-by conjugate gradients (see "Factorization:" below). For p < 2 an
-arc that the step would carry across 0 takes the IRLS weight instead (see
-_NewtonStep.correction). The step is damped by backtracking on the energy.
+symmetric positive definite, and is eliminated leaves first, factored
+without pivoting or solved by conjugate gradients (see "Factorization:"
+below). For p < 2 an arc that the step would carry across 0 takes the
+IRLS weight instead (see _NewtonStep.correction). The step is damped by
+backtracking on the energy.
 
 Factorization: every linear system of a problem, the p = 2 one included,
-has the same sparsity pattern and goes through _NewtonStep.solve. Its first
-factorization, by symmetric SuperLU, computes a minimum degree order of the
-pattern; the pattern is renumbered into that order once, and every later
-factorization of the problem reuses it. The first factor's fill, its
-nonzeros per free vertex, then sets two things once per problem: the route
-of the later systems (CG or the factor, below), and SuperLU's panel width
-and supernode relaxation (Demmel et al., SIAM J. Matrix Anal. Appl. 20,
-1999) for any later factorization. The first keeps SuperLU's defaults,
-which suit dense fill. A factor with at most SPARSE_FILL nonzeros per
-free vertex (the free products, the lamplighter, Z^2, Z^3 up to R = 18)
-has sparse fill, and the later factorizations of its problem take panels
-of SPARSE_FILL_PANEL columns and a relaxation of SPARSE_FILL_RELAX. On a
-2-core x86 machine that took 0.42 of the default time on F_2 R=8 (4.4
-nonzeros per free vertex), 0.68 on Z^2 R=30 (25), 0.77 on Z^3 R=14 (103)
-and 0.94 on Z^3 R=18 (149), but 1.0 on Z^3 R=19 (172) and R=20 (185) and
-1.1 on Z^3 R=26 (328), where the defaults stay.
+has the same sparsity pattern and goes through _NewtonStep.solve. Where
+each free vertex has at most one free neighbour one level closer to the
+identity and none on its own level, the free vertices form a forest (the
+trees F_k and Z2^{*m}, and their capacity annuli), whose Laplacian
+eliminated leaves first makes no fill (Parter, SIAM Review 3, 1961). Every
+system of such a problem, the p = 2 start and the IRLS re-solve included,
+goes to one vectorised elimination sweep (_ForestSweep): no pattern, no
+ordering, no SuperLU. The sweep costs a round of numpy calls per level,
+so it is taken only where the free vertices number at least 2^levels,
+levels the count of their distinct depths: every tree of branching 2 or
+more, and no path. That test comes first and costs two numpy calls, so
+the paths, and with the sphere clamped Z^2 from R = 6, Z^3 from R = 11
+and the lamplighter from R = 9 on, skip the forest test itself. On a
+2-core x86 machine one system took 0.13 to 0.22 of the factor's time on
+F_2 R=8 and R=10, F_3 R=6, Z2^{*4} R=8 and Z2*Z2*Z2 R=12, 0.54 to 0.95
+on Z2*Z2*Z2 R=4 to 9, and 15 to 18 times as long on the paths F_1
+R=300, Z R=2000 and Z2*Z2 R=300 (CHANGES.md has the sweep).
+
+Every other problem is factored. Its first factorization, by symmetric
+SuperLU, computes a minimum degree order of the pattern; the pattern is
+renumbered into that order once, and every later factorization of the
+problem reuses it. The first factor's fill, its nonzeros per free vertex,
+then sets two things once per problem: the route of the later systems (CG
+or the factor, below), and SuperLU's panel width and supernode relaxation
+(Demmel et al., SIAM J. Matrix Anal. Appl. 20, 1999) for any later
+factorization. The first keeps SuperLU's defaults, which suit dense fill.
+A factor with at most SPARSE_FILL nonzeros per free vertex (the extended
+sets, the lamplighter, Z^2, Z^3 up to R = 18) has sparse fill, and the
+later factorizations of its problem take panels of SPARSE_FILL_PANEL
+columns and a relaxation of SPARSE_FILL_RELAX. On a 2-core x86 machine
+that took 0.42 of the default time on F_2 R=8 (4.4 nonzeros per free
+vertex, before the trees took the sweep), 0.68 on Z^2 R=30 (25), 0.77 on
+Z^3 R=14 (103) and 0.94 on Z^3 R=18 (149), but 1.0 on Z^3 R=19 (172) and
+R=20 (185) and 1.1 on Z^3 R=26 (328), where the defaults stay.
 
 Above CG_FILL (Z^3 from R = 13 on, Z^4 R=8) every later system, the IRLS
 re-solve of p < 2 included, goes to conjugate gradients preconditioned
@@ -101,6 +120,11 @@ CG_MAXITER = 1000
 ENERGY_ROUNDOFF = 1e-12  # relative energy change below float64 summation resolution
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
+# Clamps whose largest magnitude is below TINY_CLAMPS (about 3e-123) are
+# solved scaled up by an exact power of 2: below it, the mu of an arc one
+# rounding error long squares to below _TINY, and at p < 2 the weight of a
+# flat arc would be 0 raised to a negative power
+TINY_CLAMPS = np.sqrt(_TINY) / (_EPS * _EPS)
 
 
 class Record:
@@ -235,9 +259,14 @@ class _NewtonStep:
     """Newton corrections on the free values over a fixed sparsity pattern.
 
     The linearized system is the mu-regularized weighted Laplacian of the
-    free vertices. Its CSC pattern is built once; each solve refills
-    ``.data``, summing entries that share a (row, column) slot. The same
-    assembly with unit weights is the p = 2 system of ``linear_dirichlet``.
+    free vertices. Where they form a forest of at least 2^levels vertices,
+    ``forest`` is its elimination sweep, which takes every system of the
+    problem; no CSC pattern is built for it (``matrix`` stays None until
+    ``laplacian`` is called), and ``order``, ``panels`` and ``cg`` keep
+    their starting values. Otherwise ``forest`` is None, and the CSC
+    pattern is built once; each solve refills ``.data``, summing entries
+    that share a (row, column) slot. The same assembly with unit weights is
+    the p = 2 system of ``linear_dirichlet``.
 
     The first factorization orders the pattern by minimum degree on A^T + A
     (Liu, ACM TOMS 11, 1985). The pattern and the slot map are then
@@ -254,22 +283,34 @@ class _NewtonStep:
     def __init__(self, problem: DirichletProblem):
         ball = problem.ball
         self.free = problem.free
-        n_free = self.free.size
-        local = -np.ones(len(ball), dtype=np.int64)
-        local[self.free] = np.arange(n_free)
+        self.n_free = self.free.size
+        self.n_total = len(ball)
         self.nbrs = ball.adj[self.free]
-        nbr_local = local[self.nbrs]
+        nbr_local = self._nbr_local()
         self.off_mask = nbr_local >= 0
-        row_grid = np.repeat(np.arange(n_free, dtype=np.int64), ball.model.degree).reshape(n_free, -1)
-        rows = np.concatenate([np.arange(n_free, dtype=np.int64), row_grid[self.off_mask]])
-        cols = np.concatenate([np.arange(n_free, dtype=np.int64), nbr_local[self.off_mask]])
-        self.n_free = n_free
+        self.forest = _ForestSweep.of(ball.depth, self.free, self.nbrs, nbr_local)
         self.order: Optional[np.ndarray] = None  # position of each free vertex in the factored matrix
         self.panels: Dict[str, int] = {}  # SuperLU settings of the NATURAL factorizations
         self.cg = False  # whether the next system goes to CG before SuperLU
-        self.slot, self.matrix = self._pattern(rows, cols)
+        self.slot: Optional[np.ndarray] = None
+        self.matrix: Optional[sp.csc_matrix] = None
+        if self.forest is None:
+            self._assemble(nbr_local)
         self.arcs = ball.arcs()
-        self.n_total = len(ball)
+
+    def _nbr_local(self) -> np.ndarray:
+        """The position in ``free`` of each neighbour in ``nbrs``, -1 at clamps."""
+        local = np.full(self.n_total, -1, dtype=np.int64)
+        local[self.free] = np.arange(self.n_free)
+        return local[self.nbrs]
+
+    def _assemble(self, nbr_local: np.ndarray) -> None:
+        """Build the CSC pattern of the Laplacian in the order of ``free``."""
+        n_free = self.n_free
+        row_grid = np.repeat(np.arange(n_free, dtype=np.int64), nbr_local.shape[1]).reshape(n_free, -1)
+        rows = np.concatenate([np.arange(n_free, dtype=np.int64), row_grid[self.off_mask]])
+        cols = np.concatenate([np.arange(n_free, dtype=np.int64), nbr_local[self.off_mask]])
+        self.slot, self.matrix = self._pattern(rows, cols)
 
     def _pattern(self, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, sp.csc_matrix]:
         """The CSC pattern of the entries (rows, cols), and the slot of each
@@ -282,7 +323,11 @@ class _NewtonStep:
     def laplacian(self, w: np.ndarray, shift: float) -> sp.csc_matrix:
         """The Laplacian of arc weights w (one row per free vertex, one
         column per generator slot), diagonal shifted by shift; after the
-        first factorization its rows and columns are in ``order``."""
+        first factorization its rows and columns are in ``order``. A forest
+        problem builds the pattern here, on first use; its solves never
+        read it."""
+        if self.matrix is None:
+            self._assemble(self._nbr_local())
         entries = np.concatenate([w.sum(axis=1) + shift, -w[self.off_mask]])
         self.matrix.data = np.bincount(self.slot, weights=entries, minlength=self.matrix.nnz)
         return self.matrix
@@ -290,7 +335,9 @@ class _NewtonStep:
     def solve(self, w: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
         """Solve with the Laplacian of weights w and diagonal shift: a
         symmetric positive definite system for positive weights and shift
-        (or unit weights and shift 0, the p = 2 system). The first call
+        (or unit weights and shift 0, the p = 2 system). A forest problem
+        runs the elimination sweep on every call, all NaN where a pivot is 0
+        or the solution is not finite. Otherwise the first call
         factors it without pivoting, orders it by minimum degree and
         renumbers the pattern into that order. On the CG route a later call
         runs Jacobi-preconditioned CG on the pre-ordered matrix; if CG
@@ -300,6 +347,8 @@ class _NewtonStep:
         problem's ``panels``. All NaN if the factorization meets a zero
         pivot (weights that underflow to 0); MemoryError if SuperLU runs out
         of memory."""
+        if self.forest is not None:
+            return self.forest.solve(w, shift, rhs)
         first = self.order is None
         matrix = self.laplacian(w, shift)
         if not first:
@@ -351,7 +400,11 @@ class _NewtonStep:
         if scale == 0.0:
             return np.zeros(self.n_free)
         mu = _EPS * scale  # arcs shorter than one ulp of the longest are flat
-        w = (d * d + mu * mu) ** (0.5 * (p - 2.0))
+        # mu^2 floored at the smallest normal float: where it underflows (an
+        # arc scale below about 1e-138, which solve_dirichlet scales away
+        # unless the clamps mix such scales with normal ones), a flat arc's
+        # weight would be 0 to a negative power at p < 2
+        w = (d * d + max(mu * mu, _TINY)) ** (0.5 * (p - 2.0))
         # 1e-14 of the longest arc's weight keeps the system regular where
         # flat arcs carry no weight (p > 2)
         shift = 1e-14 * scale ** (p - 2.0)
@@ -390,6 +443,100 @@ class _NewtonStep:
                 return alpha
             alpha *= 0.5
         return 0.0
+
+
+class _ForestSweep:
+    """Gaussian elimination on a Laplacian whose free vertices form a forest.
+
+    A free vertex is linked to its free neighbours only; where each has at
+    most one of them one level closer to the identity (its parent) and none
+    on its own level, those links form a forest, and elimination leaves
+    first makes no fill (Parter, SIAM Review 3, 1961). The sweep eliminates
+    one level at a time, deepest first: each vertex's pivot and right-hand
+    side go onto its parent's, added per parent with ``np.add.reduceat``.
+    Back-substitution then runs from the roots down. Both passes cost one
+    round of numpy calls per level that holds a vertex with a parent, so a
+    forest of n free vertices on L levels takes the sweep only where
+    2^L <= n: every tree of branching 2 or more does, no path does (see
+    "Factorization:" above).
+
+    The vertices are kept in ``order``: by level, then roots before the
+    vertices with a parent, these grouped by parent. Round k spans the
+    positions [a, b) of one level's vertices with a parent; ``starts``
+    opens each run of siblings, ``heads`` is the position of each run's
+    parent and ``up`` that of each vertex's parent."""
+
+    def __init__(self, parent: np.ndarray, level: np.ndarray, uplink: np.ndarray):
+        self.order = np.lexsort((parent, level))
+        position = np.empty_like(self.order)
+        position[self.order] = np.arange(self.order.size)
+        # the slots (flat, into the weights) that lead to a parent, and the
+        # position of the vertex each leads from
+        self.link_slots = np.flatnonzero(uplink)
+        self.link_at = position[self.link_slots // uplink.shape[1]]
+        parent, level = parent[self.order], level[self.order]
+        kids = np.flatnonzero(parent >= 0)
+        up = position[parent[kids]]
+        new_run = np.ones(kids.size, dtype=bool)
+        new_run[1:] = up[1:] != up[:-1]
+        self.rounds = []
+        spans = np.split(np.arange(kids.size), np.flatnonzero(np.diff(level[kids])) + 1) if kids.size else []
+        for span in spans:
+            starts = np.flatnonzero(new_run[span])
+            self.rounds.append((int(kids[span[0]]), int(kids[span[-1]]) + 1, starts, up[span][starts], up[span]))
+
+    @classmethod
+    def of(
+        cls, depth: np.ndarray, free: np.ndarray, nbrs: np.ndarray, nbr_local: np.ndarray
+    ) -> Optional["_ForestSweep"]:
+        """The sweep of the free vertices of a ball with vertex depths
+        ``depth``, given their neighbours and the position of each in
+        ``free`` (-1 at clamps); None unless they form a forest of at least
+        2^levels vertices, levels the count of their distinct depths."""
+        level = depth[free]
+        levels = int(np.count_nonzero(np.diff(level))) + 1  # ``free`` is in depth order
+        if 2**levels > level.size:
+            return None
+        nbr_level = depth[nbrs]
+        free_nbr = nbr_local >= 0
+        if (free_nbr & (nbr_level == level[:, None])).any():
+            return None
+        uplink = free_nbr & (nbr_level < level[:, None])
+        parent = np.full(level.size, -1, dtype=np.int64)
+        # one column at a time: row reductions over a few slots are slow
+        for up, nbr in zip(uplink.T, nbr_local.T):
+            if (up & (parent >= 0) & (parent != nbr)).any():
+                return None  # two free neighbours one level up
+            parent = np.where(up, nbr, parent)
+        return cls(parent, level, uplink)
+
+    def solve(self, w: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
+        """Solve with the Laplacian of arc weights w (symmetric across each
+        edge) and diagonal shift, in the order of ``free``; all NaN if a
+        pivot is 0 or the solution is not finite."""
+        order = self.order
+        # row sums one column at a time: a reduction over a few slots is slow
+        diag = w[:, 0].copy()
+        for col in w.T[1:]:
+            diag += col
+        diag += shift
+        pivot = diag[order]
+        link = np.bincount(self.link_at, weights=np.take(w, self.link_slots), minlength=order.size)
+        y = rhs[order]
+        # a zero pivot ends in a non-finite solution, checked below
+        with np.errstate(all="ignore"):
+            for a, b, starts, heads, _ in reversed(self.rounds):
+                g = link[a:b] / pivot[a:b]
+                pivot[heads] -= np.add.reduceat(g * link[a:b], starts)
+                y[heads] += np.add.reduceat(g * y[a:b], starts)
+            x = y / pivot
+            for a, b, _, _, up in self.rounds:
+                x[a:b] = (y[a:b] + link[a:b] * x[up]) / pivot[a:b]
+        if not np.isfinite(x).all():
+            return np.full(x.size, np.nan)
+        out = np.empty_like(x)
+        out[order] = x
+        return out
 
 
 def _jacobi_cg(matrix: sp.csc_matrix, b: np.ndarray) -> Optional[np.ndarray]:
@@ -460,10 +607,21 @@ def solve_dirichlet(
     stop test at the target is returned as it is, after 0 iterations.
 
     Each Newton step solves one linear system (two where the IRLS weights
-    of p < 2 apply). The first system of the problem is factored, and its
-    fill sends the later ones to Jacobi-preconditioned CG or to the factor,
-    with the factor taking over for good from the first CG solve that
-    fails (see "Factorization:" in the module docstring).
+    of p < 2 apply). Where the free vertices form a wide enough forest (the
+    trees), every system goes to one leaf-to-root elimination sweep, and
+    nothing is factored. Otherwise the first system of the problem is
+    factored, and its fill sends the later ones to Jacobi-preconditioned CG
+    or to the factor, with the factor taking over for good from the first
+    CG solve that fails (see "Factorization:" in the module docstring).
+
+    Clamps whose largest magnitude is below TINY_CLAMPS are solved scaled up
+    by a power of 2 to a largest magnitude in [1/2, 1), with the stop tests
+    read on the unscaled corrections, and the field is scaled back: the
+    minimizer is homogeneous in the clamps, and the scaling is exact, so
+    such a solve takes the same steps as that of its scaled copy with a
+    tolerance scaled alike. Clamps in the normal range are not touched;
+    where they mix arcs below about 1e-138 with normal ones, the square of
+    such an arc's regularizer mu is floored at the smallest normal float.
 
     The solve converges when the sup of the Newton correction at the target
     exponent is at most ``config.tolerance``; that last correction is added
@@ -483,6 +641,16 @@ def solve_dirichlet(
     free = problem.free
     tol = config.tolerance
     newton = problem._system
+    lo, hi = problem.clamped_range()
+    # the minimizer is homogeneous in the clamps: tiny ones are scaled by a
+    # power of 2 (exactly) to a largest magnitude in [1/2, 1), and back
+    size = max(-lo, hi)
+    exponent = -int(np.frexp(size)[1]) if 0.0 < size < TINY_CLAMPS else 0
+
+    def within(step: np.ndarray, limit: float) -> bool:
+        """Whether the unscaled sup of step is at most limit."""
+        return bool(np.ldexp(np.max(np.abs(step)), -exponent) <= limit)
+
     # the exponents after 2 that Newton visits
     stages = [] if p == 2.0 else [q for q in P_STAGES_UP if q < p] + [p]
     if initial is None:
@@ -495,10 +663,13 @@ def solve_dirichlet(
         if init.shape != u.shape:
             raise ValueError(f"initial values must have shape {u.shape}")
         u[free] = init[free]
+    if exponent:
+        u = np.ldexp(u, exponent)
+    if initial is not None:
         # a start that already passes the stop test is returned as it is; not
         # at p < 2, where exactly flat arcs make the system stiff enough for
         # a small correction far from the minimizer
-        if p > 2.0 and np.max(np.abs(newton.correction(u, p))) <= tol:
+        if p > 2.0 and within(newton.correction(u, p), tol):
             stages = []
         else:
             stages = [2.0] + stages
@@ -508,7 +679,7 @@ def solve_dirichlet(
     for q in stages:
         stage_tol = tol if q == p else max(tol, STAGE_TOL)
         step = newton.correction(u, q)
-        while not np.max(np.abs(step)) <= stage_tol:  # a NaN correction goes to the line search and fails there
+        while not within(step, stage_tol):  # a NaN correction goes to the line search and fails there
             alpha = newton.line_search(u, step, q) if steps < config.max_sweeps else 0.0
             if alpha == 0.0:
                 converged = False
@@ -521,7 +692,8 @@ def solve_dirichlet(
     if converged and stages:
         u[free] += step  # the last correction, already within tolerance, taken as it stands
 
-    lo, hi = problem.clamped_range()
+    if exponent:
+        u = np.ldexp(u, -exponent)
     u[free] = np.clip(u[free], lo, hi)
     d = u[newton.nbrs] - u[free, None]
     report = SolveReport(

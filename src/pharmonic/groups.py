@@ -891,7 +891,9 @@ class CayleyBall:
         """Adjacency rows for every vertex, sphere included; -1 marks a
         neighbor that falls outside the ball. The pass recorded the rows of
         the vertices it expanded; those of a sphere the pass did not expand
-        are looked up in the key index of ``locate``."""
+        are looked up in the key index of ``locate`` if it is built, and
+        otherwise in an index of the last two levels, where every neighbor
+        of the sphere inside the ball lies."""
         if self._full_adj is None:
             n = len(self)
             known = len(self._rows)
@@ -900,7 +902,11 @@ class CayleyBall:
             if known < n:
                 # one step out of the sphere stays inside the pass's key layout
                 nbr_keys = self._layout.keys(self.model._neighbor_codes(self._codes[known:]))
-                full[known:] = self._find(nbr_keys).reshape(-1, self.model.degree)
+                index = self._sorted
+                if index is None:
+                    start = int(np.searchsorted(self.depth, self.radius - 1))
+                    index = _sorted_level(self._codes[start:], start, self._layout)
+                full[known:] = _locate(nbr_keys, index).reshape(-1, self.model.degree)
             full[full >= n] = -1
             self._full_adj = full
         return self._full_adj

@@ -238,10 +238,16 @@ def test_uniqueness_across_inits(family, params, p):
 # ---------------------------------------------------------------------------
 # one fill-reducing order per problem
 
+F2_AB = {"family": "free", "params": {"k": 2, "extra_generators": [["a", "b"]]}}
+Z2_3_S1S2 = {"family": "free_product_z2", "params": {"m": 3, "extra_generators": [["s1", "s2"]]}}
+LAMP_TA = {"family": "lamplighter", "params": {"extra_generators": [["t", "a"]]}}
+
+# the four families on balls that are no forest, so that every system is
+# factored: the trees with one extra generator each
 FOUR_FAMILIES = [
-    ({"family": "free", "params": {"k": 2}}, 5),
+    (F2_AB, 5),
     ({"family": "free_abelian", "params": {"d": 2}}, 8),
-    ({"family": "free_product_z2", "params": {"m": 3}}, 6),
+    (Z2_3_S1S2, 6),
     ({"family": "lamplighter", "params": {}}, 5),
 ]
 
@@ -317,8 +323,8 @@ def test_one_minimum_degree_ordering_per_problem(monkeypatch):
 @pytest.mark.parametrize(
     "spec,radius,sparse",
     [
-        ({"family": "free", "params": {"k": 2}}, 8, True),
-        ({"family": "free_product_z2", "params": {"m": 3}}, 9, True),
+        (Z2_3_S1S2, 8, True),
+        (LAMP_TA, 9, True),
         ({"family": "lamplighter", "params": {}}, 9, True),
         ({"family": "free_abelian", "params": {"d": 2}}, 30, True),
         ({"family": "free_abelian", "params": {"d": 3}}, 14, True),
@@ -326,7 +332,7 @@ def test_one_minimum_degree_ordering_per_problem(monkeypatch):
     ],
 )
 def test_fill_density_chooses_the_panels(spec, radius, sparse):
-    """Factors of 4 to 103 nonzeros per free vertex take narrow panels and
+    """Factors of 5 to 103 nonzeros per free vertex take narrow panels and
     little relaxation; Z^3 R=20 (185 per free vertex) keeps the defaults."""
     problem = zero_sphere_problem(spec, radius)
     linear_dirichlet(problem)
@@ -339,9 +345,9 @@ Z3 = {"family": "free_abelian", "params": {"d": 3}}
 @pytest.mark.parametrize(
     "spec,radius,cg",
     [
-        ({"family": "free", "params": {"k": 2}}, 8, False),
-        ({"family": "free", "params": {"k": 2, "extra_generators": [["a", "b"]]}}, 7, False),
-        ({"family": "free_product_z2", "params": {"m": 3}}, 9, False),
+        (Z2_3_S1S2, 8, False),
+        (F2_AB, 7, False),
+        (LAMP_TA, 9, False),
         ({"family": "lamplighter", "params": {}}, 9, False),
         ({"family": "lamplighter", "params": {"extra_generators": [["t", "a", "t"]]}}, 7, False),
         ({"family": "free_abelian", "params": {"d": 2}}, 30, False),
@@ -354,7 +360,7 @@ Z3 = {"family": "free_abelian", "params": {"d": 3}}
 )
 def test_fill_density_chooses_the_route(spec, radius, cg):
     """Factors of at most CG_FILL nonzeros per free vertex keep factoring:
-    the trees, the lamplighter and extended sets (4 to 7), Z^2 up to the
+    the lamplighter and the extended sets (5 to 7), Z^2 up to the
     vertex budget (64 at R = 300) and Z^3 R=12 (65). Z^3 R=14 (103), Z^3
     R=20 (185) and Z^4 R=8 (124) go to CG."""
     problem = zero_sphere_problem(spec, radius)
@@ -489,7 +495,170 @@ def test_reordered_factorization_matches_a_fresh_one(spec, radius):
         assert np.max(np.abs(matrix @ x - rhs)) <= 1e-12 * norm * np.max(np.abs(x))
 
 
-@pytest.mark.parametrize("spec,radius", FOUR_FAMILIES)
+# ---------------------------------------------------------------------------
+# forests: one elimination sweep, no factor
+
+F2 = {"family": "free", "params": {"k": 2}}
+Z2_3 = {"family": "free_product_z2", "params": {"m": 3}}
+# F_2 with a doubled generator: a tree whose edges to a-neighbours are double
+F2_A = {"family": "free", "params": {"k": 2, "extra_generators": [["a"]]}}
+
+
+def annulus_problem(spec, radius, inner_radius, p):
+    """The capacity problem: the closed inner ball clamped to 1, the sphere to
+    0. On a tree its free vertices form a forest with one root per vertex
+    of the first free level."""
+    ball = family_ball(spec, radius)
+    clamped = np.where(ball.depth <= inner_radius, 1.0, np.nan)
+    clamped[ball.n_interior :] = 0.0
+    return DirichletProblem(ball, clamped, p)
+
+
+@pytest.mark.parametrize(
+    "spec,radius,forest",
+    [
+        (F2, 8, True),
+        (Z2_3, 9, True),
+        (Z2_3, 12, True),
+        ({"family": "free", "params": {"k": 3}}, 6, True),
+        ({"family": "free_product_z2", "params": {"m": 4}}, 8, True),
+        (F2_A, 4, True),
+        # paths: 2R - 1 free vertices on R levels, fewer than 2^R
+        ({"family": "free", "params": {"k": 1}}, 2, False),
+        ({"family": "free", "params": {"k": 1}}, 4, False),
+        ({"family": "free", "params": {"k": 1}}, 300, False),
+        ({"family": "free_abelian", "params": {"d": 1}}, 2000, False),
+        ({"family": "free_product_z2", "params": {"m": 2}}, 300, False),
+        # cycles: two free neighbours one level up, or one on the same level
+        (F2_AB, 5, False),
+        (Z2_3_S1S2, 6, False),
+        ({"family": "free_abelian", "params": {"d": 2}}, 8, False),
+        ({"family": "lamplighter", "params": {}}, 5, False),
+    ],
+)
+def test_forest_route_per_family(spec, radius, forest):
+    """The trees take the sweep: no CSC pattern, no order, no CG. The
+    paths, and every ball with a cycle among its free vertices, keep the
+    factor."""
+    problem = zero_sphere_problem(spec, radius)
+    linear_dirichlet(problem)
+    system = problem._system
+    assert (system.forest is not None) is forest
+    assert (system.matrix is None) is forest
+    assert (system.order is None) is forest
+    assert not system.cg
+
+
+def test_capacity_annulus_is_a_forest_of_many_roots():
+    """With the ball of radius 2 clamped, the 36 vertices of the sphere of
+    radius 3 are roots; the sweep runs over the two levels below them."""
+    problem = annulus_problem(F2, 6, 2, 2.0)
+    forest = problem._system.forest
+    assert forest is not None and len(forest.rounds) == 2
+    assert problem.free.size - forest.link_slots.size == 36
+
+
+FORESTS = [
+    lambda: zero_sphere_problem(F2, 5),
+    lambda: zero_sphere_problem(Z2_3, 6),
+    lambda: zero_sphere_problem(F2_A, 4),
+    lambda: annulus_problem(F2, 6, 2, 2.0),
+]
+
+
+@pytest.mark.parametrize("make", FORESTS)
+def test_forest_sweep_matches_a_fresh_factor(make):
+    """The sweep against a fresh minimum degree factor of the same Laplacian,
+    under weights over twelve decades, normwise as for the factor route:
+    |A (x - y)| <= 1e-12 |A| |y|, and the residual of x likewise."""
+    problem = make()
+    system = problem._system
+    rng = np.random.default_rng(28)
+    for call in range(4):
+        w = edge_weights(problem, rng)
+        shift = 0.0 if call % 2 else 1e-14 * float(w.max())
+        rhs = rng.standard_normal(system.n_free)
+        x = system.solve(w, shift, rhs)
+        matrix, y = fresh_factor_solve(problem, w, shift, rhs)
+        norm = float(abs(matrix).sum(axis=1).max())
+        assert np.max(np.abs(matrix @ (x - y))) <= 1e-12 * norm * np.max(np.abs(y))
+        assert np.max(np.abs(matrix @ x - rhs)) <= 1e-12 * norm * np.max(np.abs(x))
+    assert system.order is None
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
+@pytest.mark.parametrize("spec,radius", [(F2, 6), (Z2_3, 8)])
+def test_forest_route_matches_the_factor(monkeypatch, spec, radius, p):
+    """Marked-style clamps on a tree: the sweep makes no SuperLU call and
+    takes the same Newton steps to the same verdict as the factor route
+    forced on, with energies within 1e-13."""
+    ball = family_ball(spec, radius)
+    calls = counted_splu(monkeypatch)
+    problem = DirichletProblem(ball, random_clamps(ball, 29), p)
+    _, rep = solve_dirichlet(problem)
+    assert problem._system.forest is not None and calls == []
+    monkeypatch.setattr(dirichlet._ForestSweep, "of", staticmethod(lambda *args: None))
+    factored = DirichletProblem(ball, random_clamps(ball, 29), p)
+    _, rep_factored = solve_dirichlet(factored)
+    assert factored._system.forest is None and len(calls) > rep_factored.iterations
+    assert rep.converged and (rep.iterations, rep.converged) == (rep_factored.iterations, rep_factored.converged)
+    assert rep.final_energy == pytest.approx(rep_factored.final_energy, rel=1e-13)
+
+
+def test_forest_zero_pivot_gives_nan_without_warnings():
+    problem = zero_sphere_problem(F2, 4)
+    system = problem._system
+    rhs = np.ones(system.n_free)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isnan(system.solve(np.zeros(system.nbrs.shape), 0.0, rhs)))
+    assert np.all(np.isfinite(system.solve(np.ones(system.nbrs.shape), 0.0, rhs)))
+
+
+@pytest.mark.parametrize("spec,radius", [(Z3, 14), (F2, 6)])
+@pytest.mark.parametrize("tolerance", [1e-8, 1e-310])
+def test_tiny_clamps_solve_as_their_scaled_copy(spec, radius, tolerance):
+    """Sphere clamps of size 1e-300 at p = 1.5, on the CG route and on the
+    sweep: the solve converges without a warning, and equals the solve of
+    the same clamps scaled by 2^k to a largest size in [1/2, 1), with the
+    tolerance scaled alike where it stays below 1, scaled back."""
+    ball = family_ball(spec, radius)
+    clamps = np.full(len(ball), np.nan)
+    clamps[ball.n_interior :] = np.random.default_rng(30).uniform(-1, 1, ball.n_boundary) * 1e-300
+    problem = DirichletProblem(ball, clamps, 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, rep = solve_dirichlet(problem, SolverConfig(tolerance=tolerance))
+    assert rep.converged
+    assert (problem._system.cg, problem._system.forest is not None) == ((True, False) if spec is Z3 else (False, True))
+    k = -int(np.frexp(np.nanmax(np.abs(clamps)))[1])
+    if tolerance * 2.0**k < 1.0:
+        assert rep.iterations > 0
+        scaled, rep_scaled = solve_dirichlet(
+            DirichletProblem(ball, np.ldexp(clamps, k), 1.5), SolverConfig(tolerance=tolerance * 2.0**k)
+        )
+        assert rep_scaled.iterations == rep.iterations
+        assert np.array_equal(np.ldexp(u.values, k), scaled.values)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
+def test_tiny_arcs_among_normal_clamps_solve_without_warnings(f2_model, p):
+    """Clamps that mix 1e-300 with 1 are not scaled: the identity, the one
+    free vertex, sees arcs of 0 and 1e-300, whose mu^2 underflows. The
+    floored regularizer keeps the weights finite; by symmetry the value
+    there is 5e-301."""
+    ball = f2_model.ball(3)
+    clamps = np.ones(len(ball))
+    clamps[0] = np.nan
+    clamps[1:5] = [0.0, 1e-300, 0.0, 1e-300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, rep = solve_dirichlet(DirichletProblem(ball, clamps, p))
+    assert rep.converged
+    assert u.values[0] == pytest.approx(5e-301, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec,radius", FOUR_FAMILIES + [(F2, 5), (Z2_3, 6)])
 def test_linear_dirichlet_matches_spsolve(spec, radius):
     ball = family_ball(spec, radius)
     problem = DirichletProblem(ball, random_clamps(ball, 19), 2.0)

@@ -173,3 +173,22 @@ def test_bounds_check_in_the_rows_dtype_matches_int64_comparisons(spec, extra, s
             assert want.any() and not want.all()
             assert np.array_equal(layout.inside(wide), want)
             assert np.array_equal(ball.locate(rows), reference_locate(ball, rows))
+
+
+@pytest.mark.parametrize("spec, extra, stock_radii, extended_radii", KEY_SETS)
+def test_sphere_rows_of_a_fresh_ball_need_no_whole_ball_index(spec, extra, stock_radii, extended_radii):
+    """``full_adj`` on a ball straight from its pass, before any ``locate``,
+    finds the sphere's neighbours in an index of the last two levels: the
+    rows equal the whole-ball reference, and no whole-ball index is built.
+    Every prefix view has the rows of a fresh ball of its radius."""
+    extended = {"family": spec["family"], "params": {**spec["params"], "extra_generators": extra}}
+    for group, radii in ((spec, stock_radii), (extended, extended_radii)):
+        for radius, _ in radii:
+            ball = build_group(group).ball(radius)
+            degree = ball.model.degree
+            want = reference_locate(ball, ball.model._neighbor_codes(ball.codes)).reshape(-1, degree)
+            assert np.array_equal(ball.full_adj(), want)
+            assert ball._sorted is None
+            for r in sorted({1, radius // 2, radius - 1} - {0}):
+                fresh = build_group(group).ball(r)
+                assert np.array_equal(ball.prefix(r).full_adj(), fresh.full_adj())
