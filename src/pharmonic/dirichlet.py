@@ -7,7 +7,7 @@ values, since every free component touches a clamp) and satisfies the
 discrete maximum principle: solution values stay inside the clamped range.
 
 Solver: damped Newton on the free values, from the p = 2 field (a linear
-problem, solved directly) to the target exponent. Continuation in p runs
+problem) to the target exponent. Continuation in p runs
 above 2 only (homotopy in p, as in Adil, Peng & Sachdeva, NeurIPS 2019):
 Newton runs at each exponent of P_STAGES_UP below the target, each stage
 starting from the field of the one before, which on Z^2 R=24 at p = 8
@@ -23,54 +23,82 @@ IRLS weight instead (see _NewtonStep.correction). The step is damped by
 backtracking on the energy.
 
 Factorization: every linear system of a problem, the p = 2 one included,
-has the same sparsity pattern and goes through _NewtonStep.solve. Where
-each free vertex has at most one free neighbour one level closer to the
-identity and none on its own level, the free vertices form a forest (the
-trees F_k and Z2^{*m}, and their capacity annuli), whose Laplacian
-eliminated leaves first makes no fill (Parter, SIAM Review 3, 1961). Every
-system of such a problem, the p = 2 start and the IRLS re-solve included,
-goes to one vectorised elimination sweep (_ForestSweep): no pattern, no
-ordering, no SuperLU. The sweep costs a round of numpy calls per level,
-so it is taken only where the free vertices number at least 2^levels,
-levels the count of their distinct depths: every tree of branching 2 or
-more, and no path. That test comes first and costs two numpy calls, so
-the paths, and with the sphere clamped Z^2 from R = 6, Z^3 from R = 11
-and the lamplighter from R = 9 on, skip the forest test itself. On a
-2-core x86 machine one system took 0.13 to 0.22 of the factor's time on
-F_2 R=8 and R=10, F_3 R=6, Z2^{*4} R=8 and Z2*Z2*Z2 R=12, 0.54 to 0.95
-on Z2*Z2*Z2 R=4 to 9, and 15 to 18 times as long on the paths F_1
-R=300, Z R=2000 and Z2*Z2 R=300 (CHANGES.md has the sweep).
+has the same sparsity pattern and goes through _NewtonStep.solve, on a
+route fixed when the problem is built. Where each free vertex has at most
+one free neighbour one level closer to the identity and none on its own
+level, the free vertices form a forest (the trees F_k and Z2^{*m}, and
+their capacity annuli), whose Laplacian eliminated leaves first makes no
+fill (Parter, SIAM Review 3, 1961). Every system of such a problem, the
+p = 2 start and the IRLS re-solve included, goes to one vectorised
+elimination sweep (_ForestSweep): no pattern, no ordering, no SuperLU.
+The sweep costs a round of numpy calls per level, so it is taken only
+where the free vertices number at least 2^levels, levels the count of
+their distinct depths: every tree of branching 2 or more, and no path.
+That test comes first and costs two numpy calls, so the paths, and with
+the sphere clamped Z^2 from R = 6, Z^3 from R = 11 and the lamplighter
+from R = 9 on, skip the forest test itself. On a 2-core x86 machine one
+system took 0.13 to 0.22 of the factor's time on F_2 R=8 and R=10, F_3
+R=6, Z2^{*4} R=8 and Z2*Z2*Z2 R=12, 0.54 to 0.95 on Z2*Z2*Z2 R=4 to 9,
+and 15 to 18 times as long on the paths F_1 R=300, Z R=2000 and Z2*Z2
+R=300 (CHANGES.md has the sweep).
 
-Every other problem is factored. Its first factorization, by symmetric
-SuperLU, computes a minimum degree order of the pattern; the pattern is
-renumbered into that order once, and every later factorization of the
-problem reuses it. The first factor's fill, its nonzeros per free vertex,
-then sets two things once per problem: the route of the later systems (CG
-or the factor, below), and SuperLU's panel width and supernode relaxation
-(Demmel et al., SIAM J. Matrix Anal. Appl. 20, 1999) for any later
-factorization. The first keeps SuperLU's defaults, which suit dense fill.
-A factor with at most SPARSE_FILL nonzeros per free vertex (the extended
-sets, the lamplighter, Z^2, Z^3 up to R = 18) has sparse fill, and the
-later factorizations of its problem take panels of SPARSE_FILL_PANEL
-columns and a relaxation of SPARSE_FILL_RELAX. On a 2-core x86 machine
-that took 0.42 of the default time on F_2 R=8 (4.4 nonzeros per free
-vertex, before the trees took the sweep), 0.68 on Z^2 R=30 (25), 0.77 on
-Z^3 R=14 (103) and 0.94 on Z^3 R=18 (149), but 1.0 on Z^3 R=19 (172) and
-R=20 (185) and 1.1 on Z^3 R=26 (328), where the defaults stay.
+A problem on a group of polynomial growth of degree 3 or more (Z^3 and
+Z^4, under any generating set: ``GroupModel.growth_degree``, a
+rough-isometry invariant) with at least CG_FREE free vertices takes the
+CG route. A minimum degree factor of such a lattice holds a growing power
+of n nonzeros per free vertex (nested dissection gives n^(1/3) on Z^3,
+against log n on Z^2; Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16,
+1979), while Jacobi-preconditioned CG takes iterations in proportion to
+the radius (77, 109 and 163 on the p = 2 system of Z^3 R=14, 20, 30).
+Every system of the problem, the p = 2 start and the IRLS re-solve of p <
+2 included, goes to conjugate gradients preconditioned with the diagonal
+(Jacobi), on the pattern in the order of ``free``, from 0: no ordering
+and no factor. CG stops once the residual is at most CG_RTOL of the
+right-hand side (2-norms). CG_FREE keeps the routes that the fill of a
+first factor chose before (CG above 80 nonzeros per free vertex): Z^3
+R=12 (2047 free vertices, 65 per free vertex) factors, Z^3 from R = 13
+(2625) and Z^4 R=8 (2241, 124) take CG. With every system forced onto CG,
+marked solves on a 2-core x86 machine took 0.55 of the factor's time on
+Z^3 R=12 at p = 1.5 and 0.36 on Z^4 R=7, but 1.23 on Z^3 R=8 at p = 1.5,
+and 1.22 and 1.07 on Z^3 R=12 and 13 at p = 1.2, where Jacobi stalls. The
+growth degree comes from the model, not from the ball: the level sizes of
+a ball this small read a degree of 4.7 on the lamplighter R=12 and 5.5 on
+Z2*Z2*Z2 + [s1 s2] R=8, both of exponential growth and both above
+CG_FREE.
 
-Above CG_FILL (Z^3 from R = 13 on, Z^4 R=8) every later system, the IRLS
-re-solve of p < 2 included, goes to conjugate gradients preconditioned
-with the diagonal (Jacobi), on the same pattern, from 0. CG stops once the
-residual is at most CG_RTOL of the right-hand side (2-norms). A CG solve
-that takes more than CG_MAXITER iterations, or meets a non-finite value or
-a diagonal entry below the smallest normal float, is thrown away: that
-system is factored, with the panels chosen above, and so is every later
-system of the problem. Jacobi can stall on the weights of marked clamps
-at p <= 1.2 (Z^3 R=14 at 1.1 and 1.2, Z^4 R=8 at 1.1), and there that
-fallback takes over. Z^2 stays below CG_FILL up to the vertex budget (64
-at R = 300), and there the factor is faster: with marked clamps CG took
-1.25 to 3.6 times as long on Z^2 R=30 to 300 at p = 1.5 and 3, against
-0.45 to 0.53 on Z^3 R=14 (CHANGES.md has the sweep).
+A CG solve is thrown away, that system is factored, and so is every later
+system of the problem, if it meets a non-finite value or a diagonal entry
+below the smallest normal float, or takes more than CG_MAXITER
+iterations, or more than CG_STALL times the iterations of the problem's
+first CG solve (the p = 2 system). Jacobi stalls on the weights of marked
+clamps at p <= 1.2: on Z^3 R=14 and Z^4 R=8 the p = 2 system takes 77 and
+41 iterations, and the systems at p = 1.5, 3 and 8 at most 1.94 and 1.71
+times as many (2.07 on Z^3 R=30 at p = 1.5, 4.1 on Z^3 R=14 with random
+clamps at p = 1.5), while at p = 1.1 the count passes 8 times the first
+at the 6th and 12th CG solve. There the cap took 0.90 to 0.97 and 0.80
+to 0.91 of the time the fallback at CG_MAXITER alone took.
+
+Every other problem is factored, and so is a CG-route problem once CG has
+failed. The first factorization, by symmetric SuperLU, computes a minimum
+degree order of the pattern; the pattern is renumbered into that order
+once, and every later factorization of the problem reuses it. The first
+factor's fill, its nonzeros per free vertex, sets SuperLU's panel width
+and supernode relaxation (Demmel et al., SIAM J. Matrix Anal. Appl. 20,
+1999) for the later factorizations. The first keeps SuperLU's defaults,
+which suit dense fill. A factor with at most SPARSE_FILL nonzeros per
+free vertex (the lamplighter, Z^2, the extended sets with one extra
+generator, Z^3 up to R = 18) has sparse fill, and the later
+factorizations of its problem take panels of SPARSE_FILL_PANEL columns
+and a relaxation of SPARSE_FILL_RELAX. On a 2-core x86 machine that took
+0.42 of the default time on F_2 R=8 (4.4 nonzeros per free vertex, before
+the trees took the sweep), 0.68 on Z^2 R=30 (25), 0.77 on Z^3 R=14 (103)
+and 0.94 on Z^3 R=18 (149), but 1.0 on Z^3 R=19 (172), 1.0 to 1.15 on
+R=20 (185), 1.1 on Z^3 R=26 (328), and 1.01 to 1.03 on extended sets with
+three extra generators (Z^2 R=141, Z^3 R=8 and Z^4 R=6, 156 to 301),
+where the defaults stay. Z^2 factors up to the vertex budget (64 nonzeros
+per free vertex at R = 300), and there the factor is faster: with marked
+clamps CG took 1.25 to 3.6 times as long on Z^2 R=30 to 300 at p = 1.5
+and 3, against 0.45 to 0.53 on Z^3 R=14 (CHANGES.md has the sweep).
 
 Stopping: the sup of the Newton correction is the one stop test. A stage
 before the target ends once it is at most max(tolerance, STAGE_TOL); the
@@ -110,13 +138,16 @@ STAGE_TOL = 1e-3  # correction that ends a stage before the target one
 SPARSE_FILL = 150
 SPARSE_FILL_RELAX = 8
 SPARSE_FILL_PANEL = 4
-# A problem whose first factor holds more than CG_FILL nonzeros per free
-# vertex solves every later system by Jacobi-preconditioned CG, to a residual
-# of CG_RTOL of the right-hand side within CG_MAXITER iterations, or else
-# goes back to factoring for good (see "Factorization:" above)
-CG_FILL = 80
+# A problem on a group of polynomial growth of degree 3 or more with at least
+# CG_FREE free vertices solves every system by Jacobi-preconditioned CG, to a
+# residual of CG_RTOL of the right-hand side within CG_MAXITER iterations, or
+# else goes to the factor for good (see "Factorization:" above)
+CG_FREE = 2200
 CG_RTOL = 1e-13
 CG_MAXITER = 1000
+# A CG solve after a problem's first one is thrown away past CG_STALL times
+# the iterations of the first, the p = 2 system (see "Factorization:" above)
+CG_STALL = 8
 ENERGY_ROUNDOFF = 1e-12  # relative energy change below float64 summation resolution
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
@@ -240,11 +271,13 @@ class DirichletProblem:
 
 
 def linear_dirichlet(problem: DirichletProblem) -> np.ndarray:
-    """Direct sparse solve of the p = 2 problem (also the default start): the
-    unit-weight Laplacian, clamped neighbor values summed in generator-slot
-    order on the right-hand side. It is the first factorization of the
-    problem's ``_NewtonStep``, which finds the fill-reducing order that the
-    Newton steps reuse."""
+    """Solve of the p = 2 problem (also the default start): the unit-weight
+    Laplacian, clamped neighbor values summed in generator-slot order on the
+    right-hand side. It is the first system of the problem's
+    ``_NewtonStep``, on that problem's route: the elimination sweep of a
+    forest, Jacobi-preconditioned CG (whose iterations here set the cap of
+    the later CG solves), or the first factorization, which finds the
+    fill-reducing order that the Newton steps reuse."""
     system = problem._system
     u = problem.clamped_values()  # zero at the free vertices
     nbr_vals = u[system.nbrs]
@@ -259,26 +292,33 @@ class _NewtonStep:
     """Newton corrections on the free values over a fixed sparsity pattern.
 
     The linearized system is the mu-regularized weighted Laplacian of the
-    free vertices. Where they form a forest of at least 2^levels vertices,
-    ``forest`` is its elimination sweep, which takes every system of the
-    problem; no CSC pattern is built for it (``matrix`` stays None until
-    ``laplacian`` is called), and ``order``, ``panels`` and ``cg`` keep
-    their starting values. Otherwise ``forest`` is None, and the CSC
-    pattern is built once; each solve refills ``.data``, summing entries
-    that share a (row, column) slot. The same assembly with unit weights is
-    the p = 2 system of ``linear_dirichlet``.
+    free vertices. The route of every system is fixed here, before anything
+    is solved. Where the free vertices form a forest of at least 2^levels
+    vertices, ``forest`` is its elimination sweep, which takes every system
+    of the problem; no CSC pattern is built for it (``matrix`` stays None
+    until ``laplacian`` is called), ``cg`` is False, and ``order`` and
+    ``panels`` keep their starting values. Otherwise ``forest`` is None,
+    and the CSC pattern is built once, in the order of ``free``; each solve
+    refills ``.data``, summing entries that share a (row, column) slot. The
+    same assembly with unit weights is the p = 2 system of
+    ``linear_dirichlet``.
+
+    ``cg`` is True on a group of growth degree 3 or more with at least
+    CG_FREE free vertices: every system goes to Jacobi-preconditioned CG on
+    the pattern as built, the p = 2 start included, with nothing factored.
+    The first CG solve that takes iterations sets ``cg_maxiter``, the cap of
+    the later ones. ``cg`` drops to False for good at the first CG solve
+    that fails, and that system goes to the factor.
 
     The first factorization orders the pattern by minimum degree on A^T + A
     (Liu, ACM TOMS 11, 1985). The pattern and the slot map are then
     renumbered into that order once, and every later factorization takes
     the pre-ordered matrix as it stands, so the ordering runs once per
     problem. The first factor's nonzeros per free vertex, ``SuperLU.nnz``
-    over ``n_free``, choose once the route of the later systems, ``cg``
-    above CG_FILL, and the SuperLU settings of any later factorization:
-    narrow panels and little supernode relaxation up to SPARSE_FILL,
-    SuperLU's defaults above it. ``cg`` drops to False for good at the
-    first CG solve that fails. Right-hand sides and solutions keep the
-    order of ``free``."""
+    over ``n_free``, choose the SuperLU settings of the later
+    factorizations: narrow panels and little supernode relaxation up to
+    SPARSE_FILL, SuperLU's defaults above it. Right-hand sides and
+    solutions keep the order of ``free``."""
 
     def __init__(self, problem: DirichletProblem):
         ball = problem.ball
@@ -289,9 +329,13 @@ class _NewtonStep:
         nbr_local = self._nbr_local()
         self.off_mask = nbr_local >= 0
         self.forest = _ForestSweep.of(ball.depth, self.free, self.nbrs, nbr_local)
+        degree = ball.model.growth_degree
+        # whether the next system goes to CG before SuperLU: fixed here, from
+        # the growth degree and size alone (see "Factorization:" above)
+        self.cg = self.forest is None and degree is not None and degree >= 3 and self.n_free >= CG_FREE
+        self.cg_maxiter: Optional[int] = None  # the cap of a CG solve, once the first has run
         self.order: Optional[np.ndarray] = None  # position of each free vertex in the factored matrix
         self.panels: Dict[str, int] = {}  # SuperLU settings of the NATURAL factorizations
-        self.cg = False  # whether the next system goes to CG before SuperLU
         self.slot: Optional[np.ndarray] = None
         self.matrix: Optional[sp.csc_matrix] = None
         if self.forest is None:
@@ -322,10 +366,10 @@ class _NewtonStep:
 
     def laplacian(self, w: np.ndarray, shift: float) -> sp.csc_matrix:
         """The Laplacian of arc weights w (one row per free vertex, one
-        column per generator slot), diagonal shifted by shift; after the
-        first factorization its rows and columns are in ``order``. A forest
-        problem builds the pattern here, on first use; its solves never
-        read it."""
+        column per generator slot), diagonal shifted by shift; in the order
+        of ``free`` until the first factorization, in ``order`` after it.
+        A forest problem builds the pattern here, on first use; its solves
+        never read it."""
         if self.matrix is None:
             self._assemble(self._nbr_local())
         entries = np.concatenate([w.sum(axis=1) + shift, -w[self.off_mask]])
@@ -337,28 +381,31 @@ class _NewtonStep:
         symmetric positive definite system for positive weights and shift
         (or unit weights and shift 0, the p = 2 system). A forest problem
         runs the elimination sweep on every call, all NaN where a pivot is 0
-        or the solution is not finite. Otherwise the first call
-        factors it without pivoting, orders it by minimum degree and
-        renumbers the pattern into that order. On the CG route a later call
-        runs Jacobi-preconditioned CG on the pre-ordered matrix; if CG
-        misses CG_RTOL within CG_MAXITER iterations or meets a non-finite
-        value, the route ends for good and the call factors the system like
-        any later call off the route: in its natural order, with the
-        problem's ``panels``. All NaN if the factorization meets a zero
-        pivot (weights that underflow to 0); MemoryError if SuperLU runs out
-        of memory."""
+        or the solution is not finite. On the CG route a call runs
+        Jacobi-preconditioned CG on the matrix in the order of ``free``; if
+        CG misses CG_RTOL within its cap or meets a non-finite value, the
+        route ends for good and the call factors the system. The first
+        factorization of a problem, on or off the CG route, factors without
+        pivoting, orders by minimum degree and renumbers the pattern into
+        that order; a later one factors the renumbered matrix in its
+        natural order, with the problem's ``panels``. All NaN if the
+        factorization meets a zero pivot (weights that underflow to 0);
+        MemoryError if SuperLU runs out of memory."""
         if self.forest is not None:
             return self.forest.solve(w, shift, rhs)
-        first = self.order is None
         matrix = self.laplacian(w, shift)
+        if self.cg:
+            solved = _jacobi_cg(matrix, rhs, self.cg_maxiter or CG_MAXITER)
+            if solved is not None:
+                x, iterations = solved
+                if self.cg_maxiter is None and iterations:
+                    self.cg_maxiter = min(CG_MAXITER, CG_STALL * iterations)
+                return x
+            self.cg = False
+        first = self.order is None
         if not first:
             b = np.empty(self.n_free)
             b[self.order] = rhs
-        if self.cg:
-            x = _jacobi_cg(matrix, b)
-            if x is not None:
-                return x[self.order]
-            self.cg = False
         ordering = {"permc_spec": "MMD_AT_PLUS_A"} if first else {"permc_spec": "NATURAL", **self.panels}
         try:
             lu = spla.splu(matrix, diag_pivot_thresh=0.0, options={"SymmetricMode": True}, **ordering)
@@ -376,11 +423,10 @@ class _NewtonStep:
 
     def _renumber(self, order: np.ndarray, factor_nnz: int) -> None:
         """Move free vertex k to position order[k] of the pattern, once, and
-        choose the route and the SuperLU settings of the later systems from
-        the first factor's ``factor_nnz`` nonzeros."""
+        choose the SuperLU settings of the later factorizations from the
+        first factor's ``factor_nnz`` nonzeros."""
         sparse_fill = factor_nnz <= SPARSE_FILL * self.n_free
         self.panels = {"relax": SPARSE_FILL_RELAX, "panel_size": SPARSE_FILL_PANEL} if sparse_fill else {}
-        self.cg = factor_nnz > CG_FILL * self.n_free
         order = order.astype(np.int64)
         m = self.matrix
         cols = np.repeat(np.arange(self.n_free, dtype=np.int64), np.diff(m.indptr))
@@ -539,12 +585,13 @@ class _ForestSweep:
         return out
 
 
-def _jacobi_cg(matrix: sp.csc_matrix, b: np.ndarray) -> Optional[np.ndarray]:
+def _jacobi_cg(matrix: sp.csc_matrix, b: np.ndarray, maxiter: int) -> Optional[Tuple[np.ndarray, int]]:
     """Solve the symmetric system by conjugate gradients preconditioned with
     its diagonal, from 0, until the residual is at most CG_RTOL of |b|
-    (2-norms). None if that takes more than CG_MAXITER iterations, if a
-    diagonal entry is below the smallest normal float, or if a curvature
-    d^T A d or a residual is not finite and positive."""
+    (2-norms); the solution and the iterations taken. None if that takes
+    more than ``maxiter`` iterations, if a diagonal entry is below the
+    smallest normal float, or if a curvature d^T A d or a residual is not
+    finite and positive."""
     # a symmetric CSC matrix read as CSR is itself, and CSR products are faster
     a = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
     diag = a.diagonal()
@@ -553,7 +600,7 @@ def _jacobi_cg(matrix: sp.csc_matrix, b: np.ndarray) -> Optional[np.ndarray]:
         return None
     x = np.zeros_like(b)
     if top == 0.0:
-        return x
+        return x, 0
     # b scaled by a power of 2 to a largest entry in [1/2, 1), so that no
     # residual norm underflows; the scaling is exact and undone at the end
     exponent = int(np.frexp(top)[1])
@@ -566,7 +613,7 @@ def _jacobi_cg(matrix: sp.csc_matrix, b: np.ndarray) -> Optional[np.ndarray]:
         z = inv_diag * r
         d = z.copy()
         rz = r @ z
-        for _ in range(CG_MAXITER):
+        for iteration in range(1, maxiter + 1):
             q = a @ d
             curvature = d @ q
             if not 0.0 < curvature < np.inf:
@@ -576,7 +623,7 @@ def _jacobi_cg(matrix: sp.csc_matrix, b: np.ndarray) -> Optional[np.ndarray]:
             r -= alpha * q
             rr = r @ r
             if rr <= stop:
-                return np.ldexp(x, exponent)
+                return np.ldexp(x, exponent), iteration
             if not rr < np.inf:
                 return None
             np.multiply(inv_diag, r, out=z)
@@ -609,10 +656,11 @@ def solve_dirichlet(
     Each Newton step solves one linear system (two where the IRLS weights
     of p < 2 apply). Where the free vertices form a wide enough forest (the
     trees), every system goes to one leaf-to-root elimination sweep, and
-    nothing is factored. Otherwise the first system of the problem is
-    factored, and its fill sends the later ones to Jacobi-preconditioned CG
-    or to the factor, with the factor taking over for good from the first
-    CG solve that fails (see "Factorization:" in the module docstring).
+    nothing is factored. On a group of growth degree 3 or more with at
+    least CG_FREE free vertices, every system goes to Jacobi-preconditioned
+    CG, with the factor taking over for good from the first CG solve that
+    fails. Every other problem factors every system (see "Factorization:"
+    in the module docstring).
 
     Clamps whose largest magnitude is below TINY_CLAMPS are solved scaled up
     by a power of 2 to a largest magnitude in [1/2, 1), with the stop tests

@@ -175,6 +175,10 @@ class GroupModel:
     name: str
     spec: GroupSpec
     gen_labels: Tuple[str, ...]
+    # the degree d of polynomial growth, |B_R| ~ R^d, or None for exponential
+    # growth; a rough-isometry invariant (Bass, Proc. LMS 25, 1972), so every
+    # generating set of the group shares it
+    growth_degree: Optional[int] = None
     _inv_label: Dict[str, str]
     _inv_letter: Dict[str, str]
     _words: Dict[str, Tuple[str, ...]]
@@ -372,7 +376,7 @@ class FreeAbelianModel(GroupModel):
     """Z^d with the letters x1, x1-, ..., xd, xd- and the l^1 word metric."""
 
     def __init__(self, d: int, extra_generators=None):
-        self.d = d
+        self.d = self.growth_degree = d
         inv_letter = {}
         # letter -> (coordinate, sign)
         self._moves = {}
@@ -512,6 +516,7 @@ class FreeGroupModel(_ReducedWordModel):
 
     def __init__(self, k: int, extra_generators=None):
         self.k = k
+        self.growth_degree = 1 if k == 1 else None  # F_1 is Z
         letters = []
         for code, a in enumerate(_FREE_LETTERS[:k], start=1):
             letters += [(a, code, a + "-"), (a + "-", -code, a)]
@@ -523,6 +528,7 @@ class FreeProductZ2Model(_ReducedWordModel):
 
     def __init__(self, m: int, extra_generators=None):
         self.m = m
+        self.growth_degree = 1 if m == 2 else None  # Z2*Z2 is the infinite dihedral group
         letters = [(f"s{i}", i, f"s{i}") for i in range(1, m + 1)]
         super().__init__("*".join(["Z2"] * m), GroupSpec("free_product_z2", {"m": m}), letters, extra_generators)
 

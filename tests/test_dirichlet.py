@@ -331,15 +331,22 @@ def test_one_minimum_degree_ordering_per_problem(monkeypatch):
         ({"family": "free_abelian", "params": {"d": 3}}, 20, False),
     ],
 )
-def test_fill_density_chooses_the_panels(spec, radius, sparse):
+def test_fill_density_chooses_the_panels(monkeypatch, spec, radius, sparse):
     """Factors of 5 to 103 nonzeros per free vertex take narrow panels and
-    little relaxation; Z^3 R=20 (185 per free vertex) keeps the defaults."""
+    little relaxation; Z^3 R=20 (185 per free vertex) keeps the defaults.
+    Z^3 R=14 and R=20 are on the CG route, so their first factor is the one
+    after a CG solve fails, forced here on the p = 2 start."""
+    monkeypatch.setattr(dirichlet, "_jacobi_cg", lambda *args: None)
+    calls = counted_splu(monkeypatch)
     problem = zero_sphere_problem(spec, radius)
     linear_dirichlet(problem)
+    assert [call["permc_spec"] for call in calls] == ["MMD_AT_PLUS_A"]
+    assert not problem._system.cg
     assert problem._system.panels == (SPARSE_PANELS if sparse else {})
 
 
 Z3 = {"family": "free_abelian", "params": {"d": 3}}
+Z4 = {"family": "free_abelian", "params": {"d": 4}}
 
 
 @pytest.mark.parametrize(
@@ -355,31 +362,34 @@ Z3 = {"family": "free_abelian", "params": {"d": 3}}
         (Z3, 12, False),
         (Z3, 14, True),
         (Z3, 20, True),
-        ({"family": "free_abelian", "params": {"d": 4}}, 8, True),
+        (Z4, 8, True),
     ],
 )
 def test_fill_density_chooses_the_route(spec, radius, cg):
-    """Factors of at most CG_FILL nonzeros per free vertex keep factoring:
-    the lamplighter and the extended sets (5 to 7), Z^2 up to the
-    vertex budget (64 at R = 300) and Z^3 R=12 (65). Z^3 R=14 (103), Z^3
-    R=20 (185) and Z^4 R=8 (124) go to CG."""
+    """The route is fixed when the problem is built, before any solve, and
+    keeps the one the fill of a first factor chose: the lamplighter and the
+    extended sets (5 to 7 nonzeros per free vertex), Z^2 up to the vertex
+    budget (64 at R = 300) and Z^3 R=12 (65, 2047 free vertices) factor.
+    Z^3 R=14 (103), Z^3 R=20 (185) and Z^4 R=8 (124, 2241 free vertices),
+    of growth degree 3 and 4 with at least CG_FREE free vertices, go to CG."""
     problem = zero_sphere_problem(spec, radius)
-    linear_dirichlet(problem)
-    assert problem._system.cg is cg
+    system = problem._system
+    assert system.cg is cg
+    assert system.order is None and system.matrix is not None
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
 def test_cg_route_matches_the_factor(monkeypatch, p):
-    """On Z^3 R=14 every system after the p = 2 start goes to CG, which
-    takes the same Newton steps to the same verdict, and an energy within
-    1e-12 of the one the factors give once CG_FILL is above the fill."""
+    """On Z^3 R=14 every system, the p = 2 start included, goes to CG, with
+    no SuperLU call. CG takes the same Newton steps to the same verdict, and
+    an energy within 1e-12 of the one the factors give once every CG solve
+    fails."""
     ball = family_ball(Z3, 14)
     calls = counted_splu(monkeypatch)
     problem = DirichletProblem(ball, random_clamps(ball, 24), p)
     _, rep = solve_dirichlet(problem)
-    assert problem._system.cg and len(calls) == 1
-    monkeypatch.setattr(dirichlet, "CG_FILL", float("inf"))
-    calls.clear()
+    assert problem._system.cg and calls == []
+    monkeypatch.setattr(dirichlet, "_jacobi_cg", lambda *args: None)
     direct = DirichletProblem(ball, random_clamps(ball, 24), p)
     _, rep_direct = solve_dirichlet(direct)
     assert not direct._system.cg and len(calls) > rep_direct.iterations
@@ -399,7 +409,8 @@ def test_cg_that_misses_its_tolerance_hands_the_problem_to_the_factor(monkeypatc
     _, rep = solve_dirichlet(problem)
     assert rep.converged and not problem._system.cg
     assert len(calls) == 1 + rep.iterations + 1
-    monkeypatch.setattr(dirichlet, "CG_FILL", float("inf"))
+    assert calls[0]["permc_spec"] == "MMD_AT_PLUS_A"
+    monkeypatch.setattr(dirichlet, "_jacobi_cg", lambda *args: None)
     direct = DirichletProblem(ball, random_clamps(ball, 25), 3.0)
     _, rep_direct = solve_dirichlet(direct)
     assert (rep.iterations, rep.final_energy) == (rep_direct.iterations, rep_direct.final_energy)
@@ -407,15 +418,17 @@ def test_cg_that_misses_its_tolerance_hands_the_problem_to_the_factor(monkeypatc
 
 def test_the_fallback_to_the_factor_is_for_good(monkeypatch):
     """Once a CG solve fails, no later system of the problem tries CG: with
-    the third CG solve failing, two systems of the p = 3 solve go to CG and
-    all the others to SuperLU."""
+    the third CG solve failing, the p = 2 start and the first Newton system
+    of the p = 3 solve go to CG and all the others to SuperLU. The first
+    factor after the failure computes the minimum degree order, and the
+    later ones reuse it."""
     ball = family_ball(Z3, 14)
     attempts = []
     real_cg = dirichlet._jacobi_cg
 
-    def failing_third(matrix, b):
-        attempts.append(matrix.shape)
-        return None if len(attempts) == 3 else real_cg(matrix, b)
+    def failing_third(matrix, b, maxiter):
+        attempts.append(maxiter)
+        return None if len(attempts) == 3 else real_cg(matrix, b, maxiter)
 
     monkeypatch.setattr(dirichlet, "_jacobi_cg", failing_third)
     calls = counted_splu(monkeypatch)
@@ -425,6 +438,58 @@ def test_the_fallback_to_the_factor_is_for_good(monkeypatch):
     assert len(attempts) == 3
     # the p = 2 start and one system per correction, less the two CG solved
     assert len(calls) == 1 + rep.iterations + 1 - 2
+    assert [call["permc_spec"] for call in calls] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(calls) - 1)
+
+
+Z3_X1X2 = {"family": "free_abelian", "params": {"d": 3, "extra_generators": [["x1", "x2"]]}}
+
+
+@pytest.mark.parametrize("radius,cg", [(8, False), (10, False), (14, True), (20, True)])
+def test_an_extended_set_takes_the_route_of_its_group(radius, cg):
+    """Z^3 + [x1 x2] has the growth degree of Z^3, and away from CG_FREE the
+    same route at the same radius: Z^3 R=8 and R=10 (575 and 1159 free
+    vertices; 855 and 1729 extended) factor, R=14 and R=20 go to CG."""
+    stock = zero_sphere_problem(Z3, radius)
+    extended = zero_sphere_problem(Z3_X1X2, radius)
+    assert stock.ball.model.growth_degree == extended.ball.model.growth_degree == 3
+    assert stock._system.cg is extended._system.cg is cg
+
+
+def test_later_cg_solves_are_capped_at_a_multiple_of_the_first(monkeypatch):
+    """The p = 2 start runs under CG_MAXITER; every later CG solve of the
+    problem under CG_STALL times the iterations it took. At p = 1.5 the
+    Newton systems take up to about 4 times as many as the start (85) and
+    stay on CG. With CG_STALL = 1 the first Newton system misses its cap
+    and goes to the factor, as does every later one, to the same steps."""
+    ball = family_ball(Z3, 14)
+    seen = []
+    real_cg = dirichlet._jacobi_cg
+
+    def recording(matrix, b, maxiter):
+        solved = real_cg(matrix, b, maxiter)
+        seen.append((maxiter, None if solved is None else solved[1]))
+        return solved
+
+    monkeypatch.setattr(dirichlet, "_jacobi_cg", recording)
+    problem = DirichletProblem(ball, random_clamps(ball, 32), 1.5)
+    _, rep = solve_dirichlet(problem)
+    assert rep.converged and problem._system.cg
+    (first_cap, first), *later = seen
+    assert first_cap == dirichlet.CG_MAXITER and later
+    cap = min(dirichlet.CG_MAXITER, dirichlet.CG_STALL * first)
+    assert problem._system.cg_maxiter == cap
+    assert all(maxiter == cap and taken <= cap for maxiter, taken in later)
+
+    monkeypatch.setattr(dirichlet, "CG_STALL", 1)
+    seen.clear()
+    calls = counted_splu(monkeypatch)
+    stalled = DirichletProblem(ball, random_clamps(ball, 32), 1.5)
+    _, rep_stalled = solve_dirichlet(stalled)
+    assert [taken is None for _, taken in seen] == [False, True]
+    assert not stalled._system.cg and len(calls) > rep_stalled.iterations
+    assert [call["permc_spec"] for call in calls] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(calls) - 1)
+    assert (rep_stalled.iterations, rep_stalled.converged) == (rep.iterations, rep.converged)
+    assert rep_stalled.final_energy == pytest.approx(rep.final_energy, rel=1e-12)
 
 
 def test_underflowing_weights_stop_the_cg_route_without_warnings():
@@ -658,7 +723,8 @@ def test_tiny_arcs_among_normal_clamps_solve_without_warnings(f2_model, p):
     assert u.values[0] == pytest.approx(5e-301, rel=1e-12)
 
 
-@pytest.mark.parametrize("spec,radius", FOUR_FAMILIES + [(F2, 5), (Z2_3, 6)])
+# the trees on the sweep, and Z^3 and Z^4 on the CG route
+@pytest.mark.parametrize("spec,radius", FOUR_FAMILIES + [(F2, 5), (Z2_3, 6), (Z3, 14), (Z3, 20), (Z4, 8)])
 def test_linear_dirichlet_matches_spsolve(spec, radius):
     ball = family_ball(spec, radius)
     problem = DirichletProblem(ball, random_clamps(ball, 19), 2.0)
