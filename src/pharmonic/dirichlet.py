@@ -52,31 +52,56 @@ against log n on Z^2; Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16,
 the radius (77, 109 and 163 on the p = 2 system of Z^3 R=14, 20, 30).
 Every system of the problem, the p = 2 start and the IRLS re-solve of p <
 2 included, goes to conjugate gradients preconditioned with the diagonal
-(Jacobi), on the pattern in the order of ``free``, from 0: no ordering
-and no factor. CG stops once the residual is at most CG_RTOL of the
-right-hand side (2-norms). CG_FREE keeps the routes that the fill of a
-first factor chose before (CG above 80 nonzeros per free vertex): Z^3
-R=12 (2047 free vertices, 65 per free vertex) factors, Z^3 from R = 13
-(2625) and Z^4 R=8 (2241, 124) take CG. With every system forced onto CG,
-marked solves on a 2-core x86 machine took 0.55 of the factor's time on
-Z^3 R=12 at p = 1.5 and 0.36 on Z^4 R=7, but 1.23 on Z^3 R=8 at p = 1.5,
-and 1.22 and 1.07 on Z^3 R=12 and 13 at p = 1.2, where Jacobi stalls. The
-growth degree comes from the model, not from the ball: the level sizes of
-a ball this small read a degree of 4.7 on the lamplighter R=12 and 5.5 on
-Z2*Z2*Z2 + [s1 s2] R=8, both of exponential growth and both above
-CG_FREE.
+(Jacobi), on the pattern in the order of ``free``, from 0: no ordering and
+no factor. CG stops once the residual is at most a relative tolerance of
+the right-hand side (2-norms), set per system (see below). CG_FREE keeps
+the routes that the fill of a first factor chose before (CG above 80
+nonzeros per free vertex): Z^3 R=12 (2047 free vertices, 65 per free
+vertex) factors, Z^3 from R = 13 (2625) and Z^4 R=8 (2241, 124) take CG.
+With every system forced onto CG (and the forcing terms below), marked
+solves on a 2-core x86 machine took 0.18 to 0.94 of the factor's time at
+p = 1.5, 3 and 8 on Z^3 R=8 to 13 and Z^4 R=5 to 8, but up to 3.55 times
+as long at p = 1.1 and 1.2, where Jacobi stalls: 1.33 on Z^3 R=12 at
+p = 1.2, 1.99 on Z^4 R=6 at p = 1.1. The growth degree comes from the
+model, not from the ball: the level sizes of a ball this small read a
+degree of 4.7 on the lamplighter R=12 and 5.5 on Z2*Z2*Z2 + [s1 s2] R=8,
+both of exponential growth and both above CG_FREE.
+
+The tolerance of a CG solve is CG_RTOL (1e-13) for the p = 2 system, whose
+iterations set the cap of the later ones and which at p = 2 is the answer;
+a cold solve at p = 2 then takes one residual-correction pass as well (see
+``linear_dirichlet``). The stop probe of a supplied start, and the Newton
+stage at p = 2 that a supplied start runs, are solved to CG_RTOL too. Any
+other Newton system is solved only to its forcing term, as in inexact
+Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): the
+square of the previous correction's sup over the clamp span, kept between
+CG_RTOL and CG_FORCING (1e-4), which the first Newton system takes. Where
+Newton converges quadratically that square is about the size of the
+correction being solved for, and a forcing term of the size of the Newton
+residual keeps quadratic convergence. The previous correction may end the
+stage before: restarting each stage at CG_FORCING added Newton steps at
+p = 8 (Z^3 R=20 with random clamps: 118 to 125). On Z^3 R=14 with marked
+clamps the CG iterations of a solve fell from 1496 to 913 at p = 1.5, 653
+to 354 at p = 3 and 2286 to 864 at p = 8, on Z^3 R=14 and R=20 and Z^4 R=8
+at p = 1.1 to 8 no solve took a Newton step more, and energies stayed
+within 4e-13 of the ones with every system solved to CG_RTOL. The sup
+itself, unsquared, saved more iterations but cost up to 5 more Newton
+steps at p = 8, where Newton converges linearly (121 to 126 on Z^3 R=20
+with random clamps). The forest sweep and the factor solve exactly, and
+take no tolerance.
 
 A CG solve is thrown away, that system is factored, and so is every later
 system of the problem, if it meets a non-finite value or a diagonal entry
-below the smallest normal float, or takes more than CG_MAXITER
-iterations, or more than CG_STALL times the iterations of the problem's
-first CG solve (the p = 2 system). Jacobi stalls on the weights of marked
-clamps at p <= 1.2: on Z^3 R=14 and Z^4 R=8 the p = 2 system takes 77 and
-41 iterations, and the systems at p = 1.5, 3 and 8 at most 1.94 and 1.71
+below the smallest normal float, or takes more than CG_MAXITER iterations,
+or more than CG_STALL times the iterations of the problem's first CG solve
+(the p = 2 system). Jacobi stalls on the weights of marked clamps at
+p <= 1.2: on Z^3 R=14 and Z^4 R=8 the p = 2 system takes 77 and 41
+iterations, and the systems at p = 1.5, 3 and 8 at most 1.94 and 1.71
 times as many (2.07 on Z^3 R=30 at p = 1.5, 4.1 on Z^3 R=14 with random
-clamps at p = 1.5), while at p = 1.1 the count passes 8 times the first
-at the 6th and 12th CG solve. There the cap took 0.90 to 0.97 and 0.80
-to 0.91 of the time the fallback at CG_MAXITER alone took.
+clamps at p = 1.5), while at p = 1.1 the count passes 8 times the first at
+the 6th and 12th CG solve (the 8th and 16th under forcing terms, which
+leave the first Newton systems cheap). There the cap took 0.90 to 0.97 and
+0.80 to 0.91 of the time the fallback at CG_MAXITER alone took.
 
 Every other problem is factored, and so is a CG-route problem once CG has
 failed. The first factorization, by symmetric SuperLU, computes a minimum
@@ -139,11 +164,14 @@ SPARSE_FILL = 150
 SPARSE_FILL_RELAX = 8
 SPARSE_FILL_PANEL = 4
 # A problem on a group of polynomial growth of degree 3 or more with at least
-# CG_FREE free vertices solves every system by Jacobi-preconditioned CG, to a
-# residual of CG_RTOL of the right-hand side within CG_MAXITER iterations, or
-# else goes to the factor for good (see "Factorization:" above)
+# CG_FREE free vertices solves every system by Jacobi-preconditioned CG within
+# CG_MAXITER iterations, or else goes to the factor for good: the p = 2
+# system to a residual of CG_RTOL of the right-hand side, a Newton system to
+# its forcing term, between CG_RTOL and CG_FORCING (see "Factorization:"
+# above)
 CG_FREE = 2200
 CG_RTOL = 1e-13
+CG_FORCING = 1e-4
 CG_MAXITER = 1000
 # A CG solve after a problem's first one is thrown away past CG_STALL times
 # the iterations of the first, the p = 2 system (see "Factorization:" above)
@@ -277,14 +305,22 @@ def linear_dirichlet(problem: DirichletProblem) -> np.ndarray:
     ``_NewtonStep``, on that problem's route: the elimination sweep of a
     forest, Jacobi-preconditioned CG (whose iterations here set the cap of
     the later CG solves), or the first factorization, which finds the
-    fill-reducing order that the Newton steps reuse."""
+    fill-reducing order that the Newton steps reuse. Where p = 2 is the
+    problem's own exponent, this field is the answer, and on the CG route
+    it takes one residual-correction pass: CG solves again for the residual
+    of the first solution, which brings the residual down to the rounding
+    of the Laplacian, as the factor's is."""
     system = problem._system
     u = problem.clamped_values()  # zero at the free vertices
     nbr_vals = u[system.nbrs]
     rhs = np.zeros(system.n_free)
     for slot in range(nbr_vals.shape[1]):
         rhs += nbr_vals[:, slot]
-    u[problem.free] = system.solve(np.ones(system.nbrs.shape), 0.0, rhs)
+    ones = np.ones(system.nbrs.shape)
+    x = system.solve(ones, 0.0, rhs)
+    if problem.p == 2.0 and system.cg:
+        x += system.solve(ones, 0.0, rhs - system.matrix @ x)
+    u[problem.free] = x
     return u
 
 
@@ -376,15 +412,16 @@ class _NewtonStep:
         self.matrix.data = np.bincount(self.slot, weights=entries, minlength=self.matrix.nnz)
         return self.matrix
 
-    def solve(self, w: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, w: np.ndarray, shift: float, rhs: np.ndarray, rtol: float = CG_RTOL) -> np.ndarray:
         """Solve with the Laplacian of weights w and diagonal shift: a
         symmetric positive definite system for positive weights and shift
         (or unit weights and shift 0, the p = 2 system). A forest problem
         runs the elimination sweep on every call, all NaN where a pivot is 0
         or the solution is not finite. On the CG route a call runs
-        Jacobi-preconditioned CG on the matrix in the order of ``free``; if
-        CG misses CG_RTOL within its cap or meets a non-finite value, the
-        route ends for good and the call factors the system. The first
+        Jacobi-preconditioned CG on the matrix in the order of ``free``, to
+        a residual of ``rtol`` of the right-hand side; if CG misses it
+        within its cap or meets a non-finite value, the route ends for good
+        and the call factors the system, exactly. The first
         factorization of a problem, on or off the CG route, factors without
         pivoting, orders by minimum degree and renumbers the pattern into
         that order; a later one factors the renumbered matrix in its
@@ -395,7 +432,7 @@ class _NewtonStep:
             return self.forest.solve(w, shift, rhs)
         matrix = self.laplacian(w, shift)
         if self.cg:
-            solved = _jacobi_cg(matrix, rhs, self.cg_maxiter or CG_MAXITER)
+            solved = _jacobi_cg(matrix, rhs, self.cg_maxiter or CG_MAXITER, rtol)
             if solved is not None:
                 x, iterations = solved
                 if self.cg_maxiter is None and iterations:
@@ -434,13 +471,15 @@ class _NewtonStep:
         self.slot = slot[self.slot]
         self.order = order
 
-    def correction(self, u: np.ndarray, p: float) -> np.ndarray:
-        """The Newton correction of the free values at exponent p.
+    def correction(self, u: np.ndarray, p: float, rtol: float = CG_RTOL) -> np.ndarray:
+        """The Newton correction of the free values at exponent p, solved on
+        the CG route to a residual of ``rtol`` of the right-hand side.
 
         For p < 2 the tangent model of |d|^p overshoots near d = 0: where
         the step would carry an arc across 0, that arc's weight is raised
         to the secant slope |d|^(p-2) of the majorizing quadratic (the
-        reweighting of IRLS) and the system is solved again."""
+        reweighting of IRLS) and the system is solved again, to the same
+        ``rtol``."""
         d = u[self.nbrs] - u[self.free, None]
         scale = float(np.max(np.abs(d), initial=0.0))
         if scale == 0.0:
@@ -455,14 +494,14 @@ class _NewtonStep:
         # flat arcs carry no weight (p > 2)
         shift = 1e-14 * scale ** (p - 2.0)
         rhs = np.sum(phi_p(d, p), axis=1) / (p - 1.0)
-        step = self.solve(w, shift, rhs)
+        step = self.solve(w, shift, rhs, rtol)
         if p < 2.0:
             full = np.zeros(self.n_total)
             full[self.free] = step
             crossing = d * (d + full[self.nbrs] - step[:, None]) < 0.0
             if crossing.any():
                 w = np.where(crossing, w / (p - 1.0), w)
-                step = self.solve(w, shift, rhs)
+                step = self.solve(w, shift, rhs, rtol)
         return step
 
     def line_search(self, u: np.ndarray, step: np.ndarray, p: float) -> float:
@@ -585,13 +624,16 @@ class _ForestSweep:
         return out
 
 
-def _jacobi_cg(matrix: sp.csc_matrix, b: np.ndarray, maxiter: int) -> Optional[Tuple[np.ndarray, int]]:
+def _jacobi_cg(
+    matrix: sp.csc_matrix, b: np.ndarray, maxiter: int, rtol: float
+) -> Optional[Tuple[np.ndarray, int]]:
     """Solve the symmetric system by conjugate gradients preconditioned with
-    its diagonal, from 0, until the residual is at most CG_RTOL of |b|
-    (2-norms); the solution and the iterations taken. None if that takes
-    more than ``maxiter`` iterations, if a diagonal entry is below the
-    smallest normal float, or if a curvature d^T A d or a residual is not
-    finite and positive."""
+    its diagonal, from 0, until the residual is at most ``rtol`` of |b|
+    (2-norms): CG_RTOL for a p = 2 system, a Newton system's forcing term
+    for the others (see "Factorization:" above). The solution and the
+    iterations taken. None if that takes more than ``maxiter`` iterations,
+    if a diagonal entry is below the smallest normal float, or if a
+    curvature d^T A d or a residual is not finite and positive."""
     # a symmetric CSC matrix read as CSR is itself, and CSR products are faster
     a = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
     diag = a.diagonal()
@@ -606,12 +648,13 @@ def _jacobi_cg(matrix: sp.csc_matrix, b: np.ndarray, maxiter: int) -> Optional[T
     exponent = int(np.frexp(top)[1])
     r = np.ldexp(b, -exponent)
     inv_diag = 1.0 / diag
-    stop = CG_RTOL * CG_RTOL * (r @ r)
+    stop = rtol * rtol * (r @ r)
     # overflow and division by 0 end in a non-finite curvature or residual,
     # which the loop checks
     with np.errstate(all="ignore"):
         z = inv_diag * r
         d = z.copy()
+        scaled = np.empty_like(b)  # alpha d, then alpha q: no temporaries
         rz = r @ z
         for iteration in range(1, maxiter + 1):
             q = a @ d
@@ -619,8 +662,8 @@ def _jacobi_cg(matrix: sp.csc_matrix, b: np.ndarray, maxiter: int) -> Optional[T
             if not 0.0 < curvature < np.inf:
                 return None
             alpha = rz / curvature
-            x += alpha * d
-            r -= alpha * q
+            x += np.multiply(alpha, d, out=scaled)
+            r -= np.multiply(alpha, q, out=scaled)
             rr = r @ r
             if rr <= stop:
                 return np.ldexp(x, exponent), iteration
@@ -658,9 +701,10 @@ def solve_dirichlet(
     trees), every system goes to one leaf-to-root elimination sweep, and
     nothing is factored. On a group of growth degree 3 or more with at
     least CG_FREE free vertices, every system goes to Jacobi-preconditioned
-    CG, with the factor taking over for good from the first CG solve that
-    fails. Every other problem factors every system (see "Factorization:"
-    in the module docstring).
+    CG, each Newton system solved only to its forcing term, with the factor
+    taking over for good from the first CG solve that fails. Every other
+    problem factors every system (see "Factorization:" in the module
+    docstring).
 
     Clamps whose largest magnitude is below TINY_CLAMPS are solved scaled up
     by a power of 2 to a largest magnitude in [1/2, 1), with the stop tests
@@ -699,6 +743,21 @@ def solve_dirichlet(
         """Whether the unscaled sup of step is at most limit."""
         return bool(np.ldexp(np.max(np.abs(step)), -exponent) <= limit)
 
+    # the clamp span in the units of the (scaled) steps, so that a tiny
+    # problem forces its CG solves as its scaled copy does
+    span = float(np.ldexp(hi, exponent) - np.ldexp(lo, exponent))
+
+    def forcing(q: float, step: Optional[np.ndarray]) -> float:
+        """The CG tolerance of a Newton system at exponent q after ``step``,
+        the latest correction of any stage: the square of its sup over the
+        clamp span, kept within [CG_RTOL, CG_FORCING]; CG_FORCING before the
+        first correction and after one that is not finite. At q = 2 the
+        system is linear and its solve is the answer: CG_RTOL."""
+        if q == 2.0:
+            return CG_RTOL
+        ratio = float(np.max(np.abs(step))) / span if step is not None and span > 0.0 else np.inf
+        return max(CG_RTOL, min(CG_FORCING, ratio * ratio))  # min(CG_FORCING, nan) is CG_FORCING
+
     # the exponents after 2 that Newton visits
     stages = [] if p == 2.0 else [q for q in P_STAGES_UP if q < p] + [p]
     if initial is None:
@@ -714,19 +773,20 @@ def solve_dirichlet(
     if exponent:
         u = np.ldexp(u, exponent)
     if initial is not None:
-        # a start that already passes the stop test is returned as it is; not
-        # at p < 2, where exactly flat arcs make the system stiff enough for
-        # a small correction far from the minimizer
-        if p > 2.0 and within(newton.correction(u, p), tol):
+        # a start that already passes the stop test, solved to CG_RTOL, is
+        # returned as it is; not at p < 2, where exactly flat arcs make the
+        # system stiff enough for a small correction far from the minimizer
+        if p > 2.0 and within(newton.correction(u, p, CG_RTOL), tol):
             stages = []
         else:
             stages = [2.0] + stages
 
     steps = 0
     converged = True
+    step = None
     for q in stages:
         stage_tol = tol if q == p else max(tol, STAGE_TOL)
-        step = newton.correction(u, q)
+        step = newton.correction(u, q, forcing(q, step))
         while not within(step, stage_tol):  # a NaN correction goes to the line search and fails there
             alpha = newton.line_search(u, step, q) if steps < config.max_sweeps else 0.0
             if alpha == 0.0:
@@ -734,7 +794,7 @@ def solve_dirichlet(
                 break
             u[free] += alpha * step
             steps += 1
-            step = newton.correction(u, q)
+            step = newton.correction(u, q, forcing(q, step))
         if not converged:
             break
     if converged and stages:

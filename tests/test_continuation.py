@@ -119,9 +119,9 @@ def test_newton_exponents_visited(monkeypatch, p, cold, warm):
     seen = []
     correction = _NewtonStep.correction
 
-    def spy(self, u, q):
+    def spy(self, u, q, rtol):
         seen.append(q)
-        return correction(self, u, q)
+        return correction(self, u, q, rtol)
 
     monkeypatch.setattr(_NewtonStep, "correction", spy)
     prob = uniform_problem(*DIRECT_BALLS[0], p)
