@@ -600,6 +600,7 @@ def _build_parser() -> _Parser:
             sp.add_argument("--p", type=float, help="exponent in [1.1, 8]")
             sp.add_argument(
                 "--tol", type=float, help="stop once the sup of the Newton correction is at most this (default 1e-8)"
+                " or 256 eps times the largest clamp magnitude, whichever is more"
             )
             sp.add_argument(
                 "--max-sweeps", dest="max_sweeps", type=int,

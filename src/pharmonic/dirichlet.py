@@ -54,10 +54,9 @@ Every system of the problem, the p = 2 start and the IRLS re-solve of p <
 2 included, goes to conjugate gradients preconditioned with the diagonal
 (Jacobi), on the pattern in the order of ``free``, from 0: no ordering and
 no factor. CG stops once the residual is at most a relative tolerance of
-the right-hand side (2-norms), set per system (see below). CG_FREE keeps
-the routes that the fill of a first factor chose before (CG above 80
-nonzeros per free vertex): Z^3 R=12 (2047 free vertices, 65 per free
-vertex) factors, Z^3 from R = 13 (2625) and Z^4 R=8 (2241, 124) take CG.
+the right-hand side (2-norms), set per system (see below). Under
+CG_FREE, Z^3 R=12 (2047 free vertices, a factor of 65 nonzeros per free
+vertex) factors; Z^3 from R = 13 (2625) and Z^4 R=8 (2241, 124) take CG.
 With every system forced onto CG (and the forcing terms below), marked
 solves on a 2-core x86 machine took 0.18 to 0.94 of the factor's time at
 p = 1.5, 3 and 8 on Z^3 R=8 to 13 and Z^4 R=5 to 8, but up to 3.55 times
@@ -104,46 +103,45 @@ leave the first Newton systems cheap). There the cap took 0.90 to 0.97 and
 0.80 to 0.91 of the time the fallback at CG_MAXITER alone took.
 
 Every other problem is factored, and so is a CG-route problem once CG has
-failed. The first factorization, by symmetric SuperLU, computes a minimum
-degree order of the pattern; the pattern is renumbered into that order
-once, and every later factorization of the problem reuses it. The first
-factor's fill, its nonzeros per free vertex, sets SuperLU's panel width
-and supernode relaxation (Demmel et al., SIAM J. Matrix Anal. Appl. 20,
-1999) for the later factorizations. The first keeps SuperLU's defaults,
-which suit dense fill. A factor with at most SPARSE_FILL nonzeros per
-free vertex (the lamplighter, Z^2, the extended sets with one extra
-generator, Z^3 up to R = 18) has sparse fill, and the later
-factorizations of its problem take panels of SPARSE_FILL_PANEL columns
-and a relaxation of SPARSE_FILL_RELAX. On a 2-core x86 machine that took
-0.42 of the default time on F_2 R=8 (4.4 nonzeros per free vertex, before
-the trees took the sweep), 0.68 on Z^2 R=30 (25), 0.77 on Z^3 R=14 (103)
-and 0.94 on Z^3 R=18 (149), but 1.0 on Z^3 R=19 (172), 1.0 to 1.15 on
-R=20 (185), 1.1 on Z^3 R=26 (328), and 1.01 to 1.03 on extended sets with
-three extra generators (Z^2 R=141, Z^3 R=8 and Z^4 R=6, 156 to 301),
-where the defaults stay. Z^2 factors up to the vertex budget (64 nonzeros
-per free vertex at R = 300), and there the factor is faster: with marked
-clamps CG took 1.25 to 3.6 times as long on Z^2 R=30 to 300 at p = 1.5
-and 3, against 0.45 to 0.53 on Z^3 R=14 (CHANGES.md has the sweep).
+failed. The first factorization, by symmetric SuperLU with its default
+panels and supernode relaxation, computes a minimum degree order of the
+pattern; the pattern is renumbered into that order once, and every later
+factorization of the problem factors it in that natural order, with
+panels of NATURAL_PANEL columns and a relaxation of NATURAL_RELAX (Demmel
+et al., SIAM J. Matrix Anal. Appl. 20, 1999). On a 2-core x86 machine a
+factorization took 0.68 of the time under SuperLU's defaults on Z^2 R=30
+(25 nonzeros per free vertex) and 0.77 on Z^3 R=14 (103). The densest
+factor met, Z^3 R=20 with marked clamps at p = 1.1 once CG stalls (185),
+solved in 11.5 to 13.0 s under them against 12.4 to 13.1 s under the
+defaults, in the same 32 steps. Z^2 factors up to the vertex budget (64
+nonzeros per free vertex at R = 300), and there the factor is faster than
+CG: with marked clamps CG took 1.25 to 3.6 times as long on Z^2 R=30 to
+300 at p = 1.5 and 3, against 0.45 to 0.53 on Z^3 R=14 (CHANGES.md has
+the sweep).
 
-Stopping: the sup of the Newton correction is the one stop test. A stage
-before the target ends once it is at most max(tolerance, STAGE_TOL); the
-target stage ends once it is at most the tolerance, and that last
-correction is added as it stands. Unlike the p-Laplacian residual, which
-at large p pins values only to about residual^(1/(p-1)), the correction
-measures the distance to the minimizer itself. ``max_sweeps`` bounds the
-Newton steps of all stages together; a solve that runs out of them, or
-whose line search finds no lower energy, reports converged=False.
-Iterates may leave the clamped range between steps; the returned field is
-clipped to it once, at the end. The minimizer lies in that box, and
-clipping never raises the energy, since it lengthens no arc.
+Stopping: the sup of the Newton correction is the one stop test. Its limit
+is the tolerance, floored at STOP_FLOOR times the largest clamp magnitude:
+float64 cannot resolve a finer field, and at p = 1.1 converged
+corrections stayed at up to 58 eps of it. A stage before the target ends
+once the correction is at most max(limit, STAGE_TOL); the target stage
+ends once it is at most the limit, and that last correction is added as
+it stands. Unlike the p-Laplacian residual, which at large p pins values
+only to about residual^(1/(p-1)), the correction measures the distance to
+the minimizer itself. ``max_sweeps`` bounds the Newton steps of all
+stages together; a solve that runs out of them, or whose line search
+finds no lower energy, reports converged=False. Iterates may leave the
+clamped range between steps; the returned field is clipped to it once, at
+the end. The minimizer lies in that box, and clipping never raises the
+energy, since it lengthens no arc.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -156,13 +154,11 @@ from .groups import CayleyBall
 P_STAGES_UP = (3.0, 4.0, 5.0, 6.0, 7.0)
 LINE_SEARCH_HALVINGS = 50
 STAGE_TOL = 1e-3  # correction that ends a stage before the target one
-# A problem whose first factor holds at most SPARSE_FILL nonzeros per free
-# vertex factors every later system with SuperLU's supernode relaxation
-# SPARSE_FILL_RELAX and panel width SPARSE_FILL_PANEL; a denser one keeps
-# SuperLU's defaults (see "Factorization:" above)
-SPARSE_FILL = 150
-SPARSE_FILL_RELAX = 8
-SPARSE_FILL_PANEL = 4
+# SuperLU's supernode relaxation and panel width for every factorization
+# after a problem's first, in the minimum degree order that the first found
+# (see "Factorization:" above)
+NATURAL_RELAX = 8
+NATURAL_PANEL = 4
 # A problem on a group of polynomial growth of degree 3 or more with at least
 # CG_FREE free vertices solves every system by Jacobi-preconditioned CG within
 # CG_MAXITER iterations, or else goes to the factor for good: the p = 2
@@ -179,11 +175,13 @@ CG_STALL = 8
 ENERGY_ROUNDOFF = 1e-12  # relative energy change below float64 summation resolution
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
-# Clamps whose largest magnitude is below TINY_CLAMPS (about 3e-123) are
-# solved scaled up by an exact power of 2: below it, the mu of an arc one
-# rounding error long squares to below _TINY, and at p < 2 the weight of a
-# flat arc would be 0 raised to a negative power
-TINY_CLAMPS = np.sqrt(_TINY) / (_EPS * _EPS)
+# Clamps whose largest magnitude s lies outside [TINY_CLAMPS, HUGE_CLAMPS] are
+# solved scaled by an exact power of 2. Inside, at p <= 8, weights and energies
+# stay normal floats: a flat arc's weight (eps s)^6 is at least 2^-696, an
+# arc's p-th power at most 2^520. At p = 8 clamps of 1e-50 give zero weights.
+TINY_CLAMPS = 2.0**-64
+HUGE_CLAMPS = 2.0**64
+STOP_FLOOR = 256 * _EPS  # the least stop limit, per unit of the largest clamp magnitude
 
 
 class Record:
@@ -205,7 +203,9 @@ def _plain(value):
 @dataclass
 class SolverConfig(Record):
     """Knobs for the Newton solver: the stop test on the sup of the Newton
-    correction and the budget of Newton steps over all p stages."""
+    correction and the budget of Newton steps over all p stages. The stop
+    limit is ``tolerance``, or STOP_FLOOR (256 eps) times the largest clamp
+    magnitude where that is more, which float64 can resolve."""
 
     tolerance: float = 1e-8
     max_sweeps: int = 50_000
@@ -246,7 +246,8 @@ class DirichletProblem:
     finite. That makes every free vertex reach a clamp through free
     vertices: interior rows of ``ball.adj`` are complete and the ball is
     connected, so a free component with no clamped neighbour would be the
-    whole ball, sphere included.
+    whole ball, sphere included. Clamps whose energy could pass the largest
+    float (1e100 at p = 8) are refused with a ValueError.
     """
 
     def __init__(self, ball: CayleyBall, clamped: Union[np.ndarray, Mapping[int, float]], p: float):
@@ -283,6 +284,15 @@ class DirichletProblem:
         self.free = np.flatnonzero(~mask)
         if self.free.size == 0:
             raise ValueError("no free interior vertex; nothing to solve")
+        # the solution's arcs are at most span long, so its energy is at most
+        # arcs * span^p; a margin of one bit leaves room for rounding
+        lo, hi = self.clamped_range()
+        span = hi - lo
+        arcs = ball.arcs()[0].size
+        if span > 0.0 and self.p * math.log2(span) + math.log2(arcs) >= 1023.0:
+            raise ValueError(
+                f"clamps spanning {span:.3g} at p={self.p}: the energy of {arcs} arcs may overflow float64"
+            )
 
     @cached_property
     def _system(self) -> "_NewtonStep":
@@ -331,9 +341,8 @@ class _NewtonStep:
     free vertices. The route of every system is fixed here, before anything
     is solved. Where the free vertices form a forest of at least 2^levels
     vertices, ``forest`` is its elimination sweep, which takes every system
-    of the problem; no CSC pattern is built for it (``matrix`` stays None
-    until ``laplacian`` is called), ``cg`` is False, and ``order`` and
-    ``panels`` keep their starting values. Otherwise ``forest`` is None,
+    of the problem; no CSC pattern is built for it (``matrix`` stays None),
+    ``cg`` is False, and ``order`` stays None. Otherwise ``forest`` is None,
     and the CSC pattern is built once, in the order of ``free``; each solve
     refills ``.data``, summing entries that share a (row, column) slot. The
     same assembly with unit weights is the p = 2 system of
@@ -347,50 +356,39 @@ class _NewtonStep:
     that fails, and that system goes to the factor.
 
     The first factorization orders the pattern by minimum degree on A^T + A
-    (Liu, ACM TOMS 11, 1985). The pattern and the slot map are then
-    renumbered into that order once, and every later factorization takes
-    the pre-ordered matrix as it stands, so the ordering runs once per
-    problem. The first factor's nonzeros per free vertex, ``SuperLU.nnz``
-    over ``n_free``, choose the SuperLU settings of the later
-    factorizations: narrow panels and little supernode relaxation up to
-    SPARSE_FILL, SuperLU's defaults above it. Right-hand sides and
-    solutions keep the order of ``free``."""
+    (Liu, ACM TOMS 11, 1985), with SuperLU's default panels. The pattern
+    and the slot map are then renumbered into that order once, and every
+    later factorization takes the pre-ordered matrix as it stands, with
+    panels of NATURAL_PANEL columns and a supernode relaxation of
+    NATURAL_RELAX, so the ordering runs once per problem. Right-hand sides
+    and solutions keep the order of ``free``."""
 
     def __init__(self, problem: DirichletProblem):
         ball = problem.ball
         self.free = problem.free
-        self.n_free = self.free.size
+        self.n_free = n_free = self.free.size
         self.n_total = len(ball)
         self.nbrs = ball.adj[self.free]
-        nbr_local = self._nbr_local()
+        # the position in ``free`` of each neighbour in ``nbrs``, -1 at clamps
+        local = np.full(self.n_total, -1, dtype=np.int64)
+        local[self.free] = np.arange(n_free)
+        nbr_local = local[self.nbrs]
         self.off_mask = nbr_local >= 0
         self.forest = _ForestSweep.of(ball.depth, self.free, self.nbrs, nbr_local)
         degree = ball.model.growth_degree
         # whether the next system goes to CG before SuperLU: fixed here, from
         # the growth degree and size alone (see "Factorization:" above)
-        self.cg = self.forest is None and degree is not None and degree >= 3 and self.n_free >= CG_FREE
+        self.cg = self.forest is None and degree is not None and degree >= 3 and n_free >= CG_FREE
         self.cg_maxiter: Optional[int] = None  # the cap of a CG solve, once the first has run
         self.order: Optional[np.ndarray] = None  # position of each free vertex in the factored matrix
-        self.panels: Dict[str, int] = {}  # SuperLU settings of the NATURAL factorizations
         self.slot: Optional[np.ndarray] = None
         self.matrix: Optional[sp.csc_matrix] = None
         if self.forest is None:
-            self._assemble(nbr_local)
+            row_grid = np.repeat(np.arange(n_free, dtype=np.int64), nbr_local.shape[1]).reshape(n_free, -1)
+            rows = np.concatenate([np.arange(n_free, dtype=np.int64), row_grid[self.off_mask]])
+            cols = np.concatenate([np.arange(n_free, dtype=np.int64), nbr_local[self.off_mask]])
+            self.slot, self.matrix = self._pattern(rows, cols)
         self.arcs = ball.arcs()
-
-    def _nbr_local(self) -> np.ndarray:
-        """The position in ``free`` of each neighbour in ``nbrs``, -1 at clamps."""
-        local = np.full(self.n_total, -1, dtype=np.int64)
-        local[self.free] = np.arange(self.n_free)
-        return local[self.nbrs]
-
-    def _assemble(self, nbr_local: np.ndarray) -> None:
-        """Build the CSC pattern of the Laplacian in the order of ``free``."""
-        n_free = self.n_free
-        row_grid = np.repeat(np.arange(n_free, dtype=np.int64), nbr_local.shape[1]).reshape(n_free, -1)
-        rows = np.concatenate([np.arange(n_free, dtype=np.int64), row_grid[self.off_mask]])
-        cols = np.concatenate([np.arange(n_free, dtype=np.int64), nbr_local[self.off_mask]])
-        self.slot, self.matrix = self._pattern(rows, cols)
 
     def _pattern(self, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, sp.csc_matrix]:
         """The CSC pattern of the entries (rows, cols), and the slot of each
@@ -404,10 +402,7 @@ class _NewtonStep:
         """The Laplacian of arc weights w (one row per free vertex, one
         column per generator slot), diagonal shifted by shift; in the order
         of ``free`` until the first factorization, in ``order`` after it.
-        A forest problem builds the pattern here, on first use; its solves
-        never read it."""
-        if self.matrix is None:
-            self._assemble(self._nbr_local())
+        Not for a forest problem, which has no pattern."""
         entries = np.concatenate([w.sum(axis=1) + shift, -w[self.off_mask]])
         self.matrix.data = np.bincount(self.slot, weights=entries, minlength=self.matrix.nnz)
         return self.matrix
@@ -425,7 +420,7 @@ class _NewtonStep:
         factorization of a problem, on or off the CG route, factors without
         pivoting, orders by minimum degree and renumbers the pattern into
         that order; a later one factors the renumbered matrix in its
-        natural order, with the problem's ``panels``. All NaN if the
+        natural order, with NATURAL_PANEL and NATURAL_RELAX. All NaN if the
         factorization meets a zero pivot (weights that underflow to 0);
         MemoryError if SuperLU runs out of memory."""
         if self.forest is not None:
@@ -440,10 +435,12 @@ class _NewtonStep:
                 return x
             self.cg = False
         first = self.order is None
-        if not first:
+        if first:
+            ordering = {"permc_spec": "MMD_AT_PLUS_A"}
+        else:
+            ordering = {"permc_spec": "NATURAL", "relax": NATURAL_RELAX, "panel_size": NATURAL_PANEL}
             b = np.empty(self.n_free)
             b[self.order] = rhs
-        ordering = {"permc_spec": "MMD_AT_PLUS_A"} if first else {"permc_spec": "NATURAL", **self.panels}
         try:
             lu = spla.splu(matrix, diag_pivot_thresh=0.0, options={"SymmetricMode": True}, **ordering)
         except RuntimeError:
@@ -452,24 +449,15 @@ class _NewtonStep:
             raise MemoryError(
                 f"out of memory factoring the Newton system of {self.n_free} free vertices"
             ) from exc
-        if first:
-            x = lu.solve(rhs)
-            self._renumber(lu.perm_c, lu.nnz)
-            return x
-        return lu.solve(b)[self.order]
-
-    def _renumber(self, order: np.ndarray, factor_nnz: int) -> None:
-        """Move free vertex k to position order[k] of the pattern, once, and
-        choose the SuperLU settings of the later factorizations from the
-        first factor's ``factor_nnz`` nonzeros."""
-        sparse_fill = factor_nnz <= SPARSE_FILL * self.n_free
-        self.panels = {"relax": SPARSE_FILL_RELAX, "panel_size": SPARSE_FILL_PANEL} if sparse_fill else {}
-        order = order.astype(np.int64)
+        if not first:
+            return lu.solve(b)[self.order]
+        # renumber the pattern once: free vertex k moves to position order[k]
+        self.order = order = lu.perm_c.astype(np.int64)
         m = self.matrix
         cols = np.repeat(np.arange(self.n_free, dtype=np.int64), np.diff(m.indptr))
         slot, self.matrix = self._pattern(order[m.indices], order[cols])
         self.slot = slot[self.slot]
-        self.order = order
+        return lu.solve(rhs)
 
     def correction(self, u: np.ndarray, p: float, rtol: float = CG_RTOL) -> np.ndarray:
         """The Newton correction of the free values at exponent p, solved on
@@ -706,17 +694,18 @@ def solve_dirichlet(
     problem factors every system (see "Factorization:" in the module
     docstring).
 
-    Clamps whose largest magnitude is below TINY_CLAMPS are solved scaled up
-    by a power of 2 to a largest magnitude in [1/2, 1), with the stop tests
-    read on the unscaled corrections, and the field is scaled back: the
-    minimizer is homogeneous in the clamps, and the scaling is exact, so
-    such a solve takes the same steps as that of its scaled copy with a
-    tolerance scaled alike. Clamps in the normal range are not touched;
-    where they mix arcs below about 1e-138 with normal ones, the square of
-    such an arc's regularizer mu is floored at the smallest normal float.
+    Clamps whose largest magnitude lies outside [TINY_CLAMPS, HUGE_CLAMPS]
+    are solved scaled by a power of 2 to a largest magnitude in [1/2, 1),
+    with the stop tests read on the unscaled corrections, and the field is
+    scaled back: the minimizer is homogeneous in the clamps, and the scaling
+    is exact, so such a solve takes the same steps as that of its scaled
+    copy with a tolerance scaled alike. Where clamps inside that range mix
+    arcs below about 1e-138 with normal ones, the square of such an arc's
+    regularizer mu is floored at the smallest normal float.
 
     The solve converges when the sup of the Newton correction at the target
-    exponent is at most ``config.tolerance``; that last correction is added
+    exponent is at most ``config.tolerance``, or STOP_FLOOR times the
+    largest clamp magnitude if that is more; that last correction is added
     to the field. ``config.max_sweeps`` bounds the damped Newton steps of
     all stages together, and ``iterations`` counts them. The returned field
     is clipped to the clamped range. The reported residual is the sup of
@@ -731,19 +720,19 @@ def solve_dirichlet(
     start = time.perf_counter()
 
     free = problem.free
-    tol = config.tolerance
     newton = problem._system
     lo, hi = problem.clamped_range()
-    # the minimizer is homogeneous in the clamps: tiny ones are scaled by a
-    # power of 2 (exactly) to a largest magnitude in [1/2, 1), and back
     size = max(-lo, hi)
-    exponent = -int(np.frexp(size)[1]) if 0.0 < size < TINY_CLAMPS else 0
+    tol = max(config.tolerance, STOP_FLOOR * size)
+    # the minimizer is homogeneous in the clamps: tiny and huge ones are scaled
+    # by a power of 2 (exactly) to a largest magnitude in [1/2, 1), and back
+    exponent = -int(np.frexp(size)[1]) if 0.0 < size < TINY_CLAMPS or size > HUGE_CLAMPS else 0
 
     def within(step: np.ndarray, limit: float) -> bool:
         """Whether the unscaled sup of step is at most limit."""
         return bool(np.ldexp(np.max(np.abs(step)), -exponent) <= limit)
 
-    # the clamp span in the units of the (scaled) steps, so that a tiny
+    # the clamp span in the units of the (scaled) steps, so that a scaled
     # problem forces its CG solves as its scaled copy does
     span = float(np.ldexp(hi, exponent) - np.ldexp(lo, exponent))
 

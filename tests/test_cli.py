@@ -367,6 +367,8 @@ F2 = {"family": "free", "params": {"k": 2}}
         ("massive", {"group": F2, "p": 2.0, "radii": [3, 4], "subset": "subtree"}),
         ("solve", {"group": F2, "p": 2.0, "radius": 3, "boundary": {"clamps": [[["a"]]]}}),
         ("roughiso", {"group": F2, "p": 2.0, "radius": 3, "n_fields": 0}),
+        # clamps whose energy at p = 8 would pass the largest float
+        ("solve", {"group": F2, "p": 8.0, "radius": 1, "boundary": {"clamps": [[["a"], 1e100], [["a-"], 0.0], [["b"], 0.0], [["b-"], 0.0]]}}),
     ],
 )
 def test_malformed_manifest_exits_1_with_one_line(tmp_path, capsys, task, manifest):

@@ -24,7 +24,6 @@ from pharmonic import (
     solve_dirichlet,
 )
 from pharmonic import dirichlet, exhaustion
-from pharmonic.dirichlet import _NewtonStep
 
 from conftest import dense_linear_solve, optimize_energy, radial_capacity, reference_energy
 
@@ -270,17 +269,40 @@ def edge_weights(problem, rng):
     return 10.0 ** (12.0 * ((x[system.free, None] + x[system.nbrs]) % 1.0) - 6.0)
 
 
+def reference_laplacian(problem, w, shift):
+    """The Laplacian of arc weights w (one row per free vertex, one column
+    per slot of ``ball.adj``) with diagonal shift, assembled here from
+    ``ball.adj`` and ``free`` in the order of ``free``."""
+    free = problem.free
+    nbrs = problem.ball.adj[free]
+    position = np.full(len(problem.ball), -1)
+    position[free] = np.arange(free.size)
+    cols = position[nbrs]
+    rows = np.broadcast_to(np.arange(free.size)[:, None], nbrs.shape)
+    linked = cols >= 0
+    diag = np.arange(free.size)
+    matrix = scipy.sparse.csc_matrix(
+        (
+            np.concatenate([w.sum(axis=1) + shift, -w[linked]]),
+            (np.concatenate([diag, rows[linked]]), np.concatenate([diag, cols[linked]])),
+        ),
+        shape=(free.size, free.size),
+    )
+    matrix.sum_duplicates()
+    return matrix
+
+
 def fresh_factor_solve(problem, w, shift, rhs):
-    """The Laplacian of a new ``_NewtonStep``, in the order of ``free``,
-    factored from scratch in minimum degree order."""
-    matrix = _NewtonStep(problem).laplacian(w, shift)
+    """``reference_laplacian`` and its solve by a minimum degree factor
+    made from scratch."""
+    matrix = reference_laplacian(problem, w, shift)
     lu = scipy.sparse.linalg.splu(
         matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
     )
     return matrix, lu.solve(rhs)
 
 
-SPARSE_PANELS = {"relax": dirichlet.SPARSE_FILL_RELAX, "panel_size": dirichlet.SPARSE_FILL_PANEL}
+NARROW_PANELS = {"relax": dirichlet.NATURAL_RELAX, "panel_size": dirichlet.NATURAL_PANEL}
 
 
 def counted_splu(monkeypatch):
@@ -297,56 +319,28 @@ def counted_splu(monkeypatch):
     return calls
 
 
-def test_one_minimum_degree_ordering_per_problem(monkeypatch):
-    """One MMD_AT_PLUS_A factorization with SuperLU's default panels, then
-    NATURAL ones with the problem's chosen panels: the narrow ones on these
-    sparse-fill balls, the defaults once the fill limit is forced to 0."""
-    calls = counted_splu(monkeypatch)
-    for limit, panels in ((dirichlet.SPARSE_FILL, SPARSE_PANELS), (0, {})):
-        monkeypatch.setattr(dirichlet, "SPARSE_FILL", limit)
-        for spec, radius in FOUR_FAMILIES:
-            calls.clear()
-            ball = family_ball(spec, radius)
-            problem = DirichletProblem(ball, random_clamps(ball, 17), 1.2)
-            _, rep = solve_dirichlet(problem)
-            assert rep.converged
-            assert len(calls) > rep.iterations
-            specs = [call.get("permc_spec") for call in calls]
-            assert [s for s in specs if s != "NATURAL"] == ["MMD_AT_PLUS_A"]
-            assert specs[0] == "MMD_AT_PLUS_A"
-            assert "relax" not in calls[0] and "panel_size" not in calls[0]
-            assert problem._system.panels == panels
-            for call in calls[1:]:
-                assert {k: call[k] for k in ("relax", "panel_size") if k in call} == panels
-
-
-@pytest.mark.parametrize(
-    "spec,radius,sparse",
-    [
-        (Z2_3_S1S2, 8, True),
-        (LAMP_TA, 9, True),
-        ({"family": "lamplighter", "params": {}}, 9, True),
-        ({"family": "free_abelian", "params": {"d": 2}}, 30, True),
-        ({"family": "free_abelian", "params": {"d": 3}}, 14, True),
-        ({"family": "free_abelian", "params": {"d": 3}}, 20, False),
-    ],
-)
-def test_fill_density_chooses_the_panels(monkeypatch, spec, radius, sparse):
-    """Factors of 5 to 103 nonzeros per free vertex take narrow panels and
-    little relaxation; Z^3 R=20 (185 per free vertex) keeps the defaults.
-    Z^3 R=14 and R=20 are on the CG route, so their first factor is the one
-    after a CG solve fails, forced here on the p = 2 start."""
-    monkeypatch.setattr(dirichlet, "_jacobi_cg", lambda *args: None)
-    calls = counted_splu(monkeypatch)
-    problem = zero_sphere_problem(spec, radius)
-    linear_dirichlet(problem)
-    assert [call["permc_spec"] for call in calls] == ["MMD_AT_PLUS_A"]
-    assert not problem._system.cg
-    assert problem._system.panels == (SPARSE_PANELS if sparse else {})
-
-
 Z3 = {"family": "free_abelian", "params": {"d": 3}}
 Z4 = {"family": "free_abelian", "params": {"d": 4}}
+
+
+def test_one_minimum_degree_ordering_per_problem(monkeypatch):
+    """One MMD_AT_PLUS_A factorization with SuperLU's default panels, then
+    NATURAL ones, each with the one narrow setting, from 5 nonzeros per free
+    vertex to the 185 of Z^3 R=20. That ball is on the CG route, so every
+    CG solve is made to fail and the factor takes every system; it runs at
+    p = 3, whose 6 steps cost a few factorizations of that ball."""
+    monkeypatch.setattr(dirichlet, "_jacobi_cg", lambda *args: None)
+    calls = counted_splu(monkeypatch)
+    for spec, radius, p in [(spec, radius, 1.2) for spec, radius in FOUR_FAMILIES] + [(Z3, 20, 3.0)]:
+        calls.clear()
+        ball = family_ball(spec, radius)
+        problem = DirichletProblem(ball, random_clamps(ball, 17), p)
+        _, rep = solve_dirichlet(problem)
+        assert rep.converged and not problem._system.cg
+        assert len(calls) > rep.iterations
+        first, *later = calls
+        assert first == {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}, "permc_spec": "MMD_AT_PLUS_A"}
+        assert all(call == {**first, "permc_spec": "NATURAL", **NARROW_PANELS} for call in later)
 
 
 @pytest.mark.parametrize(
@@ -580,34 +574,40 @@ def test_later_cg_solves_are_capped_at_a_multiple_of_the_first(monkeypatch):
 
 
 def test_underflowing_weights_stop_the_cg_route_without_warnings():
-    """Clamps of size 1e-60 at p = 8 give arc weights that underflow to 0:
-    CG refuses the zero diagonal, the factor meets a zero pivot, and the
-    solve reports converged=False at once, without a warning."""
+    """Arc weights that underflow to 0 leave a zero diagonal: CG refuses
+    it, the factor meets a zero pivot, the system solves to all NaN and
+    the CG route ends, without a warning. Clamps of size 1e-60 at p = 8,
+    whose weights would underflow so, are solved scaled up to a largest
+    magnitude in [1/2, 1), and converge without a warning."""
     ball = family_ball(Z3, 14)
     clamps = {i: 1e-60 * v for i, v in random_clamps(ball, 27).items()}
+    system = DirichletProblem(ball, clamps, 8.0)._system
     problem = DirichletProblem(ball, clamps, 8.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, rep = solve_dirichlet(problem)
-    assert not rep.converged and rep.iterations == 0
-    assert not problem._system.cg
+        assert system.cg
+        assert np.all(np.isnan(system.solve(np.zeros(system.nbrs.shape), 0.0, np.ones(system.n_free))))
+        _, rep = solve_dirichlet(problem, SolverConfig(tolerance=1e-68))
+    assert not system.cg
+    assert rep.converged and rep.iterations > 0
 
 
 @pytest.mark.parametrize("p", [1.2, 3.0, 8.0])
 @pytest.mark.parametrize("spec,radius", FOUR_FAMILIES)
 def test_sparse_fill_panels_keep_the_solve(monkeypatch, spec, radius, p):
-    """Narrow panels change only the rounding: the same Newton steps, the
-    same verdict and the energy to 1e-13 of a solve with the defaults."""
+    """The narrow panels of the NATURAL factorizations change only the
+    rounding: the same Newton steps, the same verdict and the energy to
+    1e-13 of a solve whose every factorization takes SuperLU's default
+    panels and relaxation."""
     ball = family_ball(spec, radius)
-    problem = DirichletProblem(ball, random_clamps(ball, 21), p)
-    _, rep = solve_dirichlet(problem)
-    assert problem._system.panels == SPARSE_PANELS
-    monkeypatch.setattr(dirichlet, "SPARSE_FILL", 0)
-    forced = DirichletProblem(ball, random_clamps(ball, 21), p)
-    _, rep_forced = solve_dirichlet(forced)
-    assert forced._system.panels == {}
-    assert (rep.iterations, rep.converged) == (rep_forced.iterations, rep_forced.converged)
-    assert rep.final_energy == pytest.approx(rep_forced.final_energy, rel=1e-13)
+    calls = counted_splu(monkeypatch)
+    _, rep = solve_dirichlet(DirichletProblem(ball, random_clamps(ball, 21), p))
+    assert all(call["relax"] == dirichlet.NATURAL_RELAX for call in calls[1:])
+    monkeypatch.setattr(dirichlet, "NATURAL_RELAX", None)
+    monkeypatch.setattr(dirichlet, "NATURAL_PANEL", None)
+    _, rep_default = solve_dirichlet(DirichletProblem(ball, random_clamps(ball, 21), p))
+    assert (rep.iterations, rep.converged) == (rep_default.iterations, rep_default.converged)
+    assert rep.final_energy == pytest.approx(rep_default.final_energy, rel=1e-13)
 
 
 @pytest.mark.parametrize("error", [MemoryError, SystemError])
@@ -689,9 +689,9 @@ def annulus_problem(spec, radius, inner_radius, p):
     ],
 )
 def test_forest_route_per_family(spec, radius, forest):
-    """The trees take the sweep: no CSC pattern, no order, no CG. The
-    paths, and every ball with a cycle among its free vertices, keep the
-    factor."""
+    """The trees take the sweep: no CSC pattern, no order, no CG, through
+    a whole p = 3 solve as through the p = 2 start. The paths, and every
+    ball with a cycle among its free vertices, keep the factor."""
     problem = zero_sphere_problem(spec, radius)
     linear_dirichlet(problem)
     system = problem._system
@@ -699,6 +699,11 @@ def test_forest_route_per_family(spec, radius, forest):
     assert (system.matrix is None) is forest
     assert (system.order is None) is forest
     assert not system.cg
+    ball = problem.ball
+    solved = DirichletProblem(ball, random_clamps(ball, 31), 3.0)
+    _, rep = solve_dirichlet(solved)
+    assert rep.converged
+    assert (solved._system.matrix is None) is (solved._system.order is None) is forest
 
 
 def test_capacity_annulus_is_a_forest_of_many_roots():
@@ -793,6 +798,43 @@ def test_tiny_clamps_solve_as_their_scaled_copy(spec, radius, tolerance):
         assert np.array_equal(np.ldexp(u.values, k), scaled.values)
 
 
+# small balls of the four families: two trees on the sweep, two factored
+SMALL_BALLS = [(F2, 3), ({"family": "free_abelian", "params": {"d": 2}}, 4), (Z2_3, 4), ({"family": "lamplighter", "params": {}}, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_BALLS), st.floats(1.1, 8.0), st.integers(-300, 300), st.integers(0, 2**32 - 1))
+def test_clamps_of_any_magnitude_converge_or_are_refused(case, p, k, seed):
+    """Sphere clamps g * 10^k, g uniform in (-1, 1): with warnings as
+    errors, either the problem is refused up front with a one-line
+    ValueError, which happens only where the p-th power of the clamps
+    passes 10^300, or the solve converges within the default step budget
+    to a finite energy. Its field over 10^k then lies within 1e-3 of the
+    field of g, both solved to a tolerance of 1e-8 of the clamps (the
+    stop floor takes over above 1). Most fields agree to 1e-7. The bound
+    is loose because at p near 8 Newton converges linearly and the stop
+    test does not bound the distance to the minimizer: on Z2*Z2*Z2 R=4 at
+    p = 7.93 the field of g took 8207 steps and stopped 8.7e-5 from it,
+    and the field of g * 1e-169 1.9e-4 from the first. A solve spoilt by
+    overflow or underflow ends 0.1 to 0.3 away."""
+    spec, radius = case
+    ball = family_ball(spec, radius)
+    g = np.full(len(ball), np.nan)
+    g[ball.n_interior :] = np.random.default_rng(seed).uniform(-1, 1, ball.n_boundary)
+    scale = 10.0**k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            problem = DirichletProblem(ball, g * scale, p)
+        except ValueError as exc:
+            assert "\n" not in str(exc) and p * k > 300
+            return
+        u, rep = solve_dirichlet(problem, SolverConfig(tolerance=1e-8 * min(scale, 1.0)))
+        ref, rep_ref = solve_dirichlet(DirichletProblem(ball, g, p))
+    assert rep.converged and rep_ref.converged and np.isfinite(rep.final_energy)
+    assert np.max(np.abs(u.values / scale - ref.values)) <= 1e-3
+
+
 @pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
 def test_tiny_arcs_among_normal_clamps_solve_without_warnings(f2_model, p):
     """Clamps that mix 1e-300 with 1 are not scaled: the identity, the one
@@ -815,10 +857,9 @@ def test_tiny_arcs_among_normal_clamps_solve_without_warnings(f2_model, p):
 def test_linear_dirichlet_matches_spsolve(spec, radius):
     ball = family_ball(spec, radius)
     problem = DirichletProblem(ball, random_clamps(ball, 19), 2.0)
-    system = _NewtonStep(problem)
-    u = problem.clamped_values()
-    rhs = u[system.nbrs].sum(axis=1)
-    expected = scipy.sparse.linalg.spsolve(system.laplacian(np.ones(system.nbrs.shape), 0.0), rhs)
+    nbrs = ball.adj[problem.free]
+    rhs = problem.clamped_values()[nbrs].sum(axis=1)
+    expected = scipy.sparse.linalg.spsolve(reference_laplacian(problem, np.ones(nbrs.shape), 0.0), rhs)
     got = linear_dirichlet(problem)[problem.free]
     assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, float(np.max(np.abs(expected))))
 
