@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -584,7 +585,9 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every task, built once per process, on first use."""
     parser = _Parser(prog="pharmonic", description="p-potential theory experiments on group balls")
     parser.add_argument("--version", action="version", version=f"pharmonic {__version__}")
     subs = parser.add_subparsers(dest="task", required=True)

@@ -119,11 +119,19 @@ CG: with marked clamps CG took 1.25 to 3.6 times as long on Z^2 R=30 to
 300 at p = 1.5 and 3, against 0.45 to 0.53 on Z^3 R=14 (CHANGES.md has
 the sweep).
 
-Stopping: the sup of the Newton correction is the one stop test. Its limit
-is the tolerance, floored at STOP_FLOOR times the largest clamp magnitude:
-float64 cannot resolve a finer field, and at p = 1.1 converged
-corrections stayed at up to 58 eps of it. A stage before the target ends
-once the correction is at most max(limit, STAGE_TOL); the target stage
+Scaling: the minimizer is 1-homogeneous in the clamps, so Newton runs on
+the clamps scaled by a power of 2 to a largest magnitude in (1/2, 1], and
+the field is scaled back at the end. The scaling is exact: while no value
+leaves the normal floats, clamps c 2^k with the tolerance times 2^k take
+the steps of c, and their field is that of c times 2^k bit for bit.
+Clamps of 0 and 1 keep their scale.
+
+Stopping: the sup of the scaled Newton correction is the one stop test.
+Its limit is the tolerance, floored at STOP_FLOOR times the largest clamp
+magnitude (float64 cannot resolve a finer field, and at p = 1.1 converged
+corrections stayed at up to 58 eps of it), in scaled units. A stage before
+the target ends once the correction is at most max(limit, STAGE_TOL), so
+at 1 to 2 times STAGE_TOL of the largest clamp magnitude; the target stage
 ends once it is at most the limit, and that last correction is added as
 it stands. Unlike the p-Laplacian residual, which at large p pins values
 only to about residual^(1/(p-1)), the correction measures the distance to
@@ -175,12 +183,6 @@ CG_STALL = 8
 ENERGY_ROUNDOFF = 1e-12  # relative energy change below float64 summation resolution
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
-# Clamps whose largest magnitude s lies outside [TINY_CLAMPS, HUGE_CLAMPS] are
-# solved scaled by an exact power of 2. Inside, at p <= 8, weights and energies
-# stay normal floats: a flat arc's weight (eps s)^6 is at least 2^-696, an
-# arc's p-th power at most 2^520. At p = 8 clamps of 1e-50 give zero weights.
-TINY_CLAMPS = 2.0**-64
-HUGE_CLAMPS = 2.0**64
 STOP_FLOOR = 256 * _EPS  # the least stop limit, per unit of the largest clamp magnitude
 
 
@@ -474,9 +476,9 @@ class _NewtonStep:
             return np.zeros(self.n_free)
         mu = _EPS * scale  # arcs shorter than one ulp of the longest are flat
         # mu^2 floored at the smallest normal float: where it underflows (an
-        # arc scale below about 1e-138, which solve_dirichlet scales away
-        # unless the clamps mix such scales with normal ones), a flat arc's
-        # weight would be 0 to a negative power at p < 2
+        # arc scale below about 1e-138, which clamps scaled to a largest
+        # magnitude near 1 give only where they mix such scales with normal
+        # ones), a flat arc's weight would be 0 to a negative power at p < 2
         w = (d * d + max(mu * mu, _TINY)) ** (0.5 * (p - 2.0))
         # 1e-14 of the longest arc's weight keeps the system regular where
         # flat arcs carry no weight (p > 2)
@@ -694,25 +696,22 @@ def solve_dirichlet(
     problem factors every system (see "Factorization:" in the module
     docstring).
 
-    Clamps whose largest magnitude lies outside [TINY_CLAMPS, HUGE_CLAMPS]
-    are solved scaled by a power of 2 to a largest magnitude in [1/2, 1),
-    with the stop tests read on the unscaled corrections, and the field is
-    scaled back: the minimizer is homogeneous in the clamps, and the scaling
-    is exact, so such a solve takes the same steps as that of its scaled
-    copy with a tolerance scaled alike. Where clamps inside that range mix
-    arcs below about 1e-138 with normal ones, the square of such an arc's
-    regularizer mu is floored at the smallest normal float.
+    Newton runs on the clamps scaled by a power of 2 to a largest magnitude
+    in (1/2, 1], and the field is scaled back (see "Scaling:" in the module
+    docstring): clamps c 2^k with a tolerance scaled alike take the steps
+    of c.
 
-    The solve converges when the sup of the Newton correction at the target
-    exponent is at most ``config.tolerance``, or STOP_FLOOR times the
-    largest clamp magnitude if that is more; that last correction is added
-    to the field. ``config.max_sweeps`` bounds the damped Newton steps of
-    all stages together, and ``iterations`` counts them. The returned field
-    is clipped to the clamped range. The reported residual is the sup of
-    the p-Laplacian over the free vertices of that field: for p < 2 it can
-    stay far above the tolerance at arcs whose two values nearly coincide,
-    where one ulp of either value moves it by about (p-1)|d|^(p-2) ulp.
-    Non-convergence is reported, not raised.
+    The solve converges when the sup of the scaled Newton correction at the
+    target exponent is at most ``config.tolerance``, or STOP_FLOOR times
+    the largest clamp magnitude if that is more, in scaled units; that last
+    correction is added to the field. A stage below the target ends at
+    max(that limit, STAGE_TOL). ``config.max_sweeps`` bounds the damped
+    Newton steps of all stages together, and ``iterations`` counts them.
+    The returned field is clipped to the clamped range. The reported
+    residual is the sup of the p-Laplacian over the free vertices of that
+    field: for p < 2 it can stay far above the tolerance at arcs whose two
+    values nearly coincide, where one ulp of either value moves it by about
+    (p-1)|d|^(p-2) ulp. Non-convergence is reported, not raised.
     """
     config = config or SolverConfig()
     p = problem.p
@@ -723,17 +722,14 @@ def solve_dirichlet(
     newton = problem._system
     lo, hi = problem.clamped_range()
     size = max(-lo, hi)
-    tol = max(config.tolerance, STOP_FLOOR * size)
-    # the minimizer is homogeneous in the clamps: tiny and huge ones are scaled
-    # by a power of 2 (exactly) to a largest magnitude in [1/2, 1), and back
-    exponent = -int(np.frexp(size)[1]) if 0.0 < size < TINY_CLAMPS or size > HUGE_CLAMPS else 0
-
-    def within(step: np.ndarray, limit: float) -> bool:
-        """Whether the unscaled sup of step is at most limit."""
-        return bool(np.ldexp(np.max(np.abs(step)), -exponent) <= limit)
-
-    # the clamp span in the units of the (scaled) steps, so that a scaled
-    # problem forces its CG solves as its scaled copy does
+    # the minimizer is homogeneous in the clamps: Newton runs on them scaled by
+    # a power of 2 (exactly) to a largest magnitude in (1/2, 1], and back
+    mantissa, power = math.frexp(size)  # size = mantissa 2^power, mantissa in [1/2, 1)
+    exponent = (mantissa == 0.5) - power
+    # the stop limit and the clamp span in the units of the scaled steps; a
+    # limit past the largest float (subnormal clamps) lets any correction pass
+    with np.errstate(over="ignore"):
+        limit = float(np.ldexp(max(config.tolerance, STOP_FLOOR * size), exponent))
     span = float(np.ldexp(hi, exponent) - np.ldexp(lo, exponent))
 
     def forcing(q: float, step: Optional[np.ndarray]) -> float:
@@ -759,13 +755,12 @@ def solve_dirichlet(
         if init.shape != u.shape:
             raise ValueError(f"initial values must have shape {u.shape}")
         u[free] = init[free]
-    if exponent:
-        u = np.ldexp(u, exponent)
+    u = np.ldexp(u, exponent)
     if initial is not None:
         # a start that already passes the stop test, solved to CG_RTOL, is
         # returned as it is; not at p < 2, where exactly flat arcs make the
         # system stiff enough for a small correction far from the minimizer
-        if p > 2.0 and within(newton.correction(u, p, CG_RTOL), tol):
+        if p > 2.0 and np.max(np.abs(newton.correction(u, p, CG_RTOL))) <= limit:
             stages = []
         else:
             stages = [2.0] + stages
@@ -774,9 +769,9 @@ def solve_dirichlet(
     converged = True
     step = None
     for q in stages:
-        stage_tol = tol if q == p else max(tol, STAGE_TOL)
+        stage_limit = limit if q == p else max(limit, STAGE_TOL)
         step = newton.correction(u, q, forcing(q, step))
-        while not within(step, stage_tol):  # a NaN correction goes to the line search and fails there
+        while not np.max(np.abs(step)) <= stage_limit:  # a NaN correction goes to the line search and fails there
             alpha = newton.line_search(u, step, q) if steps < config.max_sweeps else 0.0
             if alpha == 0.0:
                 converged = False
@@ -789,8 +784,7 @@ def solve_dirichlet(
     if converged and stages:
         u[free] += step  # the last correction, already within tolerance, taken as it stands
 
-    if exponent:
-        u = np.ldexp(u, -exponent)
+    u = np.ldexp(u, -exponent)
     u[free] = np.clip(u[free], lo, hi)
     d = u[newton.nbrs] - u[free, None]
     report = SolveReport(

@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse.linalg
 
 import pharmonic
+import pharmonic.cli
 import pharmonic.dirichlet
 import pharmonic.exhaustion
 from pharmonic import CayleyBall, solve_dirichlet
@@ -56,6 +57,22 @@ def test_reruns_are_byte_identical(tmp_path):
     assert run_cli(args + ["--out", str(a)]) == 0
     assert run_cli(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_one_parser_serves_every_call_without_state_between_them(tmp_path, monkeypatch):
+    """Two calls in one process whose flags differ go through the one
+    parser, and the second, without --seed, writes the report that a fresh
+    parser gives, not one with the first call's seed."""
+    args = ["solve", "--group", "lamplighter", "--radius", "3", "--p", "1.5", "--boundary", "random"]
+    seeded, unseeded, fresh = tmp_path / "seeded.json", tmp_path / "unseeded.json", tmp_path / "fresh.json"
+    assert run_cli(args + ["--seed", "7", "--out", str(seeded)]) == 0
+    parser = pharmonic.cli._build_parser()
+    assert run_cli(args + ["--out", str(unseeded)]) == 0
+    assert pharmonic.cli._build_parser() is parser
+    monkeypatch.setattr(pharmonic.cli, "_build_parser", pharmonic.cli._build_parser.__wrapped__)
+    assert run_cli(args + ["--out", str(fresh)]) == 0
+    assert unseeded.read_bytes() == fresh.read_bytes() != seeded.read_bytes()
+    assert "seed" not in load(unseeded)["manifest"]
 
 
 def test_csv_format(tmp_path):
