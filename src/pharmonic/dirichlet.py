@@ -17,10 +17,11 @@ solves the p-Laplacian equations linearized at the current field: the
 Hessian is the graph Laplacian of the free vertices weighted by
 (d^2 + mu^2)^((p-2)/2) on each arc, mu one ulp of the longest arc; it is
 symmetric positive definite, and is eliminated leaves first, factored
-without pivoting or solved by conjugate gradients (see "Factorization:"
-below). For p < 2 an arc that the step would carry across 0 takes the
-IRLS weight instead (see _NewtonStep.correction). The step is damped by
-backtracking on the energy.
+without pivoting (by banded Cholesky or by sparse LU) or solved by
+conjugate gradients (see "Factorization:" below). For p < 2 an arc that
+the step would carry across 0 takes the IRLS weight instead (see
+_NewtonStep.correction). The step is damped by backtracking on the
+energy.
 
 Factorization: every linear system of a problem, the p = 2 one included,
 has the same sparsity pattern and goes through _NewtonStep.solve, on a
@@ -40,7 +41,7 @@ from R = 9 on, skip the forest test itself. On a 2-core x86 machine one
 system took 0.13 to 0.22 of the factor's time on F_2 R=8 and R=10, F_3
 R=6, Z2^{*4} R=8 and Z2*Z2*Z2 R=12, 0.54 to 0.95 on Z2*Z2*Z2 R=4 to 9,
 and 15 to 18 times as long on the paths F_1 R=300, Z R=2000 and Z2*Z2
-R=300 (CHANGES.md has the sweep).
+R=300 (CHANGES.md has the sweep); the paths take the band (below).
 
 A problem on a group of polynomial growth of degree 3 or more (Z^3 and
 Z^4, under any generating set: ``GroupModel.growth_degree``, a
@@ -102,22 +103,54 @@ the 6th and 12th CG solve (the 8th and 16th under forcing terms, which
 leave the first Newton systems cheap). There the cap took 0.90 to 0.97 and
 0.80 to 0.91 of the time the fallback at CG_MAXITER alone took.
 
-Every other problem is factored, and so is a CG-route problem once CG has
-failed. The first factorization, by symmetric SuperLU with its default
-panels and supernode relaxation, computes a minimum degree order of the
-pattern; the pattern is renumbered into that order once, and every later
-factorization of the problem factors it in that natural order, with
+A problem on a group of polynomial growth of degree 2 or less (Z, Z^2, F_1
+and Z2*Z2, under any generating set) takes the band route where the
+reverse Cuthill-McKee order of its free vertices (Cuthill & McKee, Proc.
+ACM Nat. Conf. 1969; George & Liu, *Computer Solution of Large Sparse
+Positive Definite Systems*, 1981) has a bandwidth of at most BAND_MAX:
+that bandwidth is 2R - 1 on the ball of Z^2 of radius R and 1 on the
+paths, and a Cholesky factor fills nothing outside the band. The order,
+and the place of every entry in LAPACK's lower band storage, are found
+once, when the problem is built; every system of the problem, the p = 2
+start and the IRLS re-solve included, is written into the band and
+factored by banded Cholesky (``dpbtrf``, ``dpbtrs``, no pivoting): no
+minimum degree order and no SuperLU. SuperLU is bound by overhead on these
+systems: on Z^2 R=30 a factorization took 1.7 ms, the band 0.85 ms for its
+n b^2 = 6 Mflop. One factorization and solve took, on a 2-core x86 machine
+with one BLAS thread (minimum of 21), against a later SuperLU
+factorization of the same system:
+
+    ball                       bandwidth       band / SuperLU
+    Z^2 R=20, 30, 40           39, 59, 79      0.35, 0.49, 0.61
+    Z^2 R=50, 60               99, 119         0.76, 0.66
+    Z^2 R=70, 80, 100          139, 159, 199   1.01, 0.95, 1.16
+    Z^2 + [x1 x2] R=30, 40     59, 79          0.47, 0.59
+    Z R=2000, 20000            1               0.32, 0.29
+    F_1 and Z2*Z2 R=300        1               0.30
+
+BAND_MAX = 120 keeps Z^2 on the band up to R = 60. The growth degree keeps
+the groups of exponential growth off it: the lamplighter R=9 has a
+bandwidth of 99 on 490 free vertices, and there the band took 2.0 times
+SuperLU's time. The test costs little beside a factorization: on Z^2
+R=300 (179 401 free vertices, bandwidth 599), which factors, the order
+and its bandwidth took 15 ms, a later factorization 650 ms.
+
+Every other problem is factored by SuperLU, and so is a CG-route problem
+once CG has failed. The first factorization, by symmetric SuperLU with its
+default panels and supernode relaxation, computes a minimum degree order
+of the pattern; the pattern is renumbered into that order once, and every
+later factorization of the problem factors it in that natural order, with
 panels of NATURAL_PANEL columns and a relaxation of NATURAL_RELAX (Demmel
 et al., SIAM J. Matrix Anal. Appl. 20, 1999). On a 2-core x86 machine a
 factorization took 0.68 of the time under SuperLU's defaults on Z^2 R=30
 (25 nonzeros per free vertex) and 0.77 on Z^3 R=14 (103). The densest
 factor met, Z^3 R=20 with marked clamps at p = 1.1 once CG stalls (185),
 solved in 11.5 to 13.0 s under them against 12.4 to 13.1 s under the
-defaults, in the same 32 steps. Z^2 factors up to the vertex budget (64
-nonzeros per free vertex at R = 300), and there the factor is faster than
-CG: with marked clamps CG took 1.25 to 3.6 times as long on Z^2 R=30 to
-300 at p = 1.5 and 3, against 0.45 to 0.53 on Z^3 R=14 (CHANGES.md has
-the sweep).
+defaults, in the same 32 steps. Z^2 past the band factors, from R = 61 up
+to the vertex budget (64 nonzeros per free vertex at R = 300), and there
+the factor is faster than CG: with marked clamps CG took 1.25 to 3.6 times
+as long on Z^2 R=30 to 300 at p = 1.5 and 3, against 0.45 to 0.53 on Z^3
+R=14 (CHANGES.md has the sweep).
 
 Scaling: the minimizer is 1-homogeneous in the clamps, so Newton runs on
 the clamps scaled by a power of 2 to a largest magnitude in (1/2, 1], and
@@ -154,6 +187,8 @@ from typing import Mapping, Optional, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .energy import ScalarField, check_exponent, phi_p
 from .groups import CayleyBall
@@ -180,6 +215,10 @@ CG_MAXITER = 1000
 # A CG solve after a problem's first one is thrown away past CG_STALL times
 # the iterations of the first, the p = 2 system (see "Factorization:" above)
 CG_STALL = 8
+# A problem on a group of polynomial growth of degree 2 or less whose free
+# vertices have a reverse Cuthill-McKee bandwidth of at most BAND_MAX factors
+# every system by banded Cholesky (see "Factorization:" above)
+BAND_MAX = 120
 ENERGY_ROUNDOFF = 1e-12  # relative energy change below float64 summation resolution
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
@@ -316,8 +355,10 @@ def linear_dirichlet(problem: DirichletProblem) -> np.ndarray:
     right-hand side. It is the first system of the problem's
     ``_NewtonStep``, on that problem's route: the elimination sweep of a
     forest, Jacobi-preconditioned CG (whose iterations here set the cap of
-    the later CG solves), or the first factorization, which finds the
-    fill-reducing order that the Newton steps reuse. Where p = 2 is the
+    the later CG solves), the banded Cholesky factor in the reverse
+    Cuthill-McKee order found with the problem, or the first SuperLU
+    factorization, which finds the fill-reducing order that the Newton
+    steps reuse. Where p = 2 is the
     problem's own exponent, this field is the answer, and on the CG route
     it takes one residual-correction pass: CG solves again for the residual
     of the first solution, which brings the residual down to the rounding
@@ -341,14 +382,14 @@ class _NewtonStep:
 
     The linearized system is the mu-regularized weighted Laplacian of the
     free vertices. The route of every system is fixed here, before anything
-    is solved. Where the free vertices form a forest of at least 2^levels
-    vertices, ``forest`` is its elimination sweep, which takes every system
-    of the problem; no CSC pattern is built for it (``matrix`` stays None),
-    ``cg`` is False, and ``order`` stays None. Otherwise ``forest`` is None,
-    and the CSC pattern is built once, in the order of ``free``; each solve
-    refills ``.data``, summing entries that share a (row, column) slot. The
-    same assembly with unit weights is the p = 2 system of
-    ``linear_dirichlet``.
+    is solved, by four tests in turn. Where the free vertices form a forest
+    of at least 2^levels vertices, ``forest`` is its elimination sweep,
+    which takes every system of the problem; no CSC pattern is built for it
+    (``matrix`` stays None), ``cg`` is False, and ``band`` and ``order``
+    stay None. Otherwise ``forest`` is None, and the CSC pattern is built
+    once, in the order of ``free``; each solve refills ``.data``, summing
+    entries that share a (row, column) slot. The same assembly with unit
+    weights is the p = 2 system of ``linear_dirichlet``.
 
     ``cg`` is True on a group of growth degree 3 or more with at least
     CG_FREE free vertices: every system goes to Jacobi-preconditioned CG on
@@ -357,13 +398,20 @@ class _NewtonStep:
     the later ones. ``cg`` drops to False for good at the first CG solve
     that fails, and that system goes to the factor.
 
-    The first factorization orders the pattern by minimum degree on A^T + A
-    (Liu, ACM TOMS 11, 1985), with SuperLU's default panels. The pattern
-    and the slot map are then renumbered into that order once, and every
-    later factorization takes the pre-ordered matrix as it stands, with
-    panels of NATURAL_PANEL columns and a supernode relaxation of
-    NATURAL_RELAX, so the ordering runs once per problem. Right-hand sides
-    and solutions keep the order of ``free``."""
+    On a group of growth degree 2 or less, the pattern is ordered by
+    reverse Cuthill-McKee; where the bandwidth of that order is at most
+    BAND_MAX, ``band`` is the banded Cholesky factor in it, which takes
+    every system of the problem, and the CSC pattern is dropped (``matrix``
+    is None). Otherwise ``band`` is None.
+
+    Every other problem goes to SuperLU. The first factorization orders the
+    pattern by minimum degree on A^T + A (Liu, ACM TOMS 11, 1985), with
+    SuperLU's default panels. The pattern and the slot map are then
+    renumbered into that order once, and every later factorization takes
+    the pre-ordered matrix as it stands, with panels of NATURAL_PANEL
+    columns and a supernode relaxation of NATURAL_RELAX, so the ordering
+    runs once per problem. Right-hand sides and solutions keep the order of
+    ``free``."""
 
     def __init__(self, problem: DirichletProblem):
         ball = problem.ball
@@ -379,9 +427,11 @@ class _NewtonStep:
         self.forest = _ForestSweep.of(ball.depth, self.free, self.nbrs, nbr_local)
         degree = ball.model.growth_degree
         # whether the next system goes to CG before SuperLU: fixed here, from
-        # the growth degree and size alone (see "Factorization:" above)
+        # the growth degree and size alone; the band, below, from the growth
+        # degree and the bandwidth (see "Factorization:" above)
         self.cg = self.forest is None and degree is not None and degree >= 3 and n_free >= CG_FREE
         self.cg_maxiter: Optional[int] = None  # the cap of a CG solve, once the first has run
+        self.band: Optional[_BandCholesky] = None
         self.order: Optional[np.ndarray] = None  # position of each free vertex in the factored matrix
         self.slot: Optional[np.ndarray] = None
         self.matrix: Optional[sp.csc_matrix] = None
@@ -390,6 +440,10 @@ class _NewtonStep:
             rows = np.concatenate([np.arange(n_free, dtype=np.int64), row_grid[self.off_mask]])
             cols = np.concatenate([np.arange(n_free, dtype=np.int64), nbr_local[self.off_mask]])
             self.slot, self.matrix = self._pattern(rows, cols)
+            if degree is not None and degree <= 2:
+                self.band = _BandCholesky.of(self.matrix, nbr_local)
+            if self.band is not None:
+                self.slot = self.matrix = None
         self.arcs = ball.arcs()
 
     def _pattern(self, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, sp.csc_matrix]:
@@ -414,7 +468,10 @@ class _NewtonStep:
         symmetric positive definite system for positive weights and shift
         (or unit weights and shift 0, the p = 2 system). A forest problem
         runs the elimination sweep on every call, all NaN where a pivot is 0
-        or the solution is not finite. On the CG route a call runs
+        or the solution is not finite. A band problem writes the system into
+        its band and factors it by banded Cholesky on every call, all NaN
+        where a pivot is not positive, MemoryError if the band cannot be
+        allocated. On the CG route a call runs
         Jacobi-preconditioned CG on the matrix in the order of ``free``, to
         a residual of ``rtol`` of the right-hand side; if CG misses it
         within its cap or meets a non-finite value, the route ends for good
@@ -427,6 +484,8 @@ class _NewtonStep:
         MemoryError if SuperLU runs out of memory."""
         if self.forest is not None:
             return self.forest.solve(w, shift, rhs)
+        if self.band is not None:
+            return self.band.solve(w, shift, rhs)
         matrix = self.laplacian(w, shift)
         if self.cg:
             solved = _jacobi_cg(matrix, rhs, self.cg_maxiter or CG_MAXITER, rtol)
@@ -448,9 +507,7 @@ class _NewtonStep:
         except RuntimeError:
             return np.full(self.n_free, np.nan)
         except (MemoryError, SystemError) as exc:
-            raise MemoryError(
-                f"out of memory factoring the Newton system of {self.n_free} free vertices"
-            ) from exc
+            raise _out_of_memory(self.n_free) from exc
         if not first:
             return lu.solve(b)[self.order]
         # renumber the pattern once: free vertex k moves to position order[k]
@@ -614,6 +671,66 @@ class _ForestSweep:
         return out
 
 
+class _BandCholesky:
+    """Banded Cholesky of a Laplacian in reverse Cuthill-McKee order.
+
+    The free vertices are renumbered once, by reverse Cuthill-McKee on the
+    pattern (Cuthill & McKee, Proc. ACM Nat. Conf. 1969; George & Liu,
+    *Computer Solution of Large Sparse Positive Definite Systems*, 1981):
+    ``perm`` lists the free vertices in band order, ``position`` is the
+    place of each, and ``width`` is the bandwidth, 2R - 1 on the ball of Z^2
+    of radius R. Each system is written into LAPACK's lower band storage,
+    ``width`` + 1 rows of n columns in Fortran order, through ``index``: the
+    diagonal first, then the entries below it, read off the weights at the
+    flat ``slots``. ``dpbtrf`` factors it and ``dpbtrs`` solves; neither
+    pivots, and a system that is not positive definite gives all NaN."""
+
+    def __init__(self, perm: np.ndarray, position: np.ndarray, width: int, slots: np.ndarray, index: np.ndarray):
+        self.perm, self.position, self.width = perm, position, width
+        self.slots, self.index = slots, index
+
+    @classmethod
+    def of(cls, pattern: sp.csc_matrix, nbr_local: np.ndarray) -> Optional["_BandCholesky"]:
+        """The band factor of the symmetric ``pattern`` of the free vertices,
+        given the position of each neighbour in ``free`` (-1 at clamps);
+        None if its reverse Cuthill-McKee bandwidth passes BAND_MAX."""
+        perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.int64)
+        position = np.empty_like(perm)
+        position[perm] = np.arange(perm.size)
+        at = position[:, None]
+        linked = nbr_local >= 0
+        nbr_at = np.where(linked, position[nbr_local], at)
+        width = int(np.max(at - nbr_at, initial=0))  # the pattern is symmetric
+        if width > BAND_MAX:
+            return None
+        lower = linked & (nbr_at < at)
+        # entry (i, j), i >= j, of the band order sits at j (width + 1) + i - j
+        index = np.concatenate([position * (width + 1), (nbr_at * width + at)[lower]])
+        return cls(perm, position, width, np.flatnonzero(lower), index)
+
+    def solve(self, w: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
+        """Solve with the Laplacian of arc weights w (symmetric across each
+        edge) and diagonal shift, in the order of ``free``; all NaN if a
+        pivot is not positive, MemoryError if the band cannot be allocated."""
+        n = rhs.size
+        try:
+            entries = np.concatenate([w.sum(axis=1) + shift, -np.take(w, self.slots)])
+            band = np.bincount(self.index, weights=entries, minlength=n * (self.width + 1))
+            factor, info = lapack.dpbtrf(band.reshape(n, -1).T, lower=1, overwrite_ab=1)
+            if info > 0:
+                return np.full(n, np.nan)
+            x, _ = lapack.dpbtrs(factor, rhs[self.perm], lower=1, overwrite_b=1)
+        except MemoryError as exc:
+            raise _out_of_memory(n) from exc
+        return x[self.position]
+
+
+def _out_of_memory(n_free: int) -> MemoryError:
+    """The one-line error of a factorization, SuperLU or band, that runs out
+    of memory."""
+    return MemoryError(f"out of memory factoring the Newton system of {n_free} free vertices")
+
+
 def _jacobi_cg(
     matrix: sp.csc_matrix, b: np.ndarray, maxiter: int, rtol: float
 ) -> Optional[Tuple[np.ndarray, int]]:
@@ -692,9 +809,14 @@ def solve_dirichlet(
     nothing is factored. On a group of growth degree 3 or more with at
     least CG_FREE free vertices, every system goes to Jacobi-preconditioned
     CG, each Newton system solved only to its forcing term, with the factor
-    taking over for good from the first CG solve that fails. Every other
-    problem factors every system (see "Factorization:" in the module
-    docstring).
+    taking over for good from the first CG solve that fails. On a group of
+    growth degree 2 or less (Z, Z^2 and the paths F_1 and Z2*Z2, under any
+    generating set) whose free vertices have a reverse Cuthill-McKee
+    bandwidth of at most BAND_MAX, every system goes to banded Cholesky in
+    that order. Every other problem factors every system with SuperLU (see
+    "Factorization:" in the module docstring). A start that is not finite
+    at a free vertex is refused with a ValueError naming the first such
+    vertex.
 
     Newton runs on the clamps scaled by a power of 2 to a largest magnitude
     in (1/2, 1], and the field is scaled back (see "Scaling:" in the module
@@ -755,6 +877,9 @@ def solve_dirichlet(
         if init.shape != u.shape:
             raise ValueError(f"initial values must have shape {u.shape}")
         u[free] = init[free]
+        unfit = ~np.isfinite(u[free])
+        if unfit.any():
+            raise ValueError(f"initial value at vertex {int(free[np.argmax(unfit)])} is not finite")
     u = np.ldexp(u, exponent)
     if initial is not None:
         # a start that already passes the stop test, solved to CG_RTOL, is

@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 import pharmonic
@@ -244,7 +245,20 @@ def test_factorization_out_of_memory_exits_1_with_one_line(monkeypatch, capsys):
         raise SystemError("failed to allocate")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_splu)
-    # Z^2, not a tree: a tree's systems go to the elimination sweep, not to SuperLU
+    # the lamplighter R=5, which has cycles among its free vertices and grows
+    # exponentially: a tree's systems go to the elimination sweep and those
+    # of Z^2 to the band, not to SuperLU
+    assert run_cli(["solve", "--group", "lamplighter", "--radius", "5", "--p", "2.0"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: out of memory factoring the Newton system of 44 free vertices"]
+
+
+def test_band_out_of_memory_exits_1_with_one_line(monkeypatch, capsys):
+    def failing_dpbtrf(*args, **kwargs):
+        raise MemoryError("failed to allocate")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", failing_dpbtrf)
+    # Z^2 R=3 takes the band (bandwidth 5)
     assert run_cli(["solve", "--group", "free_abelian:d=2", "--radius", "3", "--p", "2.0"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: out of memory factoring the Newton system of 13 free vertices"]

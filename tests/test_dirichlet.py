@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
@@ -319,8 +320,19 @@ def counted_splu(monkeypatch):
     return calls
 
 
+Z = {"family": "free_abelian", "params": {"d": 1}}
+Z2 = {"family": "free_abelian", "params": {"d": 2}}
 Z3 = {"family": "free_abelian", "params": {"d": 3}}
 Z4 = {"family": "free_abelian", "params": {"d": 4}}
+F1 = {"family": "free", "params": {"k": 1}}
+ZZ2 = {"family": "free_product_z2", "params": {"m": 2}}
+Z2_X1X2 = {"family": "free_abelian", "params": {"d": 2, "extra_generators": [["x1", "x2"]]}}
+# the smallest ball of Z^2 past the band: its bandwidth 2R - 1 passes BAND_MAX
+Z2_PAST_BAND = dirichlet.BAND_MAX // 2 + 1
+
+# the four families on balls that factor every system with SuperLU: those of
+# FOUR_FAMILIES, with Z^2 past the band
+FACTORED_FAMILIES = [(F2_AB, 5), (Z2, Z2_PAST_BAND), (Z2_3_S1S2, 6), ({"family": "lamplighter", "params": {}}, 5)]
 
 
 def test_one_minimum_degree_ordering_per_problem(monkeypatch):
@@ -331,7 +343,7 @@ def test_one_minimum_degree_ordering_per_problem(monkeypatch):
     p = 3, whose 6 steps cost a few factorizations of that ball."""
     monkeypatch.setattr(dirichlet, "_jacobi_cg", lambda *args: None)
     calls = counted_splu(monkeypatch)
-    for spec, radius, p in [(spec, radius, 1.2) for spec, radius in FOUR_FAMILIES] + [(Z3, 20, 3.0)]:
+    for spec, radius, p in [(spec, radius, 1.2) for spec, radius in FACTORED_FAMILIES] + [(Z3, 20, 3.0)]:
         calls.clear()
         ball = family_ball(spec, radius)
         problem = DirichletProblem(ball, random_clamps(ball, 17), p)
@@ -344,32 +356,53 @@ def test_one_minimum_degree_ordering_per_problem(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "spec,radius,cg",
+    "spec,radius,route",
     [
-        (Z2_3_S1S2, 8, False),
-        (F2_AB, 7, False),
-        (LAMP_TA, 9, False),
-        ({"family": "lamplighter", "params": {}}, 9, False),
-        ({"family": "lamplighter", "params": {"extra_generators": [["t", "a", "t"]]}}, 7, False),
-        ({"family": "free_abelian", "params": {"d": 2}}, 30, False),
-        ({"family": "free_abelian", "params": {"d": 2}}, 300, False),
-        (Z3, 12, False),
-        (Z3, 14, True),
-        (Z3, 20, True),
-        (Z4, 8, True),
+        (Z2_3_S1S2, 8, "factor"),
+        (F2_AB, 7, "factor"),
+        (LAMP_TA, 9, "factor"),
+        ({"family": "lamplighter", "params": {}}, 9, "factor"),
+        ({"family": "lamplighter", "params": {"extra_generators": [["t", "a", "t"]]}}, 7, "factor"),
+        (Z2, 30, "band"),
+        (Z2, 300, "factor"),
+        (Z3, 12, "factor"),
+        (Z3, 14, "cg"),
+        (Z3, 20, "cg"),
+        (Z4, 8, "cg"),
+        (Z, 2000, "band"),
+        (Z2_X1X2, 30, "band"),
+        (F1, 300, "band"),
+        (ZZ2, 300, "band"),
+        (Z2, Z2_PAST_BAND - 1, "band"),
+        (Z2, Z2_PAST_BAND, "factor"),
+        ({"family": "free", "params": {"k": 2}}, 8, "forest"),
     ],
 )
-def test_fill_density_chooses_the_route(spec, radius, cg):
-    """The route is fixed when the problem is built, before any solve, and
-    keeps the one the fill of a first factor chose: the lamplighter and the
-    extended sets (5 to 7 nonzeros per free vertex), Z^2 up to the vertex
-    budget (64 at R = 300) and Z^3 R=12 (65, 2047 free vertices) factor.
-    Z^3 R=14 (103), Z^3 R=20 (185) and Z^4 R=8 (124, 2241 free vertices),
-    of growth degree 3 and 4 with at least CG_FREE free vertices, go to CG."""
+def test_growth_degree_size_and_bandwidth_choose_the_route(spec, radius, route):
+    """The route is fixed when the problem is built, before any solve, by
+    four tests in turn. A forest of at least 2^levels free vertices (the
+    trees) takes the elimination sweep. A group of growth degree 3 or more
+    with at least CG_FREE free vertices takes CG: Z^3 R=14 and R=20 and Z^4
+    R=8 (2241 free vertices), not Z^3 R=12 (2047). A group of growth degree
+    2 or less (Z, Z^2, F_1, Z2*Z2 and their extended sets) whose free
+    vertices have a reverse Cuthill-McKee bandwidth of at most BAND_MAX
+    takes banded Cholesky: Z^2 up to R = 60 (bandwidth 2R - 1), Z^2 +
+    [x1 x2] R=30, and the paths Z R=2000, F_1 R=300 and Z2*Z2 R=300
+    (bandwidth 1). Everything else factors with SuperLU: Z^2 from R = 61
+    on, up to the vertex budget at R = 300, Z^3 R=12, the lamplighter R=9
+    (exponential growth, bandwidth 99) and the extended sets of the trees.
+    Only the SuperLU route keeps a CSC pattern, and no route has an order
+    before its first factorization."""
     problem = zero_sphere_problem(spec, radius)
     system = problem._system
-    assert system.cg is cg
-    assert system.order is None and system.matrix is not None
+    routes = {"forest": system.forest is not None, "cg": system.cg, "band": system.band is not None}
+    assert [name for name, taken in routes.items() if taken] == ([] if route == "factor" else [route])
+    assert (system.matrix is not None) is (route in ("factor", "cg"))
+    assert system.order is None
+    if route == "band":
+        assert system.band.width <= dirichlet.BAND_MAX
+        if spec is Z2:
+            assert system.band.width == 2 * radius - 1
 
 
 def field_gap(p):
@@ -611,8 +644,8 @@ def test_sparse_fill_panels_keep_the_solve(monkeypatch, spec, radius, p):
 
 
 @pytest.mark.parametrize("error", [MemoryError, SystemError])
-def test_factorization_out_of_memory_names_the_free_vertices(monkeypatch, z2_model, error):
-    ball = z2_model.ball(4)
+def test_factorization_out_of_memory_names_the_free_vertices(monkeypatch, lamp_model, error):
+    ball = lamp_model.ball(5)
     problem = DirichletProblem(ball, random_clamps(ball, 22), 2.0)
 
     def failing_splu(*args, **kwargs):
@@ -623,13 +656,31 @@ def test_factorization_out_of_memory_names_the_free_vertices(monkeypatch, z2_mod
         solve_dirichlet(problem)
 
 
+def test_band_out_of_memory_names_the_free_vertices(monkeypatch, z2_model):
+    """A band that cannot be allocated raises the factor's one-line
+    MemoryError; SuperLU is never called."""
+    ball = z2_model.ball(4)
+    problem = DirichletProblem(ball, random_clamps(ball, 22), 2.0)
+
+    def failing_dpbtrf(*args, **kwargs):
+        raise MemoryError("failed to allocate")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", failing_dpbtrf)
+    calls = counted_splu(monkeypatch)
+    with pytest.raises(MemoryError, match=f"^out of memory factoring the Newton system of {problem.free.size} free vertices$"):
+        solve_dirichlet(problem)
+    assert problem._system.band is not None and calls == []
+
+
 @pytest.mark.parametrize("spec,radius", FOUR_FAMILIES)
-def test_reordered_factorization_matches_a_fresh_one(spec, radius):
+def test_reordered_factorization_matches_a_fresh_one(monkeypatch, spec, radius):
     """The first solve is the fresh minimum degree factorization itself;
     later ones factor the renumbered pattern in natural order. With weights
     spread over twelve decades the system's condition number reaches 1e11,
     so two roundings of it differ in the solution by up to 1e-8 of its size;
-    they are compared through the matrix, normwise: |A (x - y)| <= 1e-12 |A| |y|."""
+    they are compared through the matrix, normwise: |A (x - y)| <= 1e-12 |A| |y|.
+    Z^2 R=8 would take the band: BAND_MAX = 0 sends it to SuperLU."""
+    monkeypatch.setattr(dirichlet, "BAND_MAX", 0)
     problem = zero_sphere_problem(spec, radius)
     system = problem._system
     rng = np.random.default_rng(18)
@@ -688,10 +739,12 @@ def annulus_problem(spec, radius, inner_radius, p):
         ({"family": "lamplighter", "params": {}}, 5, False),
     ],
 )
-def test_forest_route_per_family(spec, radius, forest):
+def test_forest_route_per_family(monkeypatch, spec, radius, forest):
     """The trees take the sweep: no CSC pattern, no order, no CG, through
     a whole p = 3 solve as through the p = 2 start. The paths, and every
-    ball with a cycle among its free vertices, keep the factor."""
+    ball with a cycle among its free vertices, keep the factor. The paths
+    and Z^2 would take the band: BAND_MAX = 0 sends them to SuperLU."""
+    monkeypatch.setattr(dirichlet, "BAND_MAX", 0)
     problem = zero_sphere_problem(spec, radius)
     linear_dirichlet(problem)
     system = problem._system
@@ -770,6 +823,97 @@ def test_forest_zero_pivot_gives_nan_without_warnings():
         warnings.simplefilter("error")
         assert np.all(np.isnan(system.solve(np.zeros(system.nbrs.shape), 0.0, rhs)))
     assert np.all(np.isfinite(system.solve(np.ones(system.nbrs.shape), 0.0, rhs)))
+
+
+# ---------------------------------------------------------------------------
+# banded Cholesky in reverse Cuthill-McKee order: growth degree 2 or less
+
+BANDS = [
+    lambda: zero_sphere_problem(Z2, 8),
+    lambda: zero_sphere_problem(Z2_X1X2, 8),
+    lambda: zero_sphere_problem(Z, 300),
+    lambda: zero_sphere_problem(ZZ2, 300),
+    lambda: annulus_problem(Z2, 12, 3, 2.0),
+]
+
+
+@pytest.mark.parametrize("make", BANDS)
+def test_band_solve_matches_a_fresh_factor(make):
+    """The band solve against a fresh minimum degree factor of the same
+    Laplacian, under weights over twelve decades, normwise as for the
+    factor route: |A (x - y)| <= 1e-12 |A| |y|, and the residual of x
+    likewise. The band is built once, with the problem, and keeps its
+    order; no SuperLU pattern or order is made."""
+    problem = make()
+    system = problem._system
+    band = system.band
+    assert band is not None and system.matrix is None
+    rng = np.random.default_rng(33)
+    for call in range(4):
+        w = edge_weights(problem, rng)
+        shift = 0.0 if call % 2 else 1e-14 * float(w.max())
+        rhs = rng.standard_normal(system.n_free)
+        x = system.solve(w, shift, rhs)
+        matrix, y = fresh_factor_solve(problem, w, shift, rhs)
+        norm = float(abs(matrix).sum(axis=1).max())
+        assert np.max(np.abs(matrix @ (x - y))) <= 1e-12 * norm * np.max(np.abs(y))
+        assert np.max(np.abs(matrix @ x - rhs)) <= 1e-12 * norm * np.max(np.abs(x))
+    assert system.band is band and system.order is None and system.matrix is None
+
+
+# random clamps at p = 8 on Z^2 from R = 20 on take thousands of Newton steps
+# (linear convergence where the field is flat): both routes stop there at
+# this budget, and are compared where it stops them
+BAND_BUDGET = 400
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
+@pytest.mark.parametrize("marked", [True, False], ids=["marked", "random"])
+@pytest.mark.parametrize(
+    "spec,radius", [(Z2, 8), (Z2, 20), (Z2, 30), (Z, 300), (ZZ2, 300)], ids=["Z2R8", "Z2R20", "Z2R30", "ZR300", "ZZ2R300"]
+)
+def test_band_route_matches_the_factor(monkeypatch, spec, radius, marked, p):
+    """With the marked clamps (1 on the marked half of the sphere, 0
+    elsewhere) or random ones, the band makes no SuperLU call and takes the
+    same Newton steps to the same verdict as SuperLU forced on (BAND_MAX =
+    0), with an energy within 1e-12 and a field within field_gap(p)."""
+    ball = family_ball(spec, radius)
+    clamps = exhaustion.default_marking(ball.model).sphere_clamps(ball) if marked else random_clamps(ball, 34)
+    config = SolverConfig(max_sweeps=BAND_BUDGET)
+    calls = counted_splu(monkeypatch)
+    problem = DirichletProblem(ball, clamps, p)
+    u, rep = solve_dirichlet(problem, config)
+    assert problem._system.band is not None and calls == []
+    monkeypatch.setattr(dirichlet, "BAND_MAX", 0)
+    factored = DirichletProblem(ball, clamps, p)
+    u_factored, rep_factored = solve_dirichlet(factored, config)
+    assert factored._system.band is None and len(calls) > rep_factored.iterations
+    assert rep.converged or rep.iterations == BAND_BUDGET
+    assert (rep.iterations, rep.converged) == (rep_factored.iterations, rep_factored.converged)
+    assert rep.final_energy == pytest.approx(rep_factored.final_energy, rel=1e-12)
+    assert np.max(np.abs(u.values - u_factored.values)) <= field_gap(p)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_start_is_refused_up_front(lamp_model, bad):
+    """A start that is not finite at a free vertex is refused before any
+    solve, naming the first such vertex; one that is not finite only at
+    clamped vertices is not, since only its free entries are read."""
+    ball = lamp_model.ball(4)
+    clamps = np.full(len(ball), np.nan)
+    clamps[ball.n_interior :] = np.arange(ball.n_boundary) % 2
+    problem = DirichletProblem(ball, clamps, 3.0)
+    start = linear_dirichlet(problem)
+    start[[0, 7]] = bad
+    with pytest.raises(ValueError, match="^initial value at vertex 0 is not finite$"):
+        solve_dirichlet(problem, initial=start)
+    start[0] = 0.5
+    with pytest.raises(ValueError, match="^initial value at vertex 7 is not finite$"):
+        solve_dirichlet(problem, initial=start)
+    start[7] = 0.5
+    start[ball.n_interior :] = bad
+    _, rep = solve_dirichlet(problem, initial=start)
+    assert rep.converged
 
 
 # (spec, radius, p, size, tolerance): sphere clamps of 1e-300 at p = 1.5 on
@@ -882,8 +1026,8 @@ def test_linear_dirichlet_matches_spsolve(spec, radius):
 
 
 @pytest.mark.parametrize("first_good", [False, True])
-def test_singular_system_gives_nan_without_raising(z2_model, first_good):
-    ball = z2_model.ball(4)
+def test_singular_system_gives_nan_without_raising(lamp_model, first_good):
+    ball = lamp_model.ball(5)
     problem = DirichletProblem(ball, random_clamps(ball, 20), 2.0)
     system = problem._system
     rhs = np.ones(system.n_free)
@@ -894,6 +1038,27 @@ def test_singular_system_gives_nan_without_raising(z2_model, first_good):
     for _ in range(2):
         assert np.all(np.isnan(system.solve(zero, 0.0, rhs)))
     assert np.all(np.isfinite(system.solve(np.ones(system.nbrs.shape), 0.0, rhs)))
+
+
+@pytest.mark.parametrize("first_good", [False, True])
+def test_band_singular_system_gives_nan_without_warnings(monkeypatch, z2_model, first_good):
+    """On the band route a zero pivot (weights that underflow to 0) gives
+    all NaN, with warnings as errors and no SuperLU call, before or after a
+    good factorization, and the next good system solves."""
+    ball = z2_model.ball(4)
+    problem = DirichletProblem(ball, random_clamps(ball, 20), 2.0)
+    system = problem._system
+    calls = counted_splu(monkeypatch)
+    rhs = np.ones(system.n_free)
+    zero = np.zeros(system.nbrs.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if first_good:
+            assert np.all(np.isfinite(system.solve(np.ones(system.nbrs.shape), 0.0, rhs)))
+        for _ in range(2):
+            assert np.all(np.isnan(system.solve(zero, 0.0, rhs)))
+        assert np.all(np.isfinite(system.solve(np.ones(system.nbrs.shape), 0.0, rhs)))
+    assert system.band is not None and calls == []
 
 
 def test_maximum_principle(f2_model):
