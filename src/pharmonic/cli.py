@@ -183,6 +183,22 @@ def _int_from(manifest: dict, key: str, default: int) -> int:
     return _as_int(key, manifest.get(key, default))
 
 
+def _count_from(manifest: dict, key: str, default: int) -> int:
+    """A manifest count that must be at least 1; anything else is exit 1."""
+    count = _int_from(manifest, key, default)
+    if count < 1:
+        raise _CliError(f"manifest {key!r} must be positive, got {count}")
+    return count
+
+
+def _seed_from(manifest: dict) -> int:
+    """The sampling seed; numpy takes no negative one."""
+    seed = _int_from(manifest, "seed", 0)
+    if seed < 0:
+        raise _CliError(f"manifest 'seed' must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _radii_from(manifest: dict) -> List[int]:
     radii = _require(manifest, "radii")
     if not isinstance(radii, list):
@@ -329,7 +345,7 @@ def _boundary_values(manifest: dict, model: GroupModel, ball) -> np.ndarray:
         return default_marking(model).sphere_clamps(ball)
     if preset != "random":
         raise _CliError(f"unknown boundary preset {preset!r}")
-    rng = np.random.default_rng(_int_from(manifest, "seed", 0))
+    rng = np.random.default_rng(_seed_from(manifest))
     clamps[ball.n_interior :] = rng.uniform(-1.0, 1.0, ball.n_boundary)
     return clamps
 
@@ -459,7 +475,9 @@ def _run_roughiso(manifest: dict):
     base_model = _model_from(manifest)
     p = _exponent_from(manifest)
     radius = _int_from(manifest, "radius", 4)
-    seed = _int_from(manifest, "seed", 0)
+    seed = _seed_from(manifest)
+    n_pairs = _count_from(manifest, "n_pairs", 1000)
+    n_fields = _count_from(manifest, "n_fields", 20)
     config = _config_from(manifest)
     word = manifest.get("extra_word", ["a", "b"])
     if not (isinstance(word, list) and all(isinstance(letter, str) for letter in word)):
@@ -473,13 +491,10 @@ def _run_roughiso(manifest: dict):
     domain = base_model.ball(radius, budget)
     codomain = extended.ball(radius, budget)
     cmap = CoarseMap.fit(domain, codomain, seed)
-    validation = validate_rough_map(cmap, n_pairs=_int_from(manifest, "n_pairs", 1000), seed=seed + 1)
+    validation = validate_rough_map(cmap, n_pairs=n_pairs, seed=seed + 1)
     psi, inv_report = rough_inverse(cmap, seed)
 
     rng = np.random.default_rng(seed)
-    n_fields = _int_from(manifest, "n_fields", 20)
-    if n_fields < 1:
-        raise _CliError(f"manifest 'n_fields' must be positive, got {n_fields}")
     pull_rows = []
     all_hold = True
     for i in range(n_fields):

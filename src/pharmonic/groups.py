@@ -29,7 +29,11 @@ word metric and the Cayley graph change. A family supplies its per-letter
 law, its array codes and its closed-form ball sizes on the stock generating
 set; on an extended set, ball sizes have no closed form. Word lengths are
 ball depths (``CayleyBall.depth``); the closed forms above are the
-independent reference the tests check depth against.
+independent reference the tests check depth against. Each family also
+computes, on whole arrays of code rows, the word distance |x^-1 y| over its
+letters (``_word_distance``): the common prefix of two reduced words, the
+l^1 distance on Z^d, and for the lamplighter the closed form above applied
+to (L_x xor L_y shifted by -c_x, c_y - c_x).
 
 Inside a ball, elements are array-coded: each is one fixed-width row of small
 integers, and the identity is the zero row. Reduced words are their letter
@@ -86,7 +90,8 @@ holding a ``uint64`` word with one bit per search that has reached it. A
 level gives each vertex the OR of its neighbors' words, and the bits new
 there are the searches that reach it at that level. ``hops`` gives
 the distances from one vertex or from the nearest of several, and
-``pair_hops`` those of many (source, target) pairs, 64 sources per pass.
+``pair_hops`` those of many (source, target) pairs, 64 sources per pass,
+the sources with the farthest pairs first.
 This module is the only place that walks the Cayley graph by hand; every
 other traversal is a connected-component query through
 ``scipy.sparse.csgraph``.
@@ -258,6 +263,12 @@ class GroupModel:
     def _decode(self, codes: np.ndarray) -> List[Element]:
         raise NotImplementedError
 
+    def _word_distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The word length of x[k]^-1 y[k] over the family's letters, for
+        each pair of rows of one width: the exact distance on the stock
+        generating set."""
+        raise NotImplementedError
+
     # -- generic operations --------------------------------------------------
     @property
     def _extended(self) -> bool:
@@ -418,6 +429,9 @@ class FreeAbelianModel(GroupModel):
     def _decode(self, codes: np.ndarray) -> List[Element]:
         return list(map(tuple, codes.tolist()))
 
+    def _word_distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.abs(y - x).sum(axis=1)
+
     def element_to_obj(self, g: Element):
         return [int(a) for a in g]
 
@@ -495,6 +509,14 @@ class _ReducedWordModel(GroupModel):
             for i, word in zip(rows.tolist(), map(tuple, codes[rows, :k].tolist())):
                 out[i] = word
         return out
+
+    def _word_distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # x^-1 y cancels the common prefix of the two reduced words and no
+        # more: past it their letters differ
+        length_x = np.count_nonzero(x, axis=1)
+        differ = x != y
+        common = np.where(differ.any(axis=1), differ.argmax(axis=1), length_x)
+        return length_x + np.count_nonzero(y, axis=1) - 2 * common
 
     def letter_code(self, label: str) -> int:
         try:
@@ -581,11 +603,18 @@ class LamplighterModel(GroupModel):
                 out[:, 0] += 1 if label == "t" else -1
         return out
 
-    def _decode(self, codes: np.ndarray) -> List[Element]:
-        bit = np.arange(64 * (codes.shape[1] - 1))
+    @staticmethod
+    def _lit(words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One bool column per lamp bit of some rows of lamp words, and the
+        lamp position of each column."""
+        bit = np.arange(64 * words.shape[1])
         position = np.where(bit % 2 == 0, bit // 2, -(bit + 1) // 2)
+        bits = np.unpackbits(np.ascontiguousarray(words, dtype="<i8").view(np.uint8), axis=1, bitorder="little")
+        return bits.view(bool), position
+
+    def _decode(self, codes: np.ndarray) -> List[Element]:
+        lit_bits, position = self._lit(codes[:, 1:])
         order = np.argsort(position)
-        lit_bits = np.unpackbits(codes[:, 1:].astype("<i8").view(np.uint8), axis=1, bitorder="little")
         rows, cols = np.nonzero(lit_bits[:, order])
         lit = position[order][cols].tolist()
         ends = np.cumsum(np.bincount(rows, minlength=len(codes))).tolist()
@@ -594,6 +623,18 @@ class LamplighterModel(GroupModel):
             out.append((tuple(lit[start:end]), cursor))
             start = end
         return out
+
+    def _word_distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # x^-1 y is (L_x xor L_y shifted by -c_x, c_y - c_x): unshifted, the
+        # closed form toggles each lamp of L_x xor L_y once, sweeping [lo, hi]
+        # from c_x and turning at one end, to end at c_y
+        lit, position = self._lit(x[:, 1:] ^ y[:, 1:])
+        start, end = x[:, 0], y[:, 0]
+        big = np.iinfo(np.int64).max
+        lo = np.minimum(np.minimum(start, end), np.where(lit, position, big).min(axis=1))
+        hi = np.maximum(np.maximum(start, end), np.where(lit, position, -big).max(axis=1))
+        turns = np.minimum(start - lo + np.abs(hi - end), hi - start + np.abs(end - lo))
+        return np.count_nonzero(lit, axis=1) + (hi - lo) + turns
 
     def element_to_obj(self, g: Element):
         lamps, cursor = g
@@ -903,7 +944,9 @@ class CayleyBall:
         if self._full_adj is None:
             n = len(self)
             known = len(self._rows)
-            full = np.empty((n, self.model.degree), dtype=np.int64)
+            # column-major: the whole-ball levels of _search read one
+            # neighbor column at a time
+            full = np.empty((n, self.model.degree), dtype=np.int64, order="F")
             full[:known] = self._rows
             if known < n:
                 # one step out of the sphere stays inside the pass's key layout
@@ -939,30 +982,43 @@ class CayleyBall:
         by its own; a bit that is new there arrived from the level before.
         While that level has fewer than 1 / (2 x degree) of the vertices, only
         its neighbors pull; this keeps long thin balls from paying for the
-        whole ball at every level. ``seen`` carries one zero slot at the end,
+        whole ball at every level. A whole-ball level reads one contiguous
+        column of ``full_adj`` at a time with ``np.take`` into two buffers
+        made once per search. ``seen`` carries one zero slot at the end,
         which the -1 entries of ``full_adj`` read. Every word array stays
         ``uint64``: numpy < 2 promotes ``uint64`` with ``int64`` to float64,
         where bitwise operations fail."""
         full = self.full_adj()
-        seen = np.zeros(len(self) + 1, dtype=np.uint64)
-        near = np.zeros(len(self) + 1, dtype=bool)
+        n = len(self)
+        seen = np.zeros(n + 1, dtype=np.uint64)
+        near = np.zeros(n + 1, dtype=bool)
+        buffers = None
         seen[ids] = words
         while ids.size:
             yield ids, seen
-            if 2 * full.shape[1] * ids.size < len(self):
+            if 2 * full.shape[1] * ids.size < n:
                 near[full[ids]] = True
                 near[-1] = False
                 pull = near.nonzero()[0]
                 near[pull] = False
                 rows = full[pull]
+                reached = seen[rows[:, 0]]
+                for j in range(1, rows.shape[1]):
+                    reached |= seen[rows[:, j]]
+                reached &= ~seen[pull]
+                new = reached.nonzero()[0]
+                ids = pull[new]
             else:
-                pull, rows = np.arange(len(self)), full
-            reached = seen[rows[:, 0]]
-            for j in range(1, rows.shape[1]):
-                reached |= seen[rows[:, j]]
-            reached &= ~seen[pull]
-            new = reached.nonzero()[0]
-            ids = pull[new]
+                if buffers is None:
+                    buffers = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
+                reached, column = buffers
+                # mode="wrap" sends -1 to the zero slot, and unlike the
+                # default mode it writes to ``out`` with no buffered copy
+                np.take(seen, full[:, 0], out=reached, mode="wrap")
+                for j in range(1, full.shape[1]):
+                    reached |= np.take(seen, full[:, j], out=column, mode="wrap")
+                reached &= np.invert(seen[:-1], out=column)
+                ids = new = reached.nonzero()[0]
             seen[ids] |= reached[new]
 
     def _ids(self, ids) -> np.ndarray:
@@ -990,14 +1046,26 @@ class CayleyBall:
         of the ball. The distinct sources run 64 at a time, one bit each
         (Then et al., "The More the Merrier", VLDB 2014): a pair's distance
         is the level at which its source's bit first reaches its target, and
-        a block stops once all of its pairs are resolved."""
+        a block stops once all of its pairs are resolved.
+
+        A path through the identity stays in the ball, so a pair is resolved
+        by level depth[s] + depth[t]. The sources are ranked by the largest
+        such bound over their pairs and the blocks filled far end first: the
+        near sources share a block of their own, which stops after a few
+        small levels instead of running to the far sources' last level."""
         ia, ib = self._ids(ia), self._ids(ib)
         out = np.full(ia.size, -1, dtype=np.int64)
         sources, slot = np.unique(ia, return_inverse=True)
+        bound = np.zeros(sources.size, dtype=np.int64)
+        np.maximum.at(bound, slot, self.depth[ia] + self.depth[ib])
+        order = np.argsort(-bound, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        pair_rank = rank[slot]
         for first in range(0, sources.size, 64):
-            block = sources[first : first + 64]
-            pairs = np.flatnonzero((slot >= first) & (slot < first + block.size))
-            bits = np.left_shift(np.uint64(1), (slot[pairs] - first).astype(np.uint64))
+            block = sources[order[first : first + 64]]
+            pairs = np.flatnonzero((pair_rank >= first) & (pair_rank < first + block.size))
+            bits = np.left_shift(np.uint64(1), (pair_rank[pairs] - first).astype(np.uint64))
             targets = ib[pairs]
             words = np.left_shift(np.uint64(1), np.arange(block.size, dtype=np.uint64))
             for level, (_, seen) in enumerate(self._search(block, words)):

@@ -10,14 +10,21 @@ and a coverage radius c >= 1 such that every codomain vertex of depth at
 most R_Y - c lies within distance c of the image set. The fit scans b = 0..8
 first and a = 1.0, 1.25, ..., 4.0 second, returning the first pair that
 clears every sampled pair, so the reported constants favour small additive
-slack. Pair distances are measured inside the ball graphs. They never
-undershoot the word metric, since a path inside the ball is a path in the
-group, but they can overshoot it where every geodesic between two ball
-vertices leaves the ball; the lamplighter ball already does this with its
-stock generators. Which inequality an overshoot loosens depends on its side:
-on the codomain side it inflates d_Y, which makes the stretching bound harder
-and the collapsing bound easier to meet; on the domain side it inflates d_X,
-with the opposite effect.
+slack. On a ball of a family's stock generating set, pair distances are the
+exact word metric: |x^-1 y|, read off the two code rows by the family's
+closed form (``GroupModel._word_distance``). Distances inside the ball graph
+would not do there, since the lamplighter ball overshoots the word metric
+with its stock generators already. On an extended generating set there is
+no closed form, and pair distances are measured inside the ball graph
+(``CayleyBall.pair_hops``). Those never undershoot the word metric, since a
+path inside the ball is a path in the group, but they can overshoot it where
+every geodesic between two ball vertices leaves the ball. Which inequality
+an overshoot loosens depends on its side: on the codomain side (the extended
+ball of the CLI's inclusion) it inflates d_Y, which makes the stretching
+bound harder and the collapsing bound easier to meet; on the domain side
+(the scope of its rough inverse) it inflates d_X, with the opposite effect.
+Routed paths (the pullback's arc counts, the roundtrip displacements of the
+coarse-identity check) stay shortest paths inside the ball.
 
 On top of the fitted maps sit: a nearest-preimage rough inverse, the energy
 pullback inequality with an exactly counted arc-multiplicity constant, a
@@ -135,6 +142,11 @@ def _check_images(codomain: CayleyBall, images) -> np.ndarray:
 
 
 def _pair_distances(ball: CayleyBall, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """The distance of each pair (ia[k], ib[k]): the word metric off the
+    code rows on a stock generating set, the ball graph's on an extended one.
+    ValueError for an entry that is no vertex id of the ball."""
+    if not ball.model._extended:
+        return ball.model._word_distance(ball.codes[ball._ids(ia)], ball.codes[ball._ids(ib)])
     out = ball.pair_hops(ia, ib)
     if np.any(out < 0):
         raise FitError("sampled vertices are not connected inside the ball")

@@ -341,6 +341,31 @@ def test_roughiso_command(tmp_path):
     assert report["results"]["roundtrip_core_error"] <= 0.05
 
 
+# the inclusion of a stock set S in S + [w]: d_{S+w} <= d_S <= |w| d_{S+w} on
+# exact distances, so every fit reads b = 0 and a <= L = |w| = 2
+@pytest.mark.parametrize(
+    "group, extra, radius, a",
+    [
+        ("free:k=2", "a,b", 7, None),
+        ("free_abelian:d=2", "x1,x2", 10, None),
+        ("free_product_z2:m=3", "s1,s2", 7, None),
+        ("lamplighter", "t,a", 7, 2.0),
+    ],
+)
+def test_roughiso_constants_meet_the_inclusion_bound(tmp_path, group, extra, radius, a):
+    out = tmp_path / "ri.json"
+    code = run_cli(
+        ["roughiso", "--group", group, "--p", "2.0", "--radius", str(radius), "--extra", extra, "--out", str(out)]
+    )
+    assert code == 0
+    results = load(out)["results"]
+    assert results["fit"]["b"] == 0 and results["fit"]["a"] <= 2.0
+    assert a is None or results["fit"]["a"] == a
+    validation = results["validation"]
+    assert validation["n_pairs"] == 1000
+    assert validation["violations_forward"] == validation["violations_backward"] == 0
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_out_dash_writes_stdout(tmp_path, monkeypatch, capsys, fmt):
     monkeypatch.chdir(tmp_path)
@@ -400,6 +425,9 @@ F2 = {"family": "free", "params": {"k": 2}}
         ("roughiso", {"group": F2, "p": 2.0, "radius": 3, "n_fields": 0}),
         # clamps whose energy at p = 8 would pass the largest float
         ("solve", {"group": F2, "p": 8.0, "radius": 1, "boundary": {"clamps": [[["a"], 1e100], [["a-"], 0.0], [["b"], 0.0], [["b-"], 0.0]]}}),
+        # no fresh pairs would make a clean validation over none
+        ("roughiso", {"group": F2, "p": 2.0, "radius": 4, "n_pairs": 0}),
+        ("roughiso", {"group": F2, "p": 2.0, "radius": 4, "n_pairs": -5}),
     ],
 )
 def test_malformed_manifest_exits_1_with_one_line(tmp_path, capsys, task, manifest):
@@ -438,6 +466,9 @@ def test_manifest_group_shorthand(tmp_path):
         ("massive", {"group": F2, "p": 2.0, "radii": [3, 4], "subset": {"kind": "subtree", "letter": ["a"]}}, "letter"),
         ("solve", {"group": {**F2, "params": {"k": 2, "extra_generators": [5]}}, "radius": 3}, "extra_generators"),
         ("solve", {"group": {**F2, "params": {"k": 2, "extra_generators": [["a", ["b"]]]}}, "radius": 3}, "extra_generators"),
+        # numpy's own message for a negative seed names no key
+        ("solve", {"group": F2, "p": 2.0, "radius": 3, "boundary": {"preset": "random"}, "seed": -1}, "seed"),
+        ("roughiso", {"group": F2, "p": 2.0, "radius": 3, "seed": -3}, "seed"),
     ],
 )
 def test_wrong_manifest_type_exits_1_naming_the_key(tmp_path, capsys, task, manifest, key):

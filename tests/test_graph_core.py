@@ -110,28 +110,70 @@ def test_distances_and_parents_match_plain_bfs(sr, salts):
             closer = [ball.index[h] for h in model.neighbors(g) if h in ball.index and want[ball.index[h]] == want[v] - 1]
             assert parent[v] == (min(closer) if want[v] > 0 else -1)
         targets = np.arange(len(ball))
-        assert np.array_equal(_pair_distances(ball, np.full(len(ball), source), targets), want)
+        assert np.array_equal(ball.pair_hops(np.full(len(ball), source), targets), want)
 
 
 @settings(max_examples=25, deadline=None)
-@given(spec_and_radius, st.integers(1, 150), st.integers(0, 2**32 - 1))
-def test_pair_distances_over_many_sources_in_shuffled_order(sr, n_sources, seed):
-    # up to 150 sources: three 64-bit words of searches, the last one partial
+@given(spec_and_radius, st.integers(1, 60), st.integers(65, 150), st.integers(0, 2**32 - 1))
+def test_pair_distances_over_many_sources_in_shuffled_order(sr, n_head, n_sources, seed):
+    # the first vertices of the ball and far ones, up to 150 sources where
+    # the ball has them: blocks of 64 searches with different depth bounds,
+    # the nearest one partial
     spec, radius = sr
     model = build_group(spec)
     ball = model.ball(radius)
     rng = np.random.default_rng(seed)
-    sources = rng.choice(len(ball), size=min(len(ball), n_sources), replace=False)
+    head = np.arange(min(n_head, len(ball)))
+    far = head.size + rng.choice(len(ball) - head.size, size=min(len(ball), n_sources) - head.size, replace=False)
+    sources = np.concatenate([head, far])
     ia = np.repeat(sources, 5)
     ib = rng.integers(0, len(ball), size=ia.size)
     ib[::4] = ia[::4]  # some pairs end where they start
     order = rng.permutation(ia.size)
     ia, ib = ia[order], ib[order]
-    got = _pair_distances(ball, ia, ib)
+    got = ball.pair_hops(ia, ib)
     want = {int(s): plain_bfs(model, ball, int(s)) for s in sources}
     assert got.dtype == np.int64
     for s, t, d in zip(ia, ib, got):
         assert d == want[int(s)][t]
+
+
+# every stock family, with the largest R whose ball of radius 2R stays small
+WORD_METRIC_SPECS = [
+    ({"family": "free", "params": {"k": 1}}, 20),
+    ({"family": "free", "params": {"k": 2}}, 3),
+    ({"family": "free", "params": {"k": 3}}, 2),
+    ({"family": "free_product_z2", "params": {"m": 2}}, 20),
+    ({"family": "free_product_z2", "params": {"m": 3}}, 4),
+    ({"family": "free_product_z2", "params": {"m": 4}}, 3),
+    ({"family": "free_abelian", "params": {"d": 1}}, 20),
+    ({"family": "free_abelian", "params": {"d": 2}}, 10),
+    ({"family": "free_abelian", "params": {"d": 3}}, 4),
+    ({"family": "free_abelian", "params": {"d": 4}}, 3),
+    ({"family": "lamplighter", "params": {}}, 5),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(WORD_METRIC_SPECS).flatmap(_radius_up_to), st.integers(0, 2**32 - 1))
+def test_word_distance_is_the_hop_distance_in_the_doubled_ball(sr, seed):
+    # a geodesic between two vertices of B_R stays within R of either end,
+    # so B_2R holds it; on the trees and Z^d, B_R holds one already
+    spec, radius = sr
+    model = build_group(spec)
+    ball = model.ball(2 * radius)
+    small = ball.prefix(radius)
+    rng = np.random.default_rng(seed)
+    ia, ib = rng.integers(0, len(small), size=(2, 500))
+    got = model._word_distance(small.codes[ia], small.codes[ib])
+    assert got.dtype == np.int64
+    assert np.array_equal(got, ball.pair_hops(ia, ib))
+    assert np.array_equal(_pair_distances(small, ia, ib), got)
+    in_ball = small.pair_hops(ia, ib)
+    if spec["family"] == "lamplighter":
+        assert np.all(in_ball >= got)  # a path inside the ball is a path in the group
+    else:
+        assert np.array_equal(in_ball, got)
 
 
 @settings(max_examples=25, deadline=None)
@@ -326,3 +368,21 @@ def test_lamplighter_word_length_closed_form_matches_depth():
         assert closed_form_word_length(lamp, g) == d
     far = lamp.reduce(["a", "t"] * 5)
     assert closed_form_word_length(lamp, far) == ball.depth[ball.index[far]] == 10  # five toggles and five moves
+
+
+def test_lamplighter_word_distance_past_the_first_lamp_word():
+    # x^-1 y by the tuple law, from geodesic words of x and y, against the
+    # closed form; the lamps of this ball pass bit 63 of the first word
+    spec, radius = CODE_EXTREMES[-1]
+    model = build_group(spec)
+    stock = build_group("lamplighter")
+    ball = model.ball(radius)
+    assert ball.codes[:, 2:].any()
+    letters = [[l for s in ball._spell(v) for l in model._letters(s)] for v in range(len(ball))]
+    inverse = {"t": "t-", "t-": "t", "a": "a"}
+    rng = np.random.default_rng(3)
+    ia, ib = rng.integers(0, len(ball), size=(2, 300))
+    got = stock._word_distance(ball.codes[ia], ball.codes[ib])
+    for s, t, d in zip(ia.tolist(), ib.tolist(), got.tolist()):
+        word = [inverse[l] for l in reversed(letters[s])] + letters[t]
+        assert d == closed_form_word_length(stock, stock.reduce(word))
