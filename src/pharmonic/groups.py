@@ -66,9 +66,19 @@ model keeps no ball. Since vertex ids are prefix-stable, the ball of a
 smaller radius is a prefix of every larger one: ``CayleyBall.prefix`` takes
 it as a view of the larger ball's arrays, with no enumeration.
 
+``CayleyBall.full_adj`` completes the recorded rows with those of the
+sphere, which the pass did not expand. A sphere vertex's neighbors one level
+in are read off the recorded rows of that level, turned around; those on the
+sphere are looked up in a key index of the sphere level, one generator of
+each inverse pair at a time, and give the other generator's entries by
+symmetry. Every family maps each of its letters to 1 in Z/2, so where every
+generator word has an odd number of letters the parity of a vertex's depth
+is its element's image there, and no edge joins two vertices of the sphere:
+there is nothing to look up.
+
 ``CayleyBall.locate`` maps code rows to vertex ids through a sorted key
-index of the whole ball, built on first use; ``full_adj`` finds the
-neighbors of an enumerated ball's sphere through it. Rows from a ball of the same
+index of the whole ball, built on first use (``full_adj`` searches that one
+instead of its own once it exists). Rows from a ball of the same
 group under another generating set may be narrower or wider: a zero column
 is no letter, no coordinate and no lamp word, so rows are padded or trimmed
 with zero columns, and a row with a value outside the ball's key layout is
@@ -223,6 +233,8 @@ class GroupModel:
             self.spec = GroupSpec(spec.family, {**spec.params, "extra_generators": [list(w) for w in extra_words]})
             self.name = f"{name}+[{','.join(''.join(w) for w in extra_words)}]"
         self.gen_labels = tuple(labels)
+        # slot of the inverse of each generator; an involutive slot is its own
+        self._inv_slot = np.array([labels.index(self._inv_label[s]) for s in labels], dtype=np.int64)
 
     # -- supplied by subclasses: the per-letter law and the stock closed forms
     def identity(self) -> Element:
@@ -303,16 +315,26 @@ class GroupModel:
         """Letters in the longest generator word."""
         return max(map(len, self._words.values()))
 
+    @property
+    def _bipartite(self) -> bool:
+        """Whether every generator word has an odd number of letters. Each
+        family maps every letter to 1 in Z/2, so then the parity of a
+        vertex's depth is its element's image there, and no edge joins two
+        vertices of one depth."""
+        return all(len(word) % 2 for word in self._words.values())
+
     def _key_layout(self, n_letters: int) -> "_KeyLayout":
         """The lookup keys of a pass with room for ``n_letters`` letters."""
         return _KeyLayout(*self._code_bounds(n_letters), self._code_dtype)
 
-    def _neighbor_codes(self, codes: np.ndarray, **row_facts) -> np.ndarray:
-        """The rows of [g s^{-1} for s in S] for every row g, row-major.
-        ``row_facts`` go to every ``_times_letters`` call."""
-        out = np.empty((len(codes), self.degree, codes.shape[1]), dtype=codes.dtype)
-        for j, s in enumerate(self.gen_labels):
-            out[:, j] = self._times_letters(codes, self._letters(self._inv_label[s]), **row_facts)
+    def _neighbor_codes(self, codes: np.ndarray, slots: Optional[Sequence[int]] = None, **row_facts) -> np.ndarray:
+        """The rows of [g s_j^{-1} for j in slots] for every row g, row-major;
+        ``slots`` defaults to the whole generating set. ``row_facts`` go to
+        every ``_times_letters`` call."""
+        slots = range(self.degree) if slots is None else slots
+        out = np.empty((len(codes), len(slots), codes.shape[1]), dtype=codes.dtype)
+        for i, j in enumerate(slots):
+            out[:, i] = self._times_letters(codes, self._letters(self._inv_label[self.gen_labels[j]]), **row_facts)
         return out.reshape(-1, codes.shape[1])
 
     def reduce(self, labels: Iterable[str]) -> Element:
@@ -492,14 +514,16 @@ class _ReducedWordModel(GroupModel):
             code = self._codes[label]
             # an empty row reads its last column, which is 0 and no letter
             cancel = out[rows, length - 1] == self._inv_code[code]
-            out[rows[cancel], length[cancel] - 1] = 0
-            out[rows[~cancel], length[~cancel]] = code
-            length = length + np.where(cancel, -1, 1)
+            # a cancelled last letter becomes 0, else the letter goes after
+            # the word; past the row width the scatter raises IndexError
+            length = length - cancel
+            out[rows, length] = np.where(cancel, 0, code)
+            length = length + ~cancel
         return out
 
-    def _neighbor_codes(self, codes: np.ndarray) -> np.ndarray:
+    def _neighbor_codes(self, codes: np.ndarray, slots: Optional[Sequence[int]] = None) -> np.ndarray:
         # the word lengths are the same for every generator: count them once
-        return super()._neighbor_codes(codes, length=np.count_nonzero(codes, axis=1))
+        return super()._neighbor_codes(codes, slots, length=np.count_nonzero(codes, axis=1))
 
     def _decode(self, codes: np.ndarray) -> List[Element]:
         lengths = np.count_nonzero(codes, axis=1)
@@ -912,7 +936,11 @@ class CayleyBall:
         return CayleyBall(self.model, radius, self._layout, self._codes[:size], self.depth[:size], self._rows[:size])
 
     def boundary_elements(self) -> List[Element]:
-        return self.vertices[self.n_interior :]
+        """The sphere's elements, in vertex order; a ball not decoded yet
+        decodes only its sphere rows for them."""
+        if self._vertices is None:
+            return self.model._decode(self._codes[self.n_interior :])
+        return self._vertices[self.n_interior :]
 
     def sphere_indices(self, r: int) -> np.ndarray:
         return np.flatnonzero(self.depth == r)
@@ -937,10 +965,21 @@ class CayleyBall:
     def full_adj(self) -> np.ndarray:
         """Adjacency rows for every vertex, sphere included; -1 marks a
         neighbor that falls outside the ball. The pass recorded the rows of
-        the vertices it expanded; those of a sphere the pass did not expand
-        are looked up in the key index of ``locate`` if it is built, and
-        otherwise in an index of the last two levels, where every neighbor
-        of the sphere inside the ball lies."""
+        the vertices it expanded, and a prefix view has them for its sphere
+        too. The sphere of a fresh ball, which the pass did not expand, gets
+        its rows from the recorded ones and one lookup per inverse pair:
+
+        * a neighbor one level in: ``rows[v, k] = w`` on the sphere gives
+          ``full[w, inv(k)] = v``, since w s_k = v;
+        * a neighbor on the sphere: only one slot j of each pair s_j, s_j^-1
+          (and each involutive slot) is multiplied out and looked up, in a
+          key index of the sphere level, or in that of ``locate`` if it is
+          built; a hit ``full[w, j] = w'`` gives ``full[w', inv(j)] = w``.
+          Where every generator word has odd length there are none
+          (``GroupModel._bipartite``), and nothing is looked up;
+        * every other slot steps out of the ball.
+
+        No index of the whole ball is built."""
         if self._full_adj is None:
             n = len(self)
             known = len(self._rows)
@@ -949,16 +988,37 @@ class CayleyBall:
             full = np.empty((n, self.model.degree), dtype=np.int64, order="F")
             full[:known] = self._rows
             if known < n:
-                # one step out of the sphere stays inside the pass's key layout
-                nbr_keys = self._layout.keys(self.model._neighbor_codes(self._codes[known:]))
-                index = self._sorted
-                if index is None:
-                    start = int(np.searchsorted(self.depth, self.radius - 1))
-                    index = _sorted_level(self._codes[start:], start, self._layout)
-                full[known:] = _locate(nbr_keys, index).reshape(-1, self.model.degree)
-            full[full >= n] = -1
+                self._fill_sphere_rows(full, known)
+            else:
+                # a prefix view's sphere rows point past its end
+                full[full >= n] = -1
             self._full_adj = full
         return self._full_adj
+
+    def _fill_sphere_rows(self, full: np.ndarray, sphere: int) -> None:
+        """The rows of ``full`` from vertex ``sphere`` on, the sphere of a
+        fresh ball, from the recorded rows above them (see ``full_adj``)."""
+        inv = self.model._inv_slot
+        full[sphere:] = -1
+        # the sphere's neighbors one level in are the vertices of depth radius - 1
+        start = int(np.searchsorted(self.depth, self.radius - 1))
+        last = self._rows[start:]
+        v, k = np.nonzero(last >= sphere)
+        full[last[v, k], inv[k]] = start + v
+        if self.model._bipartite:
+            return
+        slots = np.flatnonzero(np.arange(inv.size) <= inv)
+        index = self._sorted
+        if index is None:
+            index = _sorted_level(self._codes[sphere:], sphere, self._layout)
+        # one step out of the sphere stays inside the pass's key layout
+        nbr_keys = self._layout.keys(self.model._neighbor_codes(self._codes[sphere:], slots))
+        ids = _locate(nbr_keys, index).reshape(-1, slots.size)
+        # the index of locate also holds the interior, whose rows are in
+        w, j = np.nonzero(ids >= sphere)
+        hit = ids[w, j]
+        full[sphere + w, slots[j]] = hit
+        full[hit, inv[slots[j]]] = sphere + w
 
     def csr(self) -> sp.csr_matrix:
         """Unit-weight adjacency matrix of the ball's induced Cayley graph."""

@@ -193,7 +193,12 @@ def fit_rough_constants(
 def coverage_radius(codomain: CayleyBall, images: np.ndarray) -> int:
     """Smallest c >= 1 with every vertex of depth <= R - c within distance c
     of the image set. ValueError when an image is no vertex of the codomain."""
-    dist = codomain.hops(_check_images(codomain, images))
+    return _coverage(codomain, codomain.hops(_check_images(codomain, images)))
+
+
+def _coverage(codomain: CayleyBall, dist: np.ndarray) -> int:
+    """``coverage_radius`` from the hop distances ``dist`` of every codomain
+    vertex to the image set."""
     radius = codomain.radius
     for c in range(1, radius + 1):
         inside = codomain.depth <= radius - c
@@ -246,21 +251,26 @@ class CoarseMap:
     c: int
     fit_report: Optional[FitReport] = dc_field(default=None, repr=False)
     _pull_cache: Optional[dict] = dc_field(default=None, repr=False)
+    # hop distances in the codomain to the image set, kept by ``fit`` from
+    # measuring c for ``rough_inverse``
+    _image_hops: Optional[np.ndarray] = dc_field(default=None, repr=False)
 
     @classmethod
     def fit(cls, domain: CayleyBall, codomain: CayleyBall, seed: int = 0) -> "CoarseMap":
         """The inclusion of one group's ball in another ball of the same
         group, under any generating sets, with its fitted constants. It is
-        looked up by array code, so neither ball is decoded. Other maps are
-        built as ``CoarseMap(...)`` from their image ids, with the constants
-        of ``fit_rough_constants`` and ``coverage_radius``. ValueError when
+        looked up by array code, so neither ball is decoded. The one
+        breadth-first search from the image set that gives c is kept for
+        ``rough_inverse``. Other maps are built as ``CoarseMap(...)`` from
+        their image ids, with the constants of ``fit_rough_constants`` and
+        ``coverage_radius``. ValueError when
         the balls are over different groups, or when an image lies outside
         the codomain ball."""
         _check_same_group(domain, codomain)
         images = codomain.locate(domain.codes)
         a, b, report = fit_rough_constants(domain, codomain, images, seed)
-        c = coverage_radius(codomain, images)
-        return cls(domain, codomain, images, a, b, c, fit_report=report)
+        dist = codomain.hops(images)
+        return cls(domain, codomain, images, a, b, _coverage(codomain, dist), fit_report=report, _image_hops=dist)
 
 
 @dataclass
@@ -275,7 +285,9 @@ class InverseReport(Record):
 
 def rough_inverse(cmap: CoarseMap, seed: int = 0) -> Tuple[CoarseMap, InverseReport]:
     """Nearest-preimage inverse on the codomain ball shrunk by the coverage
-    radius; ties pick the earliest domain vertex in BFS order."""
+    radius; ties pick the earliest domain vertex in BFS order. The distances
+    to the image set are those ``CoarseMap.fit`` kept, or are measured here
+    for a map built by hand."""
     scope_radius = cmap.codomain.radius - cmap.c
     if scope_radius < 1:
         raise FitError(f"coverage radius {cmap.c} leaves no room inside radius {cmap.codomain.radius}")
@@ -289,7 +301,7 @@ def rough_inverse(cmap: CoarseMap, seed: int = 0) -> Tuple[CoarseMap, InverseRep
     first = np.ones(ys.size, dtype=bool)
     first[1:] = ys[1:] != ys[:-1]
     sources = ys[first]
-    dist = cmap.codomain.hops(sources)
+    dist = cmap._image_hops if cmap._image_hops is not None else cmap.codomain.hops(sources)
     label = np.full(len(cmap.codomain), -1, dtype=np.int64)
     label[sources] = order[first]  # smallest domain index mapping to each source
     full = cmap.codomain.full_adj()

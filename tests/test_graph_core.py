@@ -217,6 +217,20 @@ def test_prefix_matches_fresh_enumeration(sbr):
     assert_same_ball(small, build_group(spec).ball(radius))
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(PREFIX_SPECS).flatmap(_radii_up_to))
+def test_boundary_elements_decode_only_the_sphere(sbr):
+    """A ball not decoded yet decodes its sphere rows alone for
+    ``boundary_elements``, and gives the sphere of the whole decode."""
+    spec, big, radius = sbr
+    ball = build_group(spec).ball(big).prefix(radius)
+    sphere = ball.boundary_elements()
+    assert ball._vertices is None
+    assert sphere == ball.vertices[ball.n_interior :]
+    assert ball.boundary_elements() == sphere
+    assert len(sphere) == ball.n_boundary
+
+
 @pytest.mark.parametrize("radius", [0, -1, 5])
 def test_prefix_radius_outside_the_ball_is_refused(f2_model, radius):
     with pytest.raises(ValueError, match=r"prefix radius must lie in \[1, 4\]"):

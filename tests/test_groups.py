@@ -312,6 +312,96 @@ def test_group_axioms_on_random_words(drawn):
         assert model.reduce(u + [s, s_inv]) == g
 
 
+REDUCED_WORD_MODELS = [
+    build_group(spec)
+    for spec in (
+        {"family": "free", "params": {"k": 1}},
+        {"family": "free", "params": {"k": 2}},
+        {"family": "free", "params": {"k": 3}},
+        {"family": "free_product_z2", "params": {"m": 2}},
+        {"family": "free_product_z2", "params": {"m": 3}},
+    )
+]
+
+
+def reduced_rows(width, words):
+    """Reduced words as code rows of ``width`` letters, padded with zeros."""
+    rows = np.zeros((len(words), width), dtype=np.int8)
+    for row, word in zip(rows, words):
+        row[: len(word)] = word
+    return rows
+
+
+def fold_with_room(model, word, letters, width):
+    """The tuple law's product, or None where a partial product, letter by
+    letter, would need more than ``width`` letters."""
+    for letter in letters:
+        word = model._fold(word, [letter])
+        if len(word) > width:
+            return None
+    return word
+
+
+@st.composite
+def reduced_rows_and_product(draw):
+    """Rows of reduced words: an empty row first, and, when drawn, a row of
+    the full width with an empty row right after it. The product is a word
+    of letters, which may start with the inverse of one row's word."""
+    model = draw(st.sampled_from(REDUCED_WORD_MODELS))
+    letters = sorted(model._codes)
+    width = draw(st.integers(1, 6))
+    words = [model._fold((), draw(st.lists(st.sampled_from(letters), max_size=2 * width)))[:width]
+             for _ in range(draw(st.integers(0, 5)))]
+    full = ()
+    if draw(st.booleans()):
+        while len(full) < width:
+            # a prefix of a reduced word is reduced, and so is the next letter that does not cancel
+            full += (draw(st.sampled_from([model._codes[x] for x in letters
+                                           if not full or model._inv_code[model._codes[x]] != full[-1]])),)
+        at = draw(st.integers(0, len(words)))
+        words[at:at] = [full, ()]
+    words = [()] + words
+    product = draw(st.lists(st.sampled_from(letters), max_size=width + 2))
+    cancel = draw(st.sampled_from(words))
+    if draw(st.booleans()):
+        product = [model._labels_by_code[model._inv_code[c]] for c in reversed(cancel)] + product
+    return model, width, words, product, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced_rows_and_product())
+def test_reduced_word_products_follow_the_tuple_law(drawn):
+    """``_times_letters`` on rows of reduced words against ``_fold``, with
+    and without the row lengths given: an empty row reads no last letter,
+    a product may cancel a whole word, an involutive letter cancels itself,
+    and a product with no room in the row raises IndexError."""
+    model, width, words, product, given_length = drawn
+    codes = reduced_rows(width, words)
+    before = codes.copy()
+    length = np.array([len(w) for w in words]) if given_length else None
+    want = [fold_with_room(model, w, product, width) for w in words]
+    if any(w is None for w in want):
+        with pytest.raises(IndexError):
+            model._times_letters(codes, product, length=length)
+    else:
+        out = model._times_letters(codes, product, length=length)
+        assert out.dtype == codes.dtype
+        assert np.array_equal(out, reduced_rows(width, want))
+    assert np.array_equal(codes, before)
+
+
+def test_reduced_word_products_at_the_row_width():
+    model = build_group({"family": "free", "params": {"k": 2}})
+    # rows: empty, the full-width word ab, empty again
+    codes = reduced_rows(2, [(), (1, 2), ()])
+    assert model._times_letters(codes, ["b-", "a-"]).tolist() == [[-2, -1], [0, 0], [-2, -1]]
+    # ab b does not fit in two letters, and must not spill into the next row
+    with pytest.raises(IndexError):
+        model._times_letters(codes, ["b"])
+    z2 = build_group({"family": "free_product_z2", "params": {"m": 3}})
+    assert z2._times_letters(reduced_rows(3, [(1, 2, 3), ()]), ["s3", "s2", "s1"]).tolist() == [[0, 0, 0], [3, 2, 1]]
+
+
 @pytest.mark.parametrize("model", AXIOM_MODELS, ids=lambda m: m.name)
 def test_empty_word_keeps_rows_and_dtype(model):
     codes = model.ball(3).codes

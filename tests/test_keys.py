@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pharmonic import build_group
+from pharmonic.groups import _KeyLayout
 
 
 def void_keys(rows: np.ndarray) -> np.ndarray:
@@ -178,9 +179,10 @@ def test_bounds_check_in_the_rows_dtype_matches_int64_comparisons(spec, extra, s
 @pytest.mark.parametrize("spec, extra, stock_radii, extended_radii", KEY_SETS)
 def test_sphere_rows_of_a_fresh_ball_need_no_whole_ball_index(spec, extra, stock_radii, extended_radii):
     """``full_adj`` on a ball straight from its pass, before any ``locate``,
-    finds the sphere's neighbours in an index of the last two levels: the
-    rows equal the whole-ball reference, and no whole-ball index is built.
-    Every prefix view has the rows of a fresh ball of its radius."""
+    takes the sphere's neighbours one level in from the recorded rows and
+    looks up those on the sphere in an index of the sphere level: the rows
+    equal the whole-ball reference, and no whole-ball index is built. Every
+    prefix view has the rows of a fresh ball of its radius."""
     extended = {"family": spec["family"], "params": {**spec["params"], "extra_generators": extra}}
     for group, radii in ((spec, stock_radii), (extended, extended_radii)):
         for radius, _ in radii:
@@ -192,3 +194,53 @@ def test_sphere_rows_of_a_fresh_ball_need_no_whole_ball_index(spec, extra, stock
             for r in sorted({1, radius // 2, radius - 1} - {0}):
                 fresh = build_group(group).ball(r)
                 assert np.array_equal(ball.prefix(r).full_adj(), fresh.full_adj())
+
+
+# extended sets that KEY_SETS leaves out, at radii where their rows pack:
+# the benchmark's roughiso codomain F_2 + [a,b] at R = 7; involutive words,
+# of odd length (no two vertices of one depth are adjacent) and of even
+# length ([t,a,t-,a] lights lamps 0 and 1, and its sphere has edges of its
+# own); and a word equal to a stock letter
+EXTENDED_SPHERES = [
+    ({"family": "free", "params": {"k": 2, "extra_generators": [["a", "b"]]}}, 7),
+    ({"family": "free_product_z2", "params": {"m": 3, "extra_generators": [["s1", "s2", "s1"]]}}, 4),
+    ({"family": "lamplighter", "params": {"extra_generators": [["t", "a", "t-"]]}}, 7),
+    ({"family": "lamplighter", "params": {"extra_generators": [["t", "a", "t-", "a"]]}}, 6),
+    ({"family": "free", "params": {"k": 2, "extra_generators": [["a"]]}}, 6),
+]
+
+
+@pytest.mark.parametrize("spec, radius", EXTENDED_SPHERES)
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "void"])
+def test_sphere_rows_of_extended_sets_match_the_void_reference(spec, radius, packed, monkeypatch):
+    """The sphere rows of ``full_adj`` against the reference, with the keys
+    of the pass packed and, forced, as whole-row ``np.void``: on a fresh
+    ball (which builds no whole-ball index), after a ``locate``, and on
+    every prefix view."""
+    if not packed:
+        init = _KeyLayout.__init__
+
+        def unpacked(self, *args):
+            init(self, *args)
+            self.packed = False
+
+        monkeypatch.setattr(_KeyLayout, "__init__", unpacked)
+    model = build_group(spec)
+    fresh, located = model.ball(radius), model.ball(radius)
+    assert fresh._layout.packed is packed
+
+    def reference(ball):
+        return reference_locate(ball, model._neighbor_codes(ball.codes)).reshape(-1, model.degree)
+
+    want = reference(fresh)
+    sphere = want[fresh.n_interior :]
+    assert np.any(sphere < 0) and np.all(np.any(sphere >= 0, axis=1))
+    # only sets with a word of even length have edges inside the sphere
+    assert np.any(fresh.depth[sphere[sphere >= 0]] == radius) is not model._bipartite
+    assert np.array_equal(fresh.full_adj(), want)
+    assert fresh._sorted is None
+    assert located.locate(located.codes[-1:]).tolist() == [len(located) - 1]
+    assert np.array_equal(located.full_adj(), want)
+    for ball in (fresh, located):
+        for r in range(1, radius):
+            assert np.array_equal(ball.prefix(r).full_adj(), reference(ball.prefix(r)))

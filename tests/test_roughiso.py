@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pharmonic import (
+    CayleyBall,
     CoarseMap,
     FitError,
     ScalarField,
@@ -237,6 +238,28 @@ def test_inverse_determinism(f2_model, ext_model):
     psi1, _ = rough_inverse(cmap)
     psi2, _ = rough_inverse(cmap)
     assert np.array_equal(psi1.images, psi2.images)
+
+
+@pytest.mark.parametrize("spec, word, radius", INCLUSIONS)
+def test_inverse_of_a_map_built_by_hand_equals_that_of_the_fit(spec, word, radius, monkeypatch):
+    """The fit measures the codomain's distances to the image set once, for
+    its coverage radius, and its rough inverse reuses them; a map built by
+    hand, with no such distances, gets the same inverse and report."""
+    domain, codomain = build_group(spec).ball(radius), with_extra(spec, word).ball(radius)
+    searched = []
+    hops = CayleyBall.hops
+    monkeypatch.setattr(CayleyBall, "hops", lambda ball, sources: searched.append(ball) or hops(ball, sources))
+    fitted = CoarseMap.fit(domain, codomain)
+    psi, report = rough_inverse(fitted)
+    assert sum(ball is codomain for ball in searched) == 1
+    by_hand = CoarseMap(domain, codomain, fitted.images.copy(), fitted.a, fitted.b,
+                        coverage_radius(codomain, fitted.images), fit_report=fitted.fit_report)
+    assert by_hand.c == fitted.c
+    psi_hand, report_hand = rough_inverse(by_hand)
+    assert report_hand == report
+    assert np.array_equal(psi_hand.images, psi.images)
+    assert psi_hand.domain.radius == psi.domain.radius and psi_hand.codomain is psi.codomain
+    assert (psi_hand.a, psi_hand.b, psi_hand.c, psi_hand.fit_report) == (psi.a, psi.b, psi.c, psi.fit_report)
 
 
 # ---------------------------------------------------------------------------
