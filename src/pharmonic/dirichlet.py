@@ -7,173 +7,55 @@ values, since every free component touches a clamp) and satisfies the
 discrete maximum principle: solution values stay inside the clamped range.
 
 Solver: damped Newton on the free values, from the p = 2 field (a linear
-problem) to the target exponent. Continuation in p runs
-above 2 only (homotopy in p, as in Adil, Peng & Sachdeva, NeurIPS 2019):
-Newton runs at each exponent of P_STAGES_UP below the target, each stage
-starting from the field of the one before, which on Z^2 R=24 at p = 8
-takes 336 Newton steps against 705 straight up. Below 2 such stages cost
-steps and save none, and Newton runs at the target alone. A Newton step
-solves the p-Laplacian equations linearized at the current field: the
-Hessian is the graph Laplacian of the free vertices weighted by
-(d^2 + mu^2)^((p-2)/2) on each arc, mu one ulp of the longest arc; it is
-symmetric positive definite, and is eliminated leaves first, factored
-without pivoting (by banded Cholesky or by sparse LU) or solved by
-conjugate gradients (see "Factorization:" below). For p < 2 an arc that
-the step would carry across 0 takes the IRLS weight instead (see
-_NewtonStep.correction). The step is damped by backtracking on the
-energy.
+problem) to the target exponent, each step backtracked on the energy.
 
-Factorization: every linear system of a problem, the p = 2 one included,
-has the same sparsity pattern and goes through _NewtonStep.solve, on a
-route fixed when the problem is built. Where each free vertex has at most
-one free neighbour one level closer to the identity and none on its own
-level, the free vertices form a forest (the trees F_k and Z2^{*m}, and
-their capacity annuli), whose Laplacian eliminated leaves first makes no
-fill (Parter, SIAM Review 3, 1961). Every system of such a problem, the
-p = 2 start and the IRLS re-solve included, goes to one vectorised
-elimination sweep (_ForestSweep): no pattern, no ordering, no SuperLU.
-The sweep costs a round of numpy calls per level, so it is taken only
-where the free vertices number at least 2^levels, levels the count of
-their distinct depths: every tree of branching 2 or more, and no path.
-That test comes first and costs two numpy calls, so the paths, and with
-the sphere clamped Z^2 from R = 6, Z^3 from R = 11 and the lamplighter
-from R = 9 on, skip the forest test itself. On a 2-core x86 machine one
-system took 0.13 to 0.22 of the factor's time on F_2 R=8 and R=10, F_3
-R=6, Z2^{*4} R=8 and Z2*Z2*Z2 R=12, 0.54 to 0.95 on Z2*Z2*Z2 R=4 to 9,
-and 15 to 18 times as long on the paths F_1 R=300, Z R=2000 and Z2*Z2
-R=300 (CHANGES.md has the sweep); the paths take the band (below).
+- Continuation in p runs above 2 only, through the exponents of
+  P_STAGES_UP below the target (homotopy in p, as in Adil, Peng &
+  Sachdeva, NeurIPS 2019); below 2 Newton runs at the target alone.
+- A Newton step solves the p-Laplacian equations linearized at the current
+  field: the Laplacian of the free vertices weighted by
+  (d^2 + mu^2)^((p-2)/2) on each arc, mu one ulp of the longest arc,
+  symmetric positive definite. For p < 2 an arc that the step would carry
+  across 0 takes the IRLS weight instead (see _NewtonStep.correction).
 
-A problem on a group of polynomial growth of degree 3 or more (Z^3 and
-Z^4, under any generating set: ``GroupModel.growth_degree``, a
-rough-isometry invariant) with at least CG_FREE free vertices takes the
-CG route. A minimum degree factor of such a lattice holds a growing power
-of n nonzeros per free vertex (nested dissection gives n^(1/3) on Z^3,
-against log n on Z^2; Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16,
-1979), while Jacobi-preconditioned CG takes iterations in proportion to
-the radius (77, 109 and 163 on the p = 2 system of Z^3 R=14, 20, 30).
-Every system of the problem, the p = 2 start and the IRLS re-solve of p <
-2 included, goes to conjugate gradients preconditioned with the diagonal
-(Jacobi), on the pattern in the order of ``free``, from 0: no ordering and
-no factor. CG stops once the residual is at most a relative tolerance of
-the right-hand side (2-norms), set per system (see below). Under
-CG_FREE, Z^3 R=12 (2047 free vertices, a factor of 65 nonzeros per free
-vertex) factors; Z^3 from R = 13 (2625) and Z^4 R=8 (2241, 124) take CG.
-With every system forced onto CG (and the forcing terms below), marked
-solves on a 2-core x86 machine took 0.18 to 0.94 of the factor's time at
-p = 1.5, 3 and 8 on Z^3 R=8 to 13 and Z^4 R=5 to 8, but up to 3.55 times
-as long at p = 1.1 and 1.2, where Jacobi stalls: 1.33 on Z^3 R=12 at
-p = 1.2, 1.99 on Z^4 R=6 at p = 1.1. The growth degree comes from the
-model, not from the ball: the level sizes of a ball this small read a
-degree of 4.7 on the lamplighter R=12 and 5.5 on Z2*Z2*Z2 + [s1 s2] R=8,
-both of exponential growth and both above CG_FREE.
+Routes: every linear system of a problem, the p = 2 one included, goes to
+one route, fixed when the problem is built; each route's class states its
+rule, its method and what a failure gives.
 
-The tolerance of a CG solve is CG_RTOL (1e-13) for the p = 2 system, whose
-iterations set the cap of the later ones and which at p = 2 is the answer;
-a cold solve at p = 2 then takes one residual-correction pass as well (see
-``linear_dirichlet``). The stop probe of a supplied start, and the Newton
-stage at p = 2 that a supplied start runs, are solved to CG_RTOL too. Any
-other Newton system is solved only to its forcing term, as in inexact
-Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): the
-square of the previous correction's sup over the clamp span, kept between
-CG_RTOL and CG_FORCING (1e-4), which the first Newton system takes. Where
-Newton converges quadratically that square is about the size of the
-correction being solved for, and a forcing term of the size of the Newton
-residual keeps quadratic convergence. The previous correction may end the
-stage before: restarting each stage at CG_FORCING added Newton steps at
-p = 8 (Z^3 R=20 with random clamps: 118 to 125). On Z^3 R=14 with marked
-clamps the CG iterations of a solve fell from 1496 to 913 at p = 1.5, 653
-to 354 at p = 3 and 2286 to 864 at p = 8, on Z^3 R=14 and R=20 and Z^4 R=8
-at p = 1.1 to 8 no solve took a Newton step more, and energies stayed
-within 4e-13 of the ones with every system solved to CG_RTOL. The sup
-itself, unsquared, saved more iterations but cost up to 5 more Newton
-steps at p = 8, where Newton converges linearly (121 to 126 on Z^3 R=20
-with random clamps). The forest sweep and the factor solve exactly, and
-take no tolerance.
+- "forest" (_ForestSweep): free vertices that form a forest of at least
+  2^levels vertices, eliminated leaves first.
+- "cg" (_SparseRoute): growth degree 3 or more and at least CG_FREE free
+  vertices, Jacobi-CG; "factor" for good from the first CG solve that fails.
+- "band" (_BandCholesky): growth degree 2 or less and a reverse
+  Cuthill-McKee bandwidth of at most BAND_MAX, banded Cholesky.
+- "factor" (_SparseRoute): every other problem, SuperLU.
 
-A CG solve is thrown away, that system is factored, and so is every later
-system of the problem, if it meets a non-finite value or a diagonal entry
-below the smallest normal float, or takes more than CG_MAXITER iterations,
-or more than CG_STALL times the iterations of the problem's first CG solve
-(the p = 2 system). Jacobi stalls on the weights of marked clamps at
-p <= 1.2: on Z^3 R=14 and Z^4 R=8 the p = 2 system takes 77 and 41
-iterations, and the systems at p = 1.5, 3 and 8 at most 1.94 and 1.71
-times as many (2.07 on Z^3 R=30 at p = 1.5, 4.1 on Z^3 R=14 with random
-clamps at p = 1.5), while at p = 1.1 the count passes 8 times the first at
-the 6th and 12th CG solve (the 8th and 16th under forcing terms, which
-leave the first Newton systems cheap). There the cap took 0.90 to 0.97 and
-0.80 to 0.91 of the time the fallback at CG_MAXITER alone took.
-
-A problem on a group of polynomial growth of degree 2 or less (Z, Z^2, F_1
-and Z2*Z2, under any generating set) takes the band route where the
-reverse Cuthill-McKee order of its free vertices (Cuthill & McKee, Proc.
-ACM Nat. Conf. 1969; George & Liu, *Computer Solution of Large Sparse
-Positive Definite Systems*, 1981) has a bandwidth of at most BAND_MAX:
-that bandwidth is 2R - 1 on the ball of Z^2 of radius R and 1 on the
-paths, and a Cholesky factor fills nothing outside the band. The order,
-and the place of every entry in LAPACK's lower band storage, are found
-once, when the problem is built; every system of the problem, the p = 2
-start and the IRLS re-solve included, is written into the band and
-factored by banded Cholesky (``dpbtrf``, ``dpbtrs``, no pivoting): no
-minimum degree order and no SuperLU. SuperLU is bound by overhead on these
-systems: on Z^2 R=30 a factorization took 1.7 ms, the band 0.85 ms for its
-n b^2 = 6 Mflop. One factorization and solve took, on a 2-core x86 machine
-with one BLAS thread (minimum of 21), against a later SuperLU
-factorization of the same system:
-
-    ball                       bandwidth       band / SuperLU
-    Z^2 R=20, 30, 40           39, 59, 79      0.35, 0.49, 0.61
-    Z^2 R=50, 60               99, 119         0.76, 0.66
-    Z^2 R=70, 80, 100          139, 159, 199   1.01, 0.95, 1.16
-    Z^2 + [x1 x2] R=30, 40     59, 79          0.47, 0.59
-    Z R=2000, 20000            1               0.32, 0.29
-    F_1 and Z2*Z2 R=300        1               0.30
-
-BAND_MAX = 120 keeps Z^2 on the band up to R = 60. The growth degree keeps
-the groups of exponential growth off it: the lamplighter R=9 has a
-bandwidth of 99 on 490 free vertices, and there the band took 2.0 times
-SuperLU's time. The test costs little beside a factorization: on Z^2
-R=300 (179 401 free vertices, bandwidth 599), which factors, the order
-and its bandwidth took 15 ms, a later factorization 650 ms.
-
-Every other problem is factored by SuperLU, and so is a CG-route problem
-once CG has failed. The first factorization, by symmetric SuperLU with its
-default panels and supernode relaxation, computes a minimum degree order
-of the pattern; the pattern is renumbered into that order once, and every
-later factorization of the problem factors it in that natural order, with
-panels of NATURAL_PANEL columns and a relaxation of NATURAL_RELAX (Demmel
-et al., SIAM J. Matrix Anal. Appl. 20, 1999). On a 2-core x86 machine a
-factorization took 0.68 of the time under SuperLU's defaults on Z^2 R=30
-(25 nonzeros per free vertex) and 0.77 on Z^3 R=14 (103). The densest
-factor met, Z^3 R=20 with marked clamps at p = 1.1 once CG stalls (185),
-solved in 11.5 to 13.0 s under them against 12.4 to 13.1 s under the
-defaults, in the same 32 steps. Z^2 past the band factors, from R = 61 up
-to the vertex budget (64 nonzeros per free vertex at R = 300), and there
-the factor is faster than CG: with marked clamps CG took 1.25 to 3.6 times
-as long on Z^2 R=30 to 300 at p = 1.5 and 3, against 0.45 to 0.53 on Z^3
-R=14 (CHANGES.md has the sweep).
+CG tolerance: CG_RTOL for every system at exponent 2 and for the stop
+probe of a supplied start; any other Newton system takes its forcing term
+(inexact Newton; Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
+1982), the square of the previous correction's sup over the clamp span,
+kept within [CG_RTOL, CG_FORCING].
 
 Scaling: the minimizer is 1-homogeneous in the clamps, so Newton runs on
-the clamps scaled by a power of 2 to a largest magnitude in (1/2, 1], and
-the field is scaled back at the end. The scaling is exact: while no value
-leaves the normal floats, clamps c 2^k with the tolerance times 2^k take
-the steps of c, and their field is that of c times 2^k bit for bit.
-Clamps of 0 and 1 keep their scale.
+the clamps scaled by a power of 2 to a largest magnitude in (1/2, 1]
+(clamps of 0 and 1 keep their scale), and the field is scaled back. The
+scaling is exact: while no value leaves the normal floats, clamps c 2^k
+with the tolerance times 2^k take the steps of c, and their field is that
+of c times 2^k bit for bit.
 
-Stopping: the sup of the scaled Newton correction is the one stop test.
-Its limit is the tolerance, floored at STOP_FLOOR times the largest clamp
-magnitude (float64 cannot resolve a finer field, and at p = 1.1 converged
-corrections stayed at up to 58 eps of it), in scaled units. A stage before
-the target ends once the correction is at most max(limit, STAGE_TOL), so
-at 1 to 2 times STAGE_TOL of the largest clamp magnitude; the target stage
-ends once it is at most the limit, and that last correction is added as
-it stands. Unlike the p-Laplacian residual, which at large p pins values
-only to about residual^(1/(p-1)), the correction measures the distance to
-the minimizer itself. ``max_sweeps`` bounds the Newton steps of all
-stages together; a solve that runs out of them, or whose line search
-finds no lower energy, reports converged=False. Iterates may leave the
-clamped range between steps; the returned field is clipped to it once, at
-the end. The minimizer lies in that box, and clipping never raises the
-energy, since it lengthens no arc.
+Stopping: the sup of the scaled Newton correction, which measures the
+distance to the minimizer (the p-Laplacian residual pins values only to
+about residual^(1/(p-1)) at large p), is the one stop test. Its limit is
+the tolerance, floored at STOP_FLOOR times the largest clamp magnitude
+(float64 resolves no finer field), in scaled units. A stage before the
+target ends at max(limit, STAGE_TOL), the target stage at the limit, its
+last correction added as it stands. ``max_sweeps`` bounds the Newton steps
+of all stages; a solve that runs out of them, or whose line search finds no
+lower energy, reports converged=False. The field is clipped to the clamped
+range at the end: the minimizer lies in that box, and clipping lengthens no
+arc.
+
+The measurements behind these rules and constants are in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -197,28 +79,15 @@ from .groups import CayleyBall
 P_STAGES_UP = (3.0, 4.0, 5.0, 6.0, 7.0)
 LINE_SEARCH_HALVINGS = 50
 STAGE_TOL = 1e-3  # correction that ends a stage before the target one
-# SuperLU's supernode relaxation and panel width for every factorization
-# after a problem's first, in the minimum degree order that the first found
-# (see "Factorization:" above)
+# SuperLU's supernode relaxation and panel width after a problem's first factorization
 NATURAL_RELAX = 8
 NATURAL_PANEL = 4
-# A problem on a group of polynomial growth of degree 3 or more with at least
-# CG_FREE free vertices solves every system by Jacobi-preconditioned CG within
-# CG_MAXITER iterations, or else goes to the factor for good: the p = 2
-# system to a residual of CG_RTOL of the right-hand side, a Newton system to
-# its forcing term, between CG_RTOL and CG_FORCING (see "Factorization:"
-# above)
-CG_FREE = 2200
-CG_RTOL = 1e-13
-CG_FORCING = 1e-4
-CG_MAXITER = 1000
-# A CG solve after a problem's first one is thrown away past CG_STALL times
-# the iterations of the first, the p = 2 system (see "Factorization:" above)
-CG_STALL = 8
-# A problem on a group of polynomial growth of degree 2 or less whose free
-# vertices have a reverse Cuthill-McKee bandwidth of at most BAND_MAX factors
-# every system by banded Cholesky (see "Factorization:" above)
-BAND_MAX = 120
+CG_FREE = 2200  # the fewest free vertices that take the CG route
+CG_RTOL = 1e-13  # CG tolerance at exponent 2, and the least forcing term
+CG_FORCING = 1e-4  # the largest forcing term
+CG_MAXITER = 1000  # the most iterations of any CG solve
+CG_STALL = 8  # the cap of a later CG solve, per iteration of the problem's first
+BAND_MAX = 120  # the widest band of the band route
 ENERGY_ROUNDOFF = 1e-12  # relative energy change below float64 summation resolution
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
@@ -337,7 +206,7 @@ class DirichletProblem:
 
     @cached_property
     def _system(self) -> "_NewtonStep":
-        """The sparse Laplacian system of the free vertices, built on first use."""
+        """The Newton systems of the free vertices and their route, built on first use."""
         return _NewtonStep(self)
 
     def clamped_values(self) -> np.ndarray:
@@ -352,17 +221,11 @@ class DirichletProblem:
 def linear_dirichlet(problem: DirichletProblem) -> np.ndarray:
     """Solve of the p = 2 problem (also the default start): the unit-weight
     Laplacian, clamped neighbor values summed in generator-slot order on the
-    right-hand side. It is the first system of the problem's
-    ``_NewtonStep``, on that problem's route: the elimination sweep of a
-    forest, Jacobi-preconditioned CG (whose iterations here set the cap of
-    the later CG solves), the banded Cholesky factor in the reverse
-    Cuthill-McKee order found with the problem, or the first SuperLU
-    factorization, which finds the fill-reducing order that the Newton
-    steps reuse. Where p = 2 is the
-    problem's own exponent, this field is the answer, and on the CG route
-    it takes one residual-correction pass: CG solves again for the residual
-    of the first solution, which brings the residual down to the rounding
-    of the Laplacian, as the factor's is."""
+    right-hand side, as the first system of the problem's route. Where
+    p = 2 is the problem's own exponent, this field is the answer, and on
+    the "cg" route it takes one residual-correction pass: CG solves again
+    for the residual of the first solution, which brings the residual down
+    to the rounding of the Laplacian, as the factor's is."""
     system = problem._system
     u = problem.clamped_values()  # zero at the free vertices
     nbr_vals = u[system.nbrs]
@@ -371,47 +234,18 @@ def linear_dirichlet(problem: DirichletProblem) -> np.ndarray:
         rhs += nbr_vals[:, slot]
     ones = np.ones(system.nbrs.shape)
     x = system.solve(ones, 0.0, rhs)
-    if problem.p == 2.0 and system.cg:
-        x += system.solve(ones, 0.0, rhs - system.matrix @ x)
+    if problem.p == 2.0 and system.route.name == "cg":
+        x += system.solve(ones, 0.0, rhs - system.route.matrix @ x)
     u[problem.free] = x
     return u
 
 
 class _NewtonStep:
-    """Newton corrections on the free values over a fixed sparsity pattern.
-
-    The linearized system is the mu-regularized weighted Laplacian of the
-    free vertices. The route of every system is fixed here, before anything
-    is solved, by four tests in turn. Where the free vertices form a forest
-    of at least 2^levels vertices, ``forest`` is its elimination sweep,
-    which takes every system of the problem; no CSC pattern is built for it
-    (``matrix`` stays None), ``cg`` is False, and ``band`` and ``order``
-    stay None. Otherwise ``forest`` is None, and the CSC pattern is built
-    once, in the order of ``free``; each solve refills ``.data``, summing
-    entries that share a (row, column) slot. The same assembly with unit
-    weights is the p = 2 system of ``linear_dirichlet``.
-
-    ``cg`` is True on a group of growth degree 3 or more with at least
-    CG_FREE free vertices: every system goes to Jacobi-preconditioned CG on
-    the pattern as built, the p = 2 start included, with nothing factored.
-    The first CG solve that takes iterations sets ``cg_maxiter``, the cap of
-    the later ones. ``cg`` drops to False for good at the first CG solve
-    that fails, and that system goes to the factor.
-
-    On a group of growth degree 2 or less, the pattern is ordered by
-    reverse Cuthill-McKee; where the bandwidth of that order is at most
-    BAND_MAX, ``band`` is the banded Cholesky factor in it, which takes
-    every system of the problem, and the CSC pattern is dropped (``matrix``
-    is None). Otherwise ``band`` is None.
-
-    Every other problem goes to SuperLU. The first factorization orders the
-    pattern by minimum degree on A^T + A (Liu, ACM TOMS 11, 1985), with
-    SuperLU's default panels. The pattern and the slot map are then
-    renumbered into that order once, and every later factorization takes
-    the pre-ordered matrix as it stands, with panels of NATURAL_PANEL
-    columns and a supernode relaxation of NATURAL_RELAX, so the ordering
-    runs once per problem. Right-hand sides and solutions keep the order of
-    ``free``."""
+    """Newton corrections on the free values, every system solved on one
+    ``route``, chosen here before anything is solved: a _ForestSweep, a
+    _BandCholesky or a _SparseRoute, the first whose rule (in its class)
+    takes the problem. A route has a ``name`` and ``solve(w, shift, rhs,
+    rtol)``."""
 
     def __init__(self, problem: DirichletProblem):
         ball = problem.ball
@@ -419,108 +253,30 @@ class _NewtonStep:
         self.n_free = n_free = self.free.size
         self.n_total = len(ball)
         self.nbrs = ball.adj[self.free]
+        self.arcs = ball.arcs()
         # the position in ``free`` of each neighbour in ``nbrs``, -1 at clamps
         local = np.full(self.n_total, -1, dtype=np.int64)
         local[self.free] = np.arange(n_free)
         nbr_local = local[self.nbrs]
-        self.off_mask = nbr_local >= 0
-        self.forest = _ForestSweep.of(ball.depth, self.free, self.nbrs, nbr_local)
-        degree = ball.model.growth_degree
-        # whether the next system goes to CG before SuperLU: fixed here, from
-        # the growth degree and size alone; the band, below, from the growth
-        # degree and the bandwidth (see "Factorization:" above)
-        self.cg = self.forest is None and degree is not None and degree >= 3 and n_free >= CG_FREE
-        self.cg_maxiter: Optional[int] = None  # the cap of a CG solve, once the first has run
-        self.band: Optional[_BandCholesky] = None
-        self.order: Optional[np.ndarray] = None  # position of each free vertex in the factored matrix
-        self.slot: Optional[np.ndarray] = None
-        self.matrix: Optional[sp.csc_matrix] = None
-        if self.forest is None:
-            row_grid = np.repeat(np.arange(n_free, dtype=np.int64), nbr_local.shape[1]).reshape(n_free, -1)
-            rows = np.concatenate([np.arange(n_free, dtype=np.int64), row_grid[self.off_mask]])
-            cols = np.concatenate([np.arange(n_free, dtype=np.int64), nbr_local[self.off_mask]])
-            self.slot, self.matrix = self._pattern(rows, cols)
-            if degree is not None and degree <= 2:
-                self.band = _BandCholesky.of(self.matrix, nbr_local)
-            if self.band is not None:
-                self.slot = self.matrix = None
-        self.arcs = ball.arcs()
-
-    def _pattern(self, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, sp.csc_matrix]:
-        """The CSC pattern of the entries (rows, cols), and the slot of each
-        entry in its ``.data``."""
-        n = self.n_free
-        keys, slot = np.unique(cols * n + rows, return_inverse=True)
-        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-        return slot, sp.csc_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n))
-
-    def laplacian(self, w: np.ndarray, shift: float) -> sp.csc_matrix:
-        """The Laplacian of arc weights w (one row per free vertex, one
-        column per generator slot), diagonal shifted by shift; in the order
-        of ``free`` until the first factorization, in ``order`` after it.
-        Not for a forest problem, which has no pattern."""
-        entries = np.concatenate([w.sum(axis=1) + shift, -w[self.off_mask]])
-        self.matrix.data = np.bincount(self.slot, weights=entries, minlength=self.matrix.nnz)
-        return self.matrix
+        self.route = _ForestSweep.of(ball.depth, self.free, self.nbrs, nbr_local)
+        if self.route is None:
+            # the diagonal, then one entry per flat slot of a free neighbour
+            slots = np.flatnonzero(nbr_local >= 0)
+            diag = np.arange(n_free, dtype=np.int64)
+            rows = np.concatenate([diag, slots // nbr_local.shape[1]])
+            index, pattern = _csc_pattern(rows, np.concatenate([diag, np.take(nbr_local, slots)]), n_free)
+            degree = ball.model.growth_degree
+            self.route = _BandCholesky.of(pattern, nbr_local, degree) or _SparseRoute(index, slots, pattern, degree)
 
     def solve(self, w: np.ndarray, shift: float, rhs: np.ndarray, rtol: float = CG_RTOL) -> np.ndarray:
-        """Solve with the Laplacian of weights w and diagonal shift: a
-        symmetric positive definite system for positive weights and shift
-        (or unit weights and shift 0, the p = 2 system). A forest problem
-        runs the elimination sweep on every call, all NaN where a pivot is 0
-        or the solution is not finite. A band problem writes the system into
-        its band and factors it by banded Cholesky on every call, all NaN
-        where a pivot is not positive, MemoryError if the band cannot be
-        allocated. On the CG route a call runs
-        Jacobi-preconditioned CG on the matrix in the order of ``free``, to
-        a residual of ``rtol`` of the right-hand side; if CG misses it
-        within its cap or meets a non-finite value, the route ends for good
-        and the call factors the system, exactly. The first
-        factorization of a problem, on or off the CG route, factors without
-        pivoting, orders by minimum degree and renumbers the pattern into
-        that order; a later one factors the renumbered matrix in its
-        natural order, with NATURAL_PANEL and NATURAL_RELAX. All NaN if the
-        factorization meets a zero pivot (weights that underflow to 0);
-        MemoryError if SuperLU runs out of memory."""
-        if self.forest is not None:
-            return self.forest.solve(w, shift, rhs)
-        if self.band is not None:
-            return self.band.solve(w, shift, rhs)
-        matrix = self.laplacian(w, shift)
-        if self.cg:
-            solved = _jacobi_cg(matrix, rhs, self.cg_maxiter or CG_MAXITER, rtol)
-            if solved is not None:
-                x, iterations = solved
-                if self.cg_maxiter is None and iterations:
-                    self.cg_maxiter = min(CG_MAXITER, CG_STALL * iterations)
-                return x
-            self.cg = False
-        first = self.order is None
-        if first:
-            ordering = {"permc_spec": "MMD_AT_PLUS_A"}
-        else:
-            ordering = {"permc_spec": "NATURAL", "relax": NATURAL_RELAX, "panel_size": NATURAL_PANEL}
-            b = np.empty(self.n_free)
-            b[self.order] = rhs
-        try:
-            lu = spla.splu(matrix, diag_pivot_thresh=0.0, options={"SymmetricMode": True}, **ordering)
-        except RuntimeError:
-            return np.full(self.n_free, np.nan)
-        except (MemoryError, SystemError) as exc:
-            raise _out_of_memory(self.n_free) from exc
-        if not first:
-            return lu.solve(b)[self.order]
-        # renumber the pattern once: free vertex k moves to position order[k]
-        self.order = order = lu.perm_c.astype(np.int64)
-        m = self.matrix
-        cols = np.repeat(np.arange(self.n_free, dtype=np.int64), np.diff(m.indptr))
-        slot, self.matrix = self._pattern(order[m.indices], order[cols])
-        self.slot = slot[self.slot]
-        return lu.solve(rhs)
+        """Solve with the Laplacian of weights w and diagonal shift, in the
+        order of ``free``, on the problem's route (its class says what a
+        failure gives); ``rtol`` is the tolerance of a CG solve."""
+        return self.route.solve(w, shift, rhs, rtol)
 
     def correction(self, u: np.ndarray, p: float, rtol: float = CG_RTOL) -> np.ndarray:
         """The Newton correction of the free values at exponent p, solved on
-        the CG route to a residual of ``rtol`` of the right-hand side.
+        the "cg" route to a residual of ``rtol`` of the right-hand side.
 
         For p < 2 the tangent model of |d|^p overshoots near d = 0: where
         the step would carry an arc across 0, that arc's weight is raised
@@ -578,35 +334,39 @@ class _NewtonStep:
 
 
 class _ForestSweep:
-    """Gaussian elimination on a Laplacian whose free vertices form a forest.
+    """The "forest" route: Gaussian elimination on a Laplacian whose free
+    vertices form a forest.
 
-    A free vertex is linked to its free neighbours only; where each has at
-    most one of them one level closer to the identity (its parent) and none
-    on its own level, those links form a forest, and elimination leaves
-    first makes no fill (Parter, SIAM Review 3, 1961). The sweep eliminates
-    one level at a time, deepest first: each vertex's pivot and right-hand
-    side go onto its parent's, added per parent with ``np.add.reduceat``.
-    Back-substitution then runs from the roots down. Both passes cost one
-    round of numpy calls per level that holds a vertex with a parent, so a
-    forest of n free vertices on L levels takes the sweep only where
-    2^L <= n: every tree of branching 2 or more does, no path does (see
-    "Factorization:" above).
+    Rule: taken where each free vertex has at most one free neighbour one
+    level closer to the identity (its parent) and none on its own level,
+    and where that forest has at least 2^levels vertices, levels the count
+    of their distinct depths (tested first): every tree of branching 2 or
+    more (F_k, Z2^{*m}, their capacity annuli), no path.
 
-    The vertices are kept in ``order``: by level, then roots before the
+    Method: elimination leaves first makes no fill (Parter, SIAM Review 3,
+    1961). The sweep eliminates one level at a time, deepest first, each
+    vertex's pivot and right-hand side added onto its parent's with
+    ``np.add.reduceat``, then substitutes back from the roots down: a round
+    of numpy calls per level, hence the 2^levels floor. A zero pivot or a
+    solution that is not finite gives all NaN.
+
+    The vertices are kept in ``perm``: by level, then roots before the
     vertices with a parent, these grouped by parent. Round k spans the
     positions [a, b) of one level's vertices with a parent; ``starts``
     opens each run of siblings, ``heads`` is the position of each run's
     parent and ``up`` that of each vertex's parent."""
 
+    name = "forest"
+
     def __init__(self, parent: np.ndarray, level: np.ndarray, uplink: np.ndarray):
-        self.order = np.lexsort((parent, level))
-        position = np.empty_like(self.order)
-        position[self.order] = np.arange(self.order.size)
+        self.perm = np.lexsort((parent, level))
+        position = np.empty_like(self.perm)
+        position[self.perm] = np.arange(self.perm.size)
         # the slots (flat, into the weights) that lead to a parent, and the
         # position of the vertex each leads from
         self.link_slots = np.flatnonzero(uplink)
         self.link_at = position[self.link_slots // uplink.shape[1]]
-        parent, level = parent[self.order], level[self.order]
+        parent, level = parent[self.perm], level[self.perm]
         kids = np.flatnonzero(parent >= 0)
         up = position[parent[kids]]
         new_run = np.ones(kids.size, dtype=bool)
@@ -623,8 +383,7 @@ class _ForestSweep:
     ) -> Optional["_ForestSweep"]:
         """The sweep of the free vertices of a ball with vertex depths
         ``depth``, given their neighbours and the position of each in
-        ``free`` (-1 at clamps); None unless they form a forest of at least
-        2^levels vertices, levels the count of their distinct depths."""
+        ``free`` (-1 at clamps); None where the rule refuses them."""
         level = depth[free]
         levels = int(np.count_nonzero(np.diff(level))) + 1  # ``free`` is in depth order
         if 2**levels > level.size:
@@ -642,19 +401,19 @@ class _ForestSweep:
             parent = np.where(up, nbr, parent)
         return cls(parent, level, uplink)
 
-    def solve(self, w: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, w: np.ndarray, shift: float, rhs: np.ndarray, rtol: float) -> np.ndarray:
         """Solve with the Laplacian of arc weights w (symmetric across each
-        edge) and diagonal shift, in the order of ``free``; all NaN if a
-        pivot is 0 or the solution is not finite."""
-        order = self.order
+        edge) and diagonal shift, in the order of ``free``, exactly: ``rtol``
+        is not read."""
+        perm = self.perm
         # row sums one column at a time: a reduction over a few slots is slow
         diag = w[:, 0].copy()
         for col in w.T[1:]:
             diag += col
         diag += shift
-        pivot = diag[order]
-        link = np.bincount(self.link_at, weights=np.take(w, self.link_slots), minlength=order.size)
-        y = rhs[order]
+        pivot = diag[perm]
+        link = np.bincount(self.link_at, weights=np.take(w, self.link_slots), minlength=perm.size)
+        y = rhs[perm]
         # a zero pivot ends in a non-finite solution, checked below
         with np.errstate(all="ignore"):
             for a, b, starts, heads, _ in reversed(self.rounds):
@@ -667,33 +426,64 @@ class _ForestSweep:
         if not np.isfinite(x).all():
             return np.full(x.size, np.nan)
         out = np.empty_like(x)
-        out[order] = x
+        out[perm] = x
         return out
 
 
-class _BandCholesky:
-    """Banded Cholesky of a Laplacian in reverse Cuthill-McKee order.
+def _csc_pattern(rows: np.ndarray, cols: np.ndarray, n: int) -> Tuple[np.ndarray, sp.csc_matrix]:
+    """The n x n CSC pattern of the entries (rows, cols), and the slot of
+    each entry in its ``.data``; entries that share a place share a slot."""
+    keys, slot = np.unique(cols * n + rows, return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return slot, sp.csc_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n))
 
-    The free vertices are renumbered once, by reverse Cuthill-McKee on the
-    pattern (Cuthill & McKee, Proc. ACM Nat. Conf. 1969; George & Liu,
-    *Computer Solution of Large Sparse Positive Definite Systems*, 1981):
-    ``perm`` lists the free vertices in band order, ``position`` is the
-    place of each, and ``width`` is the bandwidth, 2R - 1 on the ball of Z^2
-    of radius R. Each system is written into LAPACK's lower band storage,
-    ``width`` + 1 rows of n columns in Fortran order, through ``index``: the
-    diagonal first, then the entries below it, read off the weights at the
-    flat ``slots``. ``dpbtrf`` factors it and ``dpbtrs`` solves; neither
-    pivots, and a system that is not positive definite gives all NaN."""
+
+def _assemble(w: np.ndarray, shift: float, slots: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """The entries of the Laplacian of arc weights w (one row per free
+    vertex, one column per generator slot) with diagonal shift, summed into
+    ``size`` places at ``index``: first the diagonal, the row sums of w plus
+    shift, then the off-diagonal entries, minus the weights at the flat
+    ``slots``."""
+    entries = np.concatenate([w.sum(axis=1) + shift, -np.take(w, slots)])
+    return np.bincount(index, weights=entries, minlength=size)
+
+
+class _BandCholesky:
+    """The "band" route: banded Cholesky of a Laplacian in reverse
+    Cuthill-McKee order.
+
+    Rule: taken on a group of polynomial growth of degree 2 or less (Z,
+    Z^2, and the paths F_1 and Z2*Z2, under any generating set; not the
+    groups of exponential growth, where the band is slower than SuperLU)
+    where the reverse Cuthill-McKee order of the free vertices has a
+    bandwidth of at most BAND_MAX: 2R - 1 on the ball of Z^2 of radius R,
+    so Z^2 up to R = 60, and 1 on the paths.
+
+    Method: the order is found once, with the problem (Cuthill & McKee,
+    Proc. ACM Nat. Conf. 1969; George & Liu, *Computer Solution of Large
+    Sparse Positive Definite Systems*, 1981): ``perm`` lists the free
+    vertices in band order, ``position`` is the place of each, ``width``
+    the bandwidth, outside which a Cholesky factor fills nothing. Each
+    system is summed into LAPACK's lower band storage, ``width`` + 1 rows
+    of n columns in Fortran order, at ``index`` (the diagonal, then the
+    weights at the flat ``slots``) and factored by ``dpbtrf`` and
+    ``dpbtrs``, without pivoting. A system that is not positive definite
+    gives all NaN, a band that cannot be allocated MemoryError."""
+
+    name = "band"
 
     def __init__(self, perm: np.ndarray, position: np.ndarray, width: int, slots: np.ndarray, index: np.ndarray):
         self.perm, self.position, self.width = perm, position, width
         self.slots, self.index = slots, index
 
     @classmethod
-    def of(cls, pattern: sp.csc_matrix, nbr_local: np.ndarray) -> Optional["_BandCholesky"]:
+    def of(cls, pattern: sp.csc_matrix, nbr_local: np.ndarray, degree: Optional[int]) -> Optional["_BandCholesky"]:
         """The band factor of the symmetric ``pattern`` of the free vertices,
-        given the position of each neighbour in ``free`` (-1 at clamps);
-        None if its reverse Cuthill-McKee bandwidth passes BAND_MAX."""
+        given the position of each neighbour in ``free`` (-1 at clamps) and
+        the growth degree of the group (None for exponential growth); None
+        where the rule refuses them."""
+        if degree is None or degree > 2:
+            return None
         perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.int64)
         position = np.empty_like(perm)
         position[perm] = np.arange(perm.size)
@@ -708,14 +498,13 @@ class _BandCholesky:
         index = np.concatenate([position * (width + 1), (nbr_at * width + at)[lower]])
         return cls(perm, position, width, np.flatnonzero(lower), index)
 
-    def solve(self, w: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, w: np.ndarray, shift: float, rhs: np.ndarray, rtol: float) -> np.ndarray:
         """Solve with the Laplacian of arc weights w (symmetric across each
-        edge) and diagonal shift, in the order of ``free``; all NaN if a
-        pivot is not positive, MemoryError if the band cannot be allocated."""
+        edge) and diagonal shift, in the order of ``free``, exactly: ``rtol``
+        is not read."""
         n = rhs.size
         try:
-            entries = np.concatenate([w.sum(axis=1) + shift, -np.take(w, self.slots)])
-            band = np.bincount(self.index, weights=entries, minlength=n * (self.width + 1))
+            band = _assemble(w, shift, self.slots, self.index, n * (self.width + 1))
             factor, info = lapack.dpbtrf(band.reshape(n, -1).T, lower=1, overwrite_ab=1)
             if info > 0:
                 return np.full(n, np.nan)
@@ -725,9 +514,82 @@ class _BandCholesky:
         return x[self.position]
 
 
+class _SparseRoute:
+    """The "cg" and "factor" routes: Jacobi-CG, or SuperLU, on the CSC
+    pattern of the free vertices.
+
+    Rule: the route of every problem that neither the forest sweep nor the
+    band takes. It is "cg" on a group of polynomial growth of degree 3 or
+    more (Z^3 and Z^4, under any generating set) with at least CG_FREE free
+    vertices, whose minimum degree factor holds a growing power of n
+    nonzeros per free vertex (n^(1/3) on Z^3 under nested dissection;
+    Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16, 1979), while Jacobi-CG
+    takes iterations in proportion to the radius; "factor" otherwise.
+
+    "cg": each system goes to _jacobi_cg, from 0, to a residual of ``rtol``
+    of the right-hand side, within CG_MAXITER iterations until the first
+    solve that takes any sets ``cap`` to CG_STALL times them (at most
+    CG_MAXITER). A CG solve fails if it meets a non-finite value or a
+    diagonal entry below the smallest normal float, or passes its cap
+    (Jacobi stalls on marked clamps at p <= 1.2): the route turns "factor"
+    for good, and that system is factored.
+
+    "factor": SuperLU, without pivoting. The first factorization orders by
+    minimum degree on A^T + A (Liu, ACM TOMS 11, 1985), under SuperLU's
+    defaults; ``matrix`` (the pattern, in the order of ``free`` until then)
+    and ``index`` are then renumbered into that order, ``order``, once, and
+    every later factorization takes it as it stands, with panels of
+    NATURAL_PANEL columns and a relaxation of NATURAL_RELAX (Demmel et al.,
+    SIAM J. Matrix Anal. Appl. 20, 1999). A zero pivot (weights that
+    underflow to 0) gives all NaN, SuperLU out of memory MemoryError."""
+
+    def __init__(self, index: np.ndarray, slots: np.ndarray, pattern: sp.csc_matrix, degree: Optional[int]):
+        cg = degree is not None and degree >= 3 and pattern.shape[0] >= CG_FREE
+        self.name = "cg" if cg else "factor"
+        self.index, self.slots, self.matrix = index, slots, pattern
+        self.cap: Optional[int] = None  # set by the first CG solve that takes iterations
+        self.order: Optional[np.ndarray] = None  # once the first factorization has run
+
+    def solve(self, w: np.ndarray, shift: float, rhs: np.ndarray, rtol: float) -> np.ndarray:
+        """Solve with the Laplacian of arc weights w and diagonal shift, in
+        the order of ``free``: by CG to a residual of ``rtol`` of the
+        right-hand side on the "cg" route, exactly on the "factor" one."""
+        n = rhs.size
+        matrix = self.matrix
+        matrix.data = _assemble(w, shift, self.slots, self.index, matrix.nnz)
+        if self.name == "cg":
+            solved = _jacobi_cg(matrix, rhs, self.cap or CG_MAXITER, rtol)
+            if solved is not None:
+                x, iterations = solved
+                if self.cap is None and iterations:
+                    self.cap = min(CG_MAXITER, CG_STALL * iterations)
+                return x
+            self.name = "factor"
+        first = self.order is None
+        if first:
+            ordering = {"permc_spec": "MMD_AT_PLUS_A"}
+        else:
+            ordering = {"permc_spec": "NATURAL", "relax": NATURAL_RELAX, "panel_size": NATURAL_PANEL}
+            b = np.empty(n)
+            b[self.order] = rhs
+        try:
+            lu = spla.splu(matrix, diag_pivot_thresh=0.0, options={"SymmetricMode": True}, **ordering)
+        except RuntimeError:
+            return np.full(n, np.nan)
+        except (MemoryError, SystemError) as exc:
+            raise _out_of_memory(n) from exc
+        if not first:
+            return lu.solve(b)[self.order]
+        # renumber the pattern once: free vertex k moves to position order[k]
+        self.order = order = lu.perm_c.astype(np.int64)
+        cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
+        slot, self.matrix = _csc_pattern(order[matrix.indices], order[cols], n)
+        self.index = slot[self.index]
+        return lu.solve(rhs)
+
+
 def _out_of_memory(n_free: int) -> MemoryError:
-    """The one-line error of a factorization, SuperLU or band, that runs out
-    of memory."""
+    """The one-line error of a factorization that runs out of memory."""
     return MemoryError(f"out of memory factoring the Newton system of {n_free} free vertices")
 
 
@@ -736,11 +598,10 @@ def _jacobi_cg(
 ) -> Optional[Tuple[np.ndarray, int]]:
     """Solve the symmetric system by conjugate gradients preconditioned with
     its diagonal, from 0, until the residual is at most ``rtol`` of |b|
-    (2-norms): CG_RTOL for a p = 2 system, a Newton system's forcing term
-    for the others (see "Factorization:" above). The solution and the
-    iterations taken. None if that takes more than ``maxiter`` iterations,
-    if a diagonal entry is below the smallest normal float, or if a
-    curvature d^T A d or a residual is not finite and positive."""
+    (2-norms; see "CG tolerance:" above). The solution and the iterations
+    taken. None if that takes more than ``maxiter`` iterations, if a
+    diagonal entry is below the smallest normal float, or if a curvature
+    d^T A d or a residual is not finite and positive."""
     # a symmetric CSC matrix read as CSR is itself, and CSR products are faster
     a = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
     diag = a.diagonal()
@@ -804,36 +665,22 @@ def solve_dirichlet(
     stop test at the target is returned as it is, after 0 iterations.
 
     Each Newton step solves one linear system (two where the IRLS weights
-    of p < 2 apply). Where the free vertices form a wide enough forest (the
-    trees), every system goes to one leaf-to-root elimination sweep, and
-    nothing is factored. On a group of growth degree 3 or more with at
-    least CG_FREE free vertices, every system goes to Jacobi-preconditioned
-    CG, each Newton system solved only to its forcing term, with the factor
-    taking over for good from the first CG solve that fails. On a group of
-    growth degree 2 or less (Z, Z^2 and the paths F_1 and Z2*Z2, under any
-    generating set) whose free vertices have a reverse Cuthill-McKee
-    bandwidth of at most BAND_MAX, every system goes to banded Cholesky in
-    that order. Every other problem factors every system with SuperLU (see
-    "Factorization:" in the module docstring). A start that is not finite
-    at a free vertex is refused with a ValueError naming the first such
-    vertex.
-
-    Newton runs on the clamps scaled by a power of 2 to a largest magnitude
-    in (1/2, 1], and the field is scaled back (see "Scaling:" in the module
-    docstring): clamps c 2^k with a tolerance scaled alike take the steps
-    of c.
+    of p < 2 apply), on the problem's route (see the route classes), a CG
+    system to its forcing term. Newton runs on the clamps scaled by a power
+    of 2, and the field is scaled back (see "Scaling:" in the module
+    docstring). A start that is not finite at a free vertex is refused with
+    a ValueError naming the first such vertex.
 
     The solve converges when the sup of the scaled Newton correction at the
     target exponent is at most ``config.tolerance``, or STOP_FLOOR times
-    the largest clamp magnitude if that is more, in scaled units; that last
-    correction is added to the field. A stage below the target ends at
-    max(that limit, STAGE_TOL). ``config.max_sweeps`` bounds the damped
-    Newton steps of all stages together, and ``iterations`` counts them.
-    The returned field is clipped to the clamped range. The reported
-    residual is the sup of the p-Laplacian over the free vertices of that
-    field: for p < 2 it can stay far above the tolerance at arcs whose two
-    values nearly coincide, where one ulp of either value moves it by about
-    (p-1)|d|^(p-2) ulp. Non-convergence is reported, not raised.
+    the largest clamp magnitude if that is more (see "Stopping:" in the
+    module docstring); ``iterations`` counts the damped Newton steps of all
+    stages, at most ``config.max_sweeps``. The returned field is clipped to
+    the clamped range. The reported residual is the sup of the p-Laplacian
+    over the free vertices of that field: for p < 2 it can stay far above
+    the tolerance at arcs whose two values nearly coincide, where one ulp of
+    either value moves it by about (p-1)|d|^(p-2) ulp. Non-convergence is
+    reported, not raised.
     """
     config = config or SolverConfig()
     p = problem.p

@@ -348,7 +348,7 @@ def test_one_minimum_degree_ordering_per_problem(monkeypatch):
         ball = family_ball(spec, radius)
         problem = DirichletProblem(ball, random_clamps(ball, 17), p)
         _, rep = solve_dirichlet(problem)
-        assert rep.converged and not problem._system.cg
+        assert rep.converged and problem._system.route.name == "factor"
         assert len(calls) > rep.iterations
         first, *later = calls
         assert first == {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}, "permc_spec": "MMD_AT_PLUS_A"}
@@ -394,15 +394,14 @@ def test_growth_degree_size_and_bandwidth_choose_the_route(spec, radius, route):
     Only the SuperLU route keeps a CSC pattern, and no route has an order
     before its first factorization."""
     problem = zero_sphere_problem(spec, radius)
-    system = problem._system
-    routes = {"forest": system.forest is not None, "cg": system.cg, "band": system.band is not None}
-    assert [name for name, taken in routes.items() if taken] == ([] if route == "factor" else [route])
-    assert (system.matrix is not None) is (route in ("factor", "cg"))
-    assert system.order is None
+    chosen = problem._system.route
+    assert chosen.name == route
+    assert (getattr(chosen, "matrix", None) is not None) is (route in ("factor", "cg"))
+    assert getattr(chosen, "order", None) is None
     if route == "band":
-        assert system.band.width <= dirichlet.BAND_MAX
+        assert chosen.width <= dirichlet.BAND_MAX
         if spec is Z2:
-            assert system.band.width == 2 * radius - 1
+            assert chosen.width == 2 * radius - 1
 
 
 def field_gap(p):
@@ -424,11 +423,11 @@ def test_cg_route_matches_the_factor(monkeypatch, p):
     calls = counted_splu(monkeypatch)
     problem = DirichletProblem(ball, random_clamps(ball, 24), p)
     u, rep = solve_dirichlet(problem)
-    assert problem._system.cg and calls == []
+    assert problem._system.route.name == "cg" and calls == []
     monkeypatch.setattr(dirichlet, "_jacobi_cg", lambda *args: None)
     direct = DirichletProblem(ball, random_clamps(ball, 24), p)
     u_direct, rep_direct = solve_dirichlet(direct)
-    assert not direct._system.cg and len(calls) > rep_direct.iterations
+    assert direct._system.route.name == "factor" and len(calls) > rep_direct.iterations
     assert rep.converged and (rep.iterations, rep.converged) == (rep_direct.iterations, rep_direct.converged)
     assert rep.final_energy == pytest.approx(rep_direct.final_energy, rel=1e-12)
     assert np.max(np.abs(u.values - u_direct.values)) <= field_gap(p)
@@ -493,7 +492,7 @@ def test_a_p2_solve_on_the_cg_route_has_the_residual_of_the_factor(monkeypatch, 
     calls = counted_splu(monkeypatch)
     problem = DirichletProblem(ball, clamps, 2.0)
     u, rep = solve_dirichlet(problem)
-    assert problem._system.cg and calls == [] and taken == [dirichlet.CG_RTOL] * 2
+    assert problem._system.route.name == "cg" and calls == [] and taken == [dirichlet.CG_RTOL] * 2
     taken.clear()
     linear_dirichlet(DirichletProblem(ball, clamps, 3.0))
     assert taken == [dirichlet.CG_RTOL]
@@ -517,7 +516,7 @@ def test_cg_that_misses_its_tolerance_hands_the_problem_to_the_factor(monkeypatc
     monkeypatch.setattr(dirichlet, "CG_MAXITER", 1)
     problem = DirichletProblem(ball, random_clamps(ball, 25), 3.0)
     _, rep = solve_dirichlet(problem)
-    assert rep.converged and not problem._system.cg
+    assert rep.converged and problem._system.route.name == "factor"
     assert len(calls) == 1 + rep.iterations + 1
     assert calls[0]["permc_spec"] == "MMD_AT_PLUS_A"
     monkeypatch.setattr(dirichlet, "_jacobi_cg", lambda *args: None)
@@ -544,11 +543,58 @@ def test_the_fallback_to_the_factor_is_for_good(monkeypatch):
     calls = counted_splu(monkeypatch)
     problem = DirichletProblem(ball, random_clamps(ball, 26), 3.0)
     _, rep = solve_dirichlet(problem)
-    assert rep.converged and not problem._system.cg
+    assert rep.converged and problem._system.route.name == "factor"
     assert len(attempts) == 3
     # the p = 2 start and one system per correction, less the two CG solved
     assert len(calls) == 1 + rep.iterations + 1 - 2
     assert [call["permc_spec"] for call in calls] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(calls) - 1)
+
+
+@pytest.mark.parametrize(
+    "spec,radius,name",
+    [
+        ({"family": "free", "params": {"k": 2}}, 6, "forest"),
+        (Z2, 20, "band"),
+        (Z3, 14, "cg"),
+        ({"family": "lamplighter", "params": {}}, 5, "factor"),
+    ],
+)
+@pytest.mark.parametrize("cg_fails", [False, True], ids=["cg", "no-cg"])
+def test_a_problem_keeps_its_route_object_through_a_solve(monkeypatch, spec, radius, name, cg_fails):
+    """The route chosen with the problem is the one object that solves all
+    its systems: a p = 3 solve ends on the same route object it started
+    on. Its name changes only at the one hand-over from "cg" to "factor",
+    and only where a CG solve fails."""
+    if cg_fails:
+        monkeypatch.setattr(dirichlet, "_jacobi_cg", lambda *args: None)
+    ball = family_ball(spec, radius)
+    problem = DirichletProblem(ball, random_clamps(ball, 35), 3.0)
+    route = problem._system.route
+    before = id(route)
+    assert route.name == name
+    _, rep = solve_dirichlet(problem)
+    assert rep.converged and id(problem._system.route) == before
+    assert route.name == ("factor" if cg_fails and name == "cg" else name)
+
+
+def test_a_p2_solve_whose_first_cg_solve_fails_takes_no_correction_pass(monkeypatch):
+    """The residual-correction pass of a p = 2 solve belongs to the CG
+    route: where the first CG solve fails, the factor's solution is the
+    answer, after one CG attempt and one factorization."""
+    ball = family_ball(Z3, 14)
+    attempts = []
+
+    def failing(*args):
+        attempts.append(args)
+        return None
+
+    monkeypatch.setattr(dirichlet, "_jacobi_cg", failing)
+    calls = counted_splu(monkeypatch)
+    problem = DirichletProblem(ball, random_clamps(ball, 36), 2.0)
+    route = problem._system.route
+    assert route.name == "cg"
+    linear_dirichlet(problem)
+    assert route.name == "factor" and len(attempts) == 1 and len(calls) == 1
 
 
 Z3_X1X2 = {"family": "free_abelian", "params": {"d": 3, "extra_generators": [["x1", "x2"]]}}
@@ -562,7 +608,7 @@ def test_an_extended_set_takes_the_route_of_its_group(radius, cg):
     stock = zero_sphere_problem(Z3, radius)
     extended = zero_sphere_problem(Z3_X1X2, radius)
     assert stock.ball.model.growth_degree == extended.ball.model.growth_degree == 3
-    assert stock._system.cg is extended._system.cg is cg
+    assert stock._system.route.name == extended._system.route.name == ("cg" if cg else "factor")
 
 
 def test_later_cg_solves_are_capped_at_a_multiple_of_the_first(monkeypatch):
@@ -585,11 +631,11 @@ def test_later_cg_solves_are_capped_at_a_multiple_of_the_first(monkeypatch):
     monkeypatch.setattr(dirichlet, "_jacobi_cg", recording)
     problem = DirichletProblem(ball, random_clamps(ball, 32), 1.5)
     _, rep = solve_dirichlet(problem)
-    assert rep.converged and problem._system.cg
+    assert rep.converged and problem._system.route.name == "cg"
     (first_cap, first), *later = seen
     assert first_cap == dirichlet.CG_MAXITER and later
     cap = min(dirichlet.CG_MAXITER, dirichlet.CG_STALL * first)
-    assert problem._system.cg_maxiter == cap
+    assert problem._system.route.cap == cap
     assert all(maxiter == cap and taken <= cap for maxiter, taken in later)
 
     monkeypatch.setattr(dirichlet, "CG_STALL", 1)
@@ -600,7 +646,7 @@ def test_later_cg_solves_are_capped_at_a_multiple_of_the_first(monkeypatch):
     taken = [taken for _, taken in seen]
     assert len(taken) > 2 and taken[-1] is None
     assert all(t is not None and t <= first for t in taken[1:-1])
-    assert not stalled._system.cg and len(calls) > rep_stalled.iterations
+    assert stalled._system.route.name == "factor" and len(calls) > rep_stalled.iterations
     assert [call["permc_spec"] for call in calls] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(calls) - 1)
     assert (rep_stalled.iterations, rep_stalled.converged) == (rep.iterations, rep.converged)
     assert rep_stalled.final_energy == pytest.approx(rep.final_energy, rel=1e-12)
@@ -611,17 +657,19 @@ def test_underflowing_weights_stop_the_cg_route_without_warnings():
     it, the factor meets a zero pivot, the system solves to all NaN and
     the CG route ends, without a warning. Clamps of size 1e-60 at p = 8,
     whose weights would underflow so, are solved scaled up to a largest
-    magnitude in [1/2, 1), and converge without a warning."""
+    magnitude in [1/2, 1), and converge without a warning, on the CG route
+    to the end."""
     ball = family_ball(Z3, 14)
     clamps = {i: 1e-60 * v for i, v in random_clamps(ball, 27).items()}
     system = DirichletProblem(ball, clamps, 8.0)._system
     problem = DirichletProblem(ball, clamps, 8.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert system.cg
+        assert system.route.name == "cg"
         assert np.all(np.isnan(system.solve(np.zeros(system.nbrs.shape), 0.0, np.ones(system.n_free))))
         _, rep = solve_dirichlet(problem, SolverConfig(tolerance=1e-68))
-    assert not system.cg
+    assert system.route.name == "factor"
+    assert problem._system.route.name == "cg"
     assert rep.converged and rep.iterations > 0
 
 
@@ -669,7 +717,7 @@ def test_band_out_of_memory_names_the_free_vertices(monkeypatch, z2_model):
     calls = counted_splu(monkeypatch)
     with pytest.raises(MemoryError, match=f"^out of memory factoring the Newton system of {problem.free.size} free vertices$"):
         solve_dirichlet(problem)
-    assert problem._system.band is not None and calls == []
+    assert problem._system.route.name == "band" and calls == []
 
 
 @pytest.mark.parametrize("spec,radius", FOUR_FAMILIES)
@@ -692,7 +740,7 @@ def test_reordered_factorization_matches_a_fresh_one(monkeypatch, spec, radius):
         matrix, y = fresh_factor_solve(problem, w, shift, rhs)
         if call == 0:
             np.testing.assert_array_equal(x, y)
-            assert system.order is not None
+            assert system.route.order is not None
         norm = float(abs(matrix).sum(axis=1).max())
         assert np.max(np.abs(matrix @ (x - y))) <= 1e-12 * norm * np.max(np.abs(y))
         assert np.max(np.abs(matrix @ x - rhs)) <= 1e-12 * norm * np.max(np.abs(x))
@@ -747,24 +795,25 @@ def test_forest_route_per_family(monkeypatch, spec, radius, forest):
     monkeypatch.setattr(dirichlet, "BAND_MAX", 0)
     problem = zero_sphere_problem(spec, radius)
     linear_dirichlet(problem)
-    system = problem._system
-    assert (system.forest is not None) is forest
-    assert (system.matrix is None) is forest
-    assert (system.order is None) is forest
-    assert not system.cg
+    route = problem._system.route
+    assert (route.name == "forest") is forest
+    assert (getattr(route, "matrix", None) is None) is forest
+    assert (getattr(route, "order", None) is None) is forest
+    assert route.name != "cg"
     ball = problem.ball
     solved = DirichletProblem(ball, random_clamps(ball, 31), 3.0)
     _, rep = solve_dirichlet(solved)
     assert rep.converged
-    assert (solved._system.matrix is None) is (solved._system.order is None) is forest
+    route = solved._system.route
+    assert (getattr(route, "matrix", None) is None) is (getattr(route, "order", None) is None) is forest
 
 
 def test_capacity_annulus_is_a_forest_of_many_roots():
     """With the ball of radius 2 clamped, the 36 vertices of the sphere of
     radius 3 are roots; the sweep runs over the two levels below them."""
     problem = annulus_problem(F2, 6, 2, 2.0)
-    forest = problem._system.forest
-    assert forest is not None and len(forest.rounds) == 2
+    forest = problem._system.route
+    assert forest.name == "forest" and len(forest.rounds) == 2
     assert problem.free.size - forest.link_slots.size == 36
 
 
@@ -793,7 +842,7 @@ def test_forest_sweep_matches_a_fresh_factor(make):
         norm = float(abs(matrix).sum(axis=1).max())
         assert np.max(np.abs(matrix @ (x - y))) <= 1e-12 * norm * np.max(np.abs(y))
         assert np.max(np.abs(matrix @ x - rhs)) <= 1e-12 * norm * np.max(np.abs(x))
-    assert system.order is None
+    assert getattr(system.route, "order", None) is None
 
 
 @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
@@ -806,11 +855,11 @@ def test_forest_route_matches_the_factor(monkeypatch, spec, radius, p):
     calls = counted_splu(monkeypatch)
     problem = DirichletProblem(ball, random_clamps(ball, 29), p)
     _, rep = solve_dirichlet(problem)
-    assert problem._system.forest is not None and calls == []
+    assert problem._system.route.name == "forest" and calls == []
     monkeypatch.setattr(dirichlet._ForestSweep, "of", staticmethod(lambda *args: None))
     factored = DirichletProblem(ball, random_clamps(ball, 29), p)
     _, rep_factored = solve_dirichlet(factored)
-    assert factored._system.forest is None and len(calls) > rep_factored.iterations
+    assert factored._system.route.name == "factor" and len(calls) > rep_factored.iterations
     assert rep.converged and (rep.iterations, rep.converged) == (rep_factored.iterations, rep_factored.converged)
     assert rep.final_energy == pytest.approx(rep_factored.final_energy, rel=1e-13)
 
@@ -846,8 +895,8 @@ def test_band_solve_matches_a_fresh_factor(make):
     order; no SuperLU pattern or order is made."""
     problem = make()
     system = problem._system
-    band = system.band
-    assert band is not None and system.matrix is None
+    band = system.route
+    assert band.name == "band" and getattr(band, "matrix", None) is None
     rng = np.random.default_rng(33)
     for call in range(4):
         w = edge_weights(problem, rng)
@@ -858,7 +907,7 @@ def test_band_solve_matches_a_fresh_factor(make):
         norm = float(abs(matrix).sum(axis=1).max())
         assert np.max(np.abs(matrix @ (x - y))) <= 1e-12 * norm * np.max(np.abs(y))
         assert np.max(np.abs(matrix @ x - rhs)) <= 1e-12 * norm * np.max(np.abs(x))
-    assert system.band is band and system.order is None and system.matrix is None
+    assert system.route is band and getattr(band, "order", None) is None and getattr(band, "matrix", None) is None
 
 
 # random clamps at p = 8 on Z^2 from R = 20 on take thousands of Newton steps
@@ -883,11 +932,11 @@ def test_band_route_matches_the_factor(monkeypatch, spec, radius, marked, p):
     calls = counted_splu(monkeypatch)
     problem = DirichletProblem(ball, clamps, p)
     u, rep = solve_dirichlet(problem, config)
-    assert problem._system.band is not None and calls == []
+    assert problem._system.route.name == "band" and calls == []
     monkeypatch.setattr(dirichlet, "BAND_MAX", 0)
     factored = DirichletProblem(ball, clamps, p)
     u_factored, rep_factored = solve_dirichlet(factored, config)
-    assert factored._system.band is None and len(calls) > rep_factored.iterations
+    assert factored._system.route.name == "factor" and len(calls) > rep_factored.iterations
     assert rep.converged or rep.iterations == BAND_BUDGET
     assert (rep.iterations, rep.converged) == (rep_factored.iterations, rep_factored.converged)
     assert rep.final_energy == pytest.approx(rep_factored.final_energy, rel=1e-12)
@@ -947,7 +996,8 @@ def test_tiny_clamps_solve_as_their_scaled_copy(spec, radius, p, size, tolerance
         warnings.simplefilter("error")
         u, rep = solve_dirichlet(problem, SolverConfig(tolerance=tolerance))
     assert rep.converged
-    assert (problem._system.cg, problem._system.forest is not None) == (spec is Z3, spec is F2)
+    name = problem._system.route.name
+    assert (name == "cg", name == "forest") == (spec is Z3, spec is F2)
     mantissa, exponent = np.frexp(np.nanmax(np.abs(clamps)))
     k = int(mantissa == 0.5) - int(exponent)
     if np.log2(tolerance) + k < 0.0:
@@ -1034,7 +1084,7 @@ def test_singular_system_gives_nan_without_raising(lamp_model, first_good):
     zero = np.zeros(system.nbrs.shape)
     if first_good:
         assert np.all(np.isfinite(system.solve(np.ones(system.nbrs.shape), 0.0, rhs)))
-        assert system.order is not None
+        assert system.route.order is not None
     for _ in range(2):
         assert np.all(np.isnan(system.solve(zero, 0.0, rhs)))
     assert np.all(np.isfinite(system.solve(np.ones(system.nbrs.shape), 0.0, rhs)))
@@ -1058,7 +1108,7 @@ def test_band_singular_system_gives_nan_without_warnings(monkeypatch, z2_model, 
         for _ in range(2):
             assert np.all(np.isnan(system.solve(zero, 0.0, rhs)))
         assert np.all(np.isfinite(system.solve(np.ones(system.nbrs.shape), 0.0, rhs)))
-    assert system.band is not None and calls == []
+    assert system.route.name == "band" and calls == []
 
 
 def test_maximum_principle(f2_model):
