@@ -26,8 +26,9 @@ rule, its method and what a failure gives.
   2^levels vertices, eliminated leaves first.
 - "cg" (_SparseRoute): growth degree 3 or more and at least CG_FREE free
   vertices, Jacobi-CG; "factor" for good from the first CG solve that fails.
-- "band" (_BandCholesky): growth degree 2 or less and a reverse
-  Cuthill-McKee bandwidth of at most BAND_MAX, banded Cholesky.
+- "band" (_BandCholesky): growth degree 2 or less and a bandwidth of at
+  most BAND_MAX in reverse Cuthill-McKee order or, on Z^2, in a diagonal
+  sweep of the lattice, banded Cholesky.
 - "factor" (_SparseRoute): every other problem, SuperLU.
 
 CG tolerance: CG_RTOL for every system at exponent 2 and for the stop
@@ -87,7 +88,7 @@ CG_RTOL = 1e-13  # CG tolerance at exponent 2, and the least forcing term
 CG_FORCING = 1e-4  # the largest forcing term
 CG_MAXITER = 1000  # the most iterations of any CG solve
 CG_STALL = 8  # the cap of a later CG solve, per iteration of the problem's first
-BAND_MAX = 120  # the widest band of the band route
+BAND_MAX = 120  # the widest band of the band route: Z^2 up to R = 120
 ENERGY_ROUNDOFF = 1e-12  # relative energy change below float64 summation resolution
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
@@ -266,7 +267,8 @@ class _NewtonStep:
             rows = np.concatenate([diag, slots // nbr_local.shape[1]])
             index, pattern = _csc_pattern(rows, np.concatenate([diag, np.take(nbr_local, slots)]), n_free)
             degree = ball.model.growth_degree
-            self.route = _BandCholesky.of(pattern, nbr_local, degree) or _SparseRoute(index, slots, pattern, degree)
+            band = _BandCholesky.of(pattern, nbr_local, degree, ball.codes[self.free])
+            self.route = band or _SparseRoute(index, slots, pattern, degree)
 
     def solve(self, w: np.ndarray, shift: float, rhs: np.ndarray, rtol: float = CG_RTOL) -> np.ndarray:
         """Solve with the Laplacian of weights w and diagonal shift, in the
@@ -449,21 +451,26 @@ def _assemble(w: np.ndarray, shift: float, slots: np.ndarray, index: np.ndarray,
 
 
 class _BandCholesky:
-    """The "band" route: banded Cholesky of a Laplacian in reverse
-    Cuthill-McKee order.
+    """The "band" route: banded Cholesky of a Laplacian in the order of the
+    narrowest band.
 
     Rule: taken on a group of polynomial growth of degree 2 or less (Z,
     Z^2, and the paths F_1 and Z2*Z2, under any generating set; not the
     groups of exponential growth, where the band is slower than SuperLU)
-    where the reverse Cuthill-McKee order of the free vertices has a
-    bandwidth of at most BAND_MAX: 2R - 1 on the ball of Z^2 of radius R,
-    so Z^2 up to R = 60, and 1 on the paths.
+    where the free vertices have a bandwidth of at most BAND_MAX in the
+    narrowest of the candidate orders: reverse Cuthill-McKee, and on Z^2
+    the two diagonal sweeps of the lattice coordinates, lexicographic in
+    (x1 + x2, x1 - x2) and in (x1 - x2, x1 + x2). A sweep gives the ball of
+    Z^2 of radius R a bandwidth of R, against 2R - 1 in reverse
+    Cuthill-McKee order, so Z^2 takes the band up to R = 120; the paths
+    have bandwidth 1.
 
     Method: the order is found once, with the problem (Cuthill & McKee,
     Proc. ACM Nat. Conf. 1969; George & Liu, *Computer Solution of Large
-    Sparse Positive Definite Systems*, 1981): ``perm`` lists the free
-    vertices in band order, ``position`` is the place of each, ``width``
-    the bandwidth, outside which a Cholesky factor fills nothing. Each
+    Sparse Positive Definite Systems*, 1981), the reverse Cuthill-McKee one
+    unless a sweep is strictly narrower: ``perm`` lists the free vertices
+    in band order, ``position`` is the place of each, ``width`` the
+    bandwidth, outside which a Cholesky factor fills nothing. Each
     system is summed into LAPACK's lower band storage, ``width`` + 1 rows
     of n columns in Fortran order, at ``index`` (the diagonal, then the
     weights at the flat ``slots``) and factored by ``dpbtrf`` and
@@ -477,22 +484,35 @@ class _BandCholesky:
         self.slots, self.index = slots, index
 
     @classmethod
-    def of(cls, pattern: sp.csc_matrix, nbr_local: np.ndarray, degree: Optional[int]) -> Optional["_BandCholesky"]:
+    def of(
+        cls, pattern: sp.csc_matrix, nbr_local: np.ndarray, degree: Optional[int], codes: np.ndarray
+    ) -> Optional["_BandCholesky"]:
         """The band factor of the symmetric ``pattern`` of the free vertices,
-        given the position of each neighbour in ``free`` (-1 at clamps) and
-        the growth degree of the group (None for exponential growth); None
-        where the rule refuses them."""
+        given the position of each neighbour in ``free`` (-1 at clamps), the
+        growth degree of the group (None for exponential growth) and the
+        code rows of the free vertices; None where the rule refuses them."""
         if degree is None or degree > 2:
             return None
-        perm = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.int64)
-        position = np.empty_like(perm)
-        position[perm] = np.arange(perm.size)
-        at = position[:, None]
+        orders = [reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.int64)]
+        if degree == 2:
+            # Z^2, whose code rows are its lattice coordinates: the sweeps
+            # along the two diagonals
+            x1, x2 = codes.T
+            orders += [np.lexsort((x1 - x2, x1 + x2)), np.lexsort((x1 + x2, x1 - x2))]
         linked = nbr_local >= 0
-        nbr_at = np.where(linked, position[nbr_local], at)
-        width = int(np.max(at - nbr_at, initial=0))  # the pattern is symmetric
+        best = None
+        for perm in orders:
+            position = np.empty_like(perm)
+            position[perm] = np.arange(perm.size)
+            at = position[:, None]
+            nbr_at = np.where(linked, position[nbr_local], at)
+            width = int(np.max(at - nbr_at, initial=0))  # the pattern is symmetric
+            if best is None or width < best[2]:  # a tie keeps the earlier order
+                best = perm, position, width, nbr_at
+        perm, position, width, nbr_at = best
         if width > BAND_MAX:
             return None
+        at = position[:, None]
         lower = linked & (nbr_at < at)
         # entry (i, j), i >= j, of the band order sits at j (width + 1) + i - j
         index = np.concatenate([position * (width + 1), (nbr_at * width + at)[lower]])

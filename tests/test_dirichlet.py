@@ -327,12 +327,21 @@ Z4 = {"family": "free_abelian", "params": {"d": 4}}
 F1 = {"family": "free", "params": {"k": 1}}
 ZZ2 = {"family": "free_product_z2", "params": {"m": 2}}
 Z2_X1X2 = {"family": "free_abelian", "params": {"d": 2, "extra_generators": [["x1", "x2"]]}}
-# the smallest ball of Z^2 past the band: its bandwidth 2R - 1 passes BAND_MAX
-Z2_PAST_BAND = dirichlet.BAND_MAX // 2 + 1
+Z2_X1X1X2 = {"family": "free_abelian", "params": {"d": 2, "extra_generators": [["x1", "x1", "x2"]]}}
+# the smallest ball of Z^2 past the band: its bandwidth R passes BAND_MAX
+Z2_PAST_BAND = dirichlet.BAND_MAX + 1
+# the smallest hexagonal ball of Z^2 + [x1 x2] past the band: every order
+# gives it a bandwidth of 2R - 1
+HEX_PAST_BAND = dirichlet.BAND_MAX // 2 + 1
 
 # the four families on balls that factor every system with SuperLU: those of
-# FOUR_FAMILIES, with Z^2 past the band
-FACTORED_FAMILIES = [(F2_AB, 5), (Z2, Z2_PAST_BAND), (Z2_3_S1S2, 6), ({"family": "lamplighter", "params": {}}, 5)]
+# FOUR_FAMILIES, with a degree-2 lattice ball past the band
+FACTORED_FAMILIES = [
+    (F2_AB, 5),
+    (Z2_X1X2, HEX_PAST_BAND),
+    (Z2_3_S1S2, 6),
+    ({"family": "lamplighter", "params": {}}, 5),
+]
 
 
 def test_one_minimum_degree_ordering_per_problem(monkeypatch):
@@ -376,6 +385,8 @@ def test_one_minimum_degree_ordering_per_problem(monkeypatch):
         (Z2, Z2_PAST_BAND - 1, "band"),
         (Z2, Z2_PAST_BAND, "factor"),
         ({"family": "free", "params": {"k": 2}}, 8, "forest"),
+        (Z2_X1X1X2, 20, "band"),
+        (Z2_X1X2, HEX_PAST_BAND, "factor"),
     ],
 )
 def test_growth_degree_size_and_bandwidth_choose_the_route(spec, radius, route):
@@ -385,11 +396,13 @@ def test_growth_degree_size_and_bandwidth_choose_the_route(spec, radius, route):
     with at least CG_FREE free vertices takes CG: Z^3 R=14 and R=20 and Z^4
     R=8 (2241 free vertices), not Z^3 R=12 (2047). A group of growth degree
     2 or less (Z, Z^2, F_1, Z2*Z2 and their extended sets) whose free
-    vertices have a reverse Cuthill-McKee bandwidth of at most BAND_MAX
-    takes banded Cholesky: Z^2 up to R = 60 (bandwidth 2R - 1), Z^2 +
-    [x1 x2] R=30, and the paths Z R=2000, F_1 R=300 and Z2*Z2 R=300
-    (bandwidth 1). Everything else factors with SuperLU: Z^2 from R = 61
-    on, up to the vertex budget at R = 300, Z^3 R=12, the lamplighter R=9
+    vertices have a bandwidth of at most BAND_MAX, in reverse Cuthill-McKee
+    order or on Z^2 in a diagonal sweep, takes banded Cholesky: Z^2 up to
+    R = 120 (bandwidth R), Z^2 + [x1 x1 x2] R=20 (39, against 77 in reverse
+    Cuthill-McKee order), Z^2 + [x1 x2] R=30 (2R - 1 in every order), and
+    the paths Z R=2000, F_1 R=300 and Z2*Z2 R=300 (bandwidth 1). Everything
+    else factors with SuperLU: Z^2 from R = 121 on, up to the vertex budget
+    at R = 300, Z^2 + [x1 x2] from R = 61, Z^3 R=12, the lamplighter R=9
     (exponential growth, bandwidth 99) and the extended sets of the trees.
     Only the SuperLU route keeps a CSC pattern, and no route has an order
     before its first factorization."""
@@ -401,7 +414,15 @@ def test_growth_degree_size_and_bandwidth_choose_the_route(spec, radius, route):
     if route == "band":
         assert chosen.width <= dirichlet.BAND_MAX
         if spec is Z2:
+            assert chosen.width == radius
+        elif spec is Z2_X1X1X2:
+            assert chosen.width == 39
+        elif spec is Z2_X1X2:
+            # every order ties, and a tie keeps reverse Cuthill-McKee
             assert chosen.width == 2 * radius - 1
+            x1, x2 = problem.ball.codes[problem.free].T
+            sweeps = [np.lexsort((x1 - x2, x1 + x2)), np.lexsort((x1 + x2, x1 - x2))]
+            assert not any(np.array_equal(chosen.perm, sweep) for sweep in sweeps)
 
 
 def field_gap(p):
@@ -939,6 +960,29 @@ def test_band_route_matches_the_factor(monkeypatch, spec, radius, marked, p):
     assert factored._system.route.name == "factor" and len(calls) > rep_factored.iterations
     assert rep.converged or rep.iterations == BAND_BUDGET
     assert (rep.iterations, rep.converged) == (rep_factored.iterations, rep_factored.converged)
+    assert rep.final_energy == pytest.approx(rep_factored.final_energy, rel=1e-12)
+    assert np.max(np.abs(u.values - u_factored.values)) <= field_gap(p)
+
+
+@pytest.mark.parametrize("p", [1.2, 8.0])
+@pytest.mark.parametrize("radius", [30, 61])
+def test_band_and_superlu_give_the_same_solution(monkeypatch, radius, p):
+    """Z^2 with the marked clamps, on the band in a diagonal sweep (R = 61
+    was past the band in reverse Cuthill-McKee order) and again on the
+    SuperLU route built for the same problem: the same verdict, an energy
+    within 1e-12 and a field within field_gap(p)."""
+    ball = family_ball(Z2, radius)
+    clamps = exhaustion.default_marking(ball.model).sphere_clamps(ball)
+    calls = counted_splu(monkeypatch)
+    problem = DirichletProblem(ball, clamps, p)
+    u, rep = solve_dirichlet(problem)
+    assert problem._system.route.name == "band" and problem._system.route.width == radius and calls == []
+    monkeypatch.setattr(dirichlet._BandCholesky, "of", classmethod(lambda cls, *args: None))
+    factored = DirichletProblem(ball, clamps, p)
+    assert isinstance(factored._system.route, dirichlet._SparseRoute)
+    u_factored, rep_factored = solve_dirichlet(factored)
+    assert factored._system.route.name == "factor" and len(calls) > rep_factored.iterations
+    assert rep.converged and rep_factored.converged
     assert rep.final_energy == pytest.approx(rep_factored.final_energy, rel=1e-12)
     assert np.max(np.abs(u.values - u_factored.values)) <= field_gap(p)
 
