@@ -102,9 +102,12 @@ there are the searches that reach it at that level. ``hops`` gives
 the distances from one vertex or from the nearest of several, and
 ``pair_hops`` those of many (source, target) pairs, 64 sources per pass,
 the sources with the farthest pairs first.
-This module is the only place that walks the Cayley graph by hand; every
-other traversal is a connected-component query through
-``scipy.sparse.csgraph``.
+Every breadth-first search of the Cayley graph runs here. ``roughiso``
+reads its paths off these distances: its one path router climbs the
+breadth-first parents of a search along ``full_adj``, and ``rough_inverse``
+sweeps ``full_adj`` layer by layer. The other traversals go through
+``scipy.sparse.csgraph``: the connected components of ``exhaustion`` and
+the reverse Cuthill-McKee order of ``dirichlet``.
 """
 
 from __future__ import annotations

@@ -23,8 +23,11 @@ an overshoot loosens depends on its side: on the codomain side (the extended
 ball of the CLI's inclusion) it inflates d_Y, which makes the stretching
 bound harder and the collapsing bound easier to meet; on the domain side
 (the scope of its rough inverse) it inflates d_X, with the opposite effect.
-Routed paths (the pullback's arc counts, the roundtrip displacements of the
-coarse-identity check) stay shortest paths inside the ball.
+Both path lemmas count arcs through one router, ``_path_usage``: each
+vertex pair takes a shortest path inside the ball, an adjacent pair its arc
+and any other the BFS parents of one search from its tail. The roundtrip
+displacements of the coarse-identity check are ``CayleyBall.pair_hops``
+distances, the lengths of those paths.
 
 On top of the fitted maps sit: a nearest-preimage rough inverse, the energy
 pullback inequality with an exactly counted arc-multiplicity constant, a
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from math import ceil
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,21 +80,37 @@ def _bfs_parents(ball: CayleyBall, source: int) -> Tuple[np.ndarray, np.ndarray]
     return dist, parent
 
 
-def _route(ball: CayleyBall, parents: Dict[int, Tuple[np.ndarray, np.ndarray]], s: int, t: int,
-           unreached: str) -> List[int]:
-    """The BFS-parent shortest path s, ..., t inside the ball; ``parents``
-    caches the search from each source. FitError(unreached) when t is not
-    reached."""
-    if s not in parents:
-        parents[s] = _bfs_parents(ball, s)
-    dist, parent = parents[s]
-    if dist[t] < 0:
-        raise FitError(unreached)
-    path = [t]
-    while path[-1] != s:
-        path.append(int(parent[path[-1]]))
-    path.reverse()
-    return path
+def _path_usage(ball: CayleyBall, tails: np.ndarray, heads: np.ndarray,
+                mults: np.ndarray) -> Tuple[np.ndarray, int]:
+    """How often each arc of ``ball.arcs()`` lies on the shortest paths
+    inside the ball from tails[k] to heads[k], each taken mults[k] times,
+    and the length of the longest path; a pair with tails[k] == heads[k]
+    takes none. An adjacent pair takes its arc. The other pairs are grouped
+    by tail: one ``_bfs_parents`` search per tail, whose heads then climb
+    its parents together, one array step at a time, until they reach it.
+    The ball is connected (every vertex reaches the identity along a
+    geodesic inside it), so every climb ends."""
+    move = tails != heads
+    tails, heads, mults = tails[move], heads[move], mults[move]
+    adjacent = (ball.full_adj()[tails] == heads[:, None]).any(axis=1)
+    steps = [(tails[adjacent], heads[adjacent], mults[adjacent])]
+    longest = int(adjacent.any())
+    far = np.flatnonzero(~adjacent)
+    order = far[np.argsort(tails[far], kind="stable")]
+    sources, starts = np.unique(tails[order], return_index=True)
+    for s, group in zip(sources.tolist(), np.split(order, starts[1:])):
+        dist, parent = _bfs_parents(ball, s)
+        at, mult = heads[group], mults[group]
+        longest = max(longest, int(dist[at].max()))
+        while at.size:
+            up = parent[at]
+            steps.append((up, at, mult))
+            climbing = up != s
+            at, mult = up[climbing], mult[climbing]
+    tails, heads, mults = (np.concatenate(arrays) for arrays in zip(*steps))
+    usage = np.zeros(ball.arcs()[0].size, dtype=np.int64)
+    np.add.at(usage, _arc_ids(ball, tails, heads), mults)
+    return usage, longest
 
 
 def _arc_ids(ball: CayleyBall, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -362,25 +381,9 @@ def _pullback_data(cmap: CoarseMap) -> dict:
     keep = (cod.depth[ys] <= collar) & (cod.depth[yd] <= collar) if collar >= 0 else np.zeros(ys.size, dtype=bool)
     ys_k, yd_k = ys[keep], yd[keep]
 
-    # distinct image pairs: adjacent ones are one arc each, the rest are
-    # routed along BFS parents
+    # each distinct image pair is routed once, with its number of arcs
     pairs, counts = np.unique(ys_k * len(cod) + yd_k, return_counts=True)
-    u, v = np.divmod(pairs, len(cod))
-    moves = u != v
-    u, v, counts = u[moves], v[moves], counts[moves]
-    adjacent = (cod.full_adj()[u] == v[:, None]).any(axis=1)
-    tails, heads, mults = [u[adjacent]], [v[adjacent]], [counts[adjacent]]
-    max_len = int(adjacent.any())
-    parents: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    far = ~adjacent
-    for s, t, mult in zip(u[far].tolist(), v[far].tolist(), counts[far].tolist()):
-        path = _route(cod, parents, s, t, "adjacent images are not connected inside the codomain ball")
-        max_len = max(max_len, len(path) - 1)
-        tails.append(np.array(path[:-1], dtype=np.int64))
-        heads.append(np.array(path[1:], dtype=np.int64))
-        mults.append(np.full(len(path) - 1, mult, dtype=np.int64))
-    usage = np.zeros(cod.arcs()[0].size, dtype=np.int64)
-    np.add.at(usage, _arc_ids(cod, np.concatenate(tails), np.concatenate(heads)), np.concatenate(mults))
+    usage, max_len = _path_usage(cod, *np.divmod(pairs, len(cod)), counts)
     cmap._pull_cache = {
         "keep": keep,
         "ys": ys_k,
@@ -472,17 +475,8 @@ def check_coarse_identity(f: ScalarField, cmap: CoarseMap, inverse: CoarseMap, p
     xs = np.flatnonzero(cmap.images < n_scope)
     back = inverse.images[cmap.images[xs]]
 
-    # displacement paths inside the domain ball, grouped by the return point
     moved = back != xs
-    paths: Dict[Tuple[int, int], List[int]] = {}
-    max_disp = 0
-    if np.any(moved):
-        parents: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        for s, t in zip(back[moved].tolist(), xs[moved].tolist()):
-            path = _route(dom, parents, s, t, "roundtrip endpoints are not connected inside the domain ball")
-            paths[(s, t)] = path
-            max_disp = max(max_disp, len(path) - 1)
-
+    max_disp = int(dom.pair_hops(back[moved], xs[moved]).max(initial=0))
     scope_depth = dom.radius - max_disp - 1
     scoped_mask = dom.depth[xs] <= scope_depth
     scoped = xs[scoped_mask]
@@ -491,10 +485,7 @@ def check_coarse_identity(f: ScalarField, cmap: CoarseMap, inverse: CoarseMap, p
     dev = np.abs(f.values[scoped_back] - f.values[scoped])
     lhs = float(np.sum(dev ** p))
 
-    steps = [paths[(s, t)] for s, t in zip(scoped_back.tolist(), scoped.tolist()) if s != t]
-    tails = np.array([z for path in steps for z in path[:-1]], dtype=np.int64)
-    heads = np.array([w for path in steps for w in path[1:]], dtype=np.int64)
-    usage = np.bincount(_arc_ids(dom, tails, heads), minlength=dom.arcs()[0].size)
+    usage, _ = _path_usage(dom, scoped_back, scoped, np.ones(scoped.size, dtype=np.int64))
     k = int(usage.max(initial=0))
     rhs = (max_disp ** (p - 1.0)) * k * (seminorm_p(f, p) ** p) if max_disp > 0 else 0.0
 

@@ -33,6 +33,7 @@ from pharmonic.roughiso import (
     RANDOM_TARGETS,
     _arc_ids,
     _bfs_parents,
+    _path_usage,
     _pullback_data,
     _sample_pairs,
 )
@@ -328,12 +329,50 @@ def test_arc_ids_match_the_last_entry_of_a_dict_of_arcs():
         _arc_ids(ball, src[:1], src[:1])
 
 
+@pytest.mark.parametrize("spec, word, radius", [
+    (F2, ["a"], 7),
+    ({"family": "free_abelian", "params": {"d": 2}}, ["x1", "x2"], 11),
+    ({"family": "lamplighter", "params": {}}, ["t", "a"], 7),
+])
+def test_path_usage_equals_a_dict_of_arcs_on_random_pairs(spec, word, radius):
+    # one-way pairs with multiplicities, unlike the arc pairs of a pullback:
+    # a path counted backwards or a multiplicity dropped on the climb shows
+    ball = with_extra(spec, word).ball(radius)
+    # every shortest path between vertices of depth <= (R - 1) / 2 stays
+    # on interior vertices, so on counted arcs
+    core = np.flatnonzero(ball.depth <= (radius - 1) // 2)
+    rng = np.random.default_rng(13)
+    tails = rng.choice(core, size=300)
+    heads = np.where(np.arange(300) % 3 == 0, tails, rng.choice(core, size=300))
+    heads[1::3] = ball.full_adj()[tails[1::3], 0]
+    mults = rng.integers(1, 4, size=300)
+    usage, longest = _path_usage(ball, tails, heads, mults)
+    pairs = [(s, t) for s, t, m in zip(tails.tolist(), heads.tolist(), mults.tolist()) for _ in range(m)]
+    assert np.array_equal(usage, dict_arc_usage(ball, pairs))
+    assert longest == max(int(ball.hops(s)[t]) for s, t in pairs) >= 3
+
+
 @pytest.mark.parametrize("word, radius", [(["a", "b"], 7), (["a"], 5)])
 def test_pullback_usage_equals_a_dict_of_arcs(f2_model, word, radius):
     cmap = CoarseMap.fit(f2_model.ball(radius), with_extra(F2, word).ball(radius))
     data = _pullback_data(cmap)
     want = dict_arc_usage(cmap.codomain, zip(data["ys"].tolist(), data["yd"].tolist()))
     assert want.any()
+    assert np.array_equal(data["usage"], want)
+    assert data["k"] == want.max()
+
+
+@pytest.mark.parametrize("spec, word, radius", [
+    ({"family": "free_abelian", "params": {"d": 2}}, ["x1", "x2"], 8),
+    ({"family": "lamplighter", "params": {}}, ["t", "a"], 6),
+])
+def test_pullback_usage_along_a_rough_inverse_equals_a_dict_of_arcs(spec, word, radius):
+    # the rough inverse of an inclusion sends some adjacent vertices to images
+    # two or more steps apart, so those arcs are routed along BFS parents
+    psi, _ = rough_inverse(CoarseMap.fit(build_group(spec).ball(radius), with_extra(spec, word).ball(radius)))
+    data = _pullback_data(psi)
+    assert data["max_path_length"] >= 2
+    want = dict_arc_usage(psi.codomain, zip(data["ys"].tolist(), data["yd"].tolist()))
     assert np.array_equal(data["usage"], want)
     assert data["k"] == want.max()
 
@@ -383,6 +422,46 @@ def test_coarse_identity_of_generator_change(f2_model, ext_model, p):
     assert report.holds
     assert report.n_scoped > 0
     assert report.rows  # per-radius deviations are reported
+
+
+def loop_coarse_identity(f, cmap, inverse, p):
+    """(displacement, k, n_scoped, lhs, rhs) of ``check_coarse_identity``
+    and the longest scoped route, one roundtrip pair at a time."""
+    dom = cmap.domain
+    pairs = [(int(inverse.images[y]), x) for x, y in enumerate(cmap.images.tolist()) if y < len(inverse.domain)]
+    hops = {s: dom.hops(s) for s, t in pairs if s != t}
+    disp = max((int(hops[s][t]) for s, t in pairs if s != t), default=0)
+    scoped = [(s, t) for s, t in pairs if dom.depth[t] <= dom.radius - disp - 1]
+    lhs = float(np.sum(np.array([abs(f.values[s] - f.values[t]) for s, t in scoped]) ** p))
+    usage = dict_arc_usage(dom, scoped)
+    k = int(usage.max(initial=0))
+    rhs = disp ** (p - 1.0) * k * seminorm_p(f, p) ** p if disp > 0 else 0.0
+    longest = max((int(hops[s][t]) for s, t in scoped if s != t), default=0)
+    return (disp, k, len(scoped), lhs, rhs), longest
+
+
+@pytest.mark.parametrize("spec, radius", [
+    (F2, 5),
+    ({"family": "free_abelian", "params": {"d": 2}}, 8),
+    ({"family": "lamplighter", "params": {}}, 6),
+])
+def test_coarse_identity_of_a_moving_map_equals_the_per_pair_loop(spec, radius):
+    # each vertex goes to its BFS parent toward the identity, so the
+    # roundtrip takes it to the first child of that parent: itself or a
+    # sibling two steps away
+    ball = build_group(spec).ball(radius)
+    parent = _bfs_parents(ball, 0)[1].copy()
+    parent[0] = 0
+    a, b, _ = fit_rough_constants(ball, ball, parent)
+    cmap = CoarseMap(ball, ball, parent, a, b, coverage_radius(ball, parent))
+    psi, _ = rough_inverse(cmap)
+    f = ScalarField(ball, np.random.default_rng(12).standard_normal(len(ball)))
+    for p in (1.5, 2.0, 3.0):
+        report = check_coarse_identity(f, cmap, psi, p)
+        want, longest = loop_coarse_identity(f, cmap, psi, p)
+        assert report.displacement == 2 and longest == 2
+        assert (report.displacement, report.k, report.n_scoped, report.lhs, report.rhs) == want
+        assert report.holds
 
 
 # ---------------------------------------------------------------------------
