@@ -632,14 +632,129 @@ def test_an_extended_set_takes_the_route_of_its_group(radius, cg):
     assert stock._system.route.name == extended._system.route.name == ("cg" if cg else "factor")
 
 
+# a word of odd length keeps Z^3 bipartite
+Z3_X1X2X3 = {"family": "free_abelian", "params": {"d": 3, "extra_generators": [["x1", "x2", "x3"]]}}
+
+
+@pytest.mark.parametrize(
+    "spec,radius", [(Z3, 14), (Z4, 8), (Z3_X1X2X3, 14)], ids=["Z3R14", "Z4R8", "Z3+x1x2x3R14"]
+)
+def test_no_pattern_entry_joins_one_parity_class(spec, radius):
+    """On a ball whose generator words all have odd length, every
+    off-diagonal entry of the Laplacian's pattern joins two free vertices of
+    different depth parity, and the CG route splits the free vertices into
+    the two classes, the larger one red."""
+    problem = zero_sphere_problem(spec, radius)
+    assert problem.ball.model._bipartite
+    route = problem._system.route
+    pattern = route.matrix.tocoo()
+    parity = problem.ball.depth[problem.free] % 2
+    off = pattern.row != pattern.col
+    assert off.any() and np.all(parity[pattern.row[off]] != parity[pattern.col[off]])
+    split = route.split
+    assert route.name == "cg" and split is not None
+    assert np.array_equal(np.sort(np.concatenate([split.red, split.black])), np.arange(problem.free.size))
+    assert split.red.size >= split.black.size
+    assert np.unique(parity[split.red]).size == np.unique(parity[split.black]).size == 1
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+@pytest.mark.parametrize("marked", [True, False], ids=["marked", "random"])
+@pytest.mark.parametrize("spec,radius", [(Z3, 14), (Z4, 8)], ids=["Z3R14", "Z4R8"])
+def test_red_black_systems_match_the_factor(monkeypatch, spec, radius, marked, p):
+    """Every system of a solve on a bipartite CG-route ball goes to the
+    red-black reduction. Each solution x differs from a fresh SuperLU
+    solution by at most the CG tolerance, as residuals: |A (x - x_lu)| <=
+    rtol |b_S|, where b_S = b_b - A_br D_r^-1 b_r is the right-hand side of
+    the black class's Schur complement, and the red rows are solved
+    exactly: their residual is rounding."""
+    ball = family_ball(spec, radius)
+    clamps = exhaustion.default_marking(ball.model).sphere_clamps(ball) if marked else random_clamps(ball, 24)
+    problem = DirichletProblem(ball, clamps, p)
+    route = problem._system.route
+    assert route.split is not None
+    systems = []
+    real_solve = route.solve
+
+    def recording(w, shift, rhs, rtol):
+        x = real_solve(w, shift, rhs, rtol)
+        systems.append((w.copy(), shift, rhs.copy(), rtol, x))
+        return x
+
+    monkeypatch.setattr(route, "solve", recording)
+    _, rep = solve_dirichlet(problem)
+    assert rep.converged and route.name == "cg" and len(systems) > (1 if p == 2.0 else rep.iterations)
+    red, black = route.split.red, route.split.black
+    for w, shift, rhs, rtol, x in systems:
+        matrix, x_lu = fresh_factor_solve(problem, w, shift, rhs)
+        reduced = rhs[black] - matrix[black][:, red] @ (rhs[red] / matrix.diagonal()[red])
+        assert np.linalg.norm(matrix @ (x - x_lu)) <= rtol * np.linalg.norm(reduced)
+        assert np.max(np.abs((rhs - matrix @ x)[red])) <= 1e-14 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("spec,radius", [(Z3, 14), (Z4, 8)], ids=["Z3R14", "Z4R8"])
+def test_red_black_start_takes_half_the_iterations_of_plain_jacobi_cg(monkeypatch, spec, radius):
+    """The p = 2 start, reduced to the black class, takes at most 55 % of
+    the iterations that Jacobi-CG takes on the whole system (38 against 77
+    on Z^3 R=14, 21 against 41 on Z^4 R=8): CG on a 2-cyclic system takes
+    half the iterations (Reid, 1972)."""
+    ball = family_ball(spec, radius)
+    problem = DirichletProblem(ball, exhaustion.default_marking(ball.model).sphere_clamps(ball), 3.0)
+    taken = []
+    real_cg = dirichlet._jacobi_cg
+
+    def counting(a, b, maxiter, rtol):
+        solved = real_cg(a, b, maxiter, rtol)
+        taken.append((b.size, solved[1]))
+        return solved
+
+    monkeypatch.setattr(dirichlet, "_jacobi_cg", counting)
+    linear_dirichlet(problem)
+    route = problem._system.route
+    [(size, reduced)] = taken
+    assert size == route.split.black.size <= problem.free.size // 2
+    rhs = problem.clamped_values()[problem._system.nbrs].sum(axis=1)
+    matrix = route.matrix  # the p = 2 Laplacian
+    full = scipy.sparse.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+    _, plain = real_cg(full, rhs, dirichlet.CG_MAXITER, dirichlet.CG_RTOL)
+    assert reduced <= 0.55 * plain
+
+
+def test_an_even_word_keeps_plain_jacobi_cg(monkeypatch):
+    """Z^3 + [x1 x2] has a word of even length, so a ball of it is not
+    bipartite: its CG route makes no split, and every CG solve runs on the
+    whole Laplacian, to the same verdict as the factor."""
+    ball = family_ball(Z3_X1X2, 14)
+    assert not ball.model._bipartite
+    sizes = []
+    real_cg = dirichlet._jacobi_cg
+
+    def recording(a, b, maxiter, rtol):
+        sizes.append(b.size)
+        return real_cg(a, b, maxiter, rtol)
+
+    monkeypatch.setattr(dirichlet, "_jacobi_cg", recording)
+    problem = DirichletProblem(ball, random_clamps(ball, 37), 3.0)
+    route = problem._system.route
+    assert route.name == "cg" and route.split is None
+    _, rep = solve_dirichlet(problem)
+    assert rep.converged and route.name == "cg" and sizes and set(sizes) == {problem.free.size}
+    monkeypatch.setattr(dirichlet, "_jacobi_cg", lambda *args: None)
+    _, rep_direct = solve_dirichlet(DirichletProblem(ball, random_clamps(ball, 37), 3.0))
+    assert (rep.iterations, rep.converged) == (rep_direct.iterations, rep_direct.converged)
+    assert rep.final_energy == pytest.approx(rep_direct.final_energy, rel=1e-12)
+
+
 def test_later_cg_solves_are_capped_at_a_multiple_of_the_first(monkeypatch):
     """The p = 2 start runs under CG_MAXITER; every later CG solve of the
     problem under CG_STALL times the iterations it took. At p = 1.5 the
-    Newton systems take up to about 4 times as many as the start (85) and
-    stay on CG. With CG_STALL = 1 the first Newton system that needs more
-    than the start misses its cap (the loosely forced first ones take
-    fewer) and goes to the factor, as does every later one, to the same
-    steps."""
+    Newton systems take up to about twice as many as the start (43, on the
+    black class of the red-black reduction) and stay on CG. With
+    CG_STALL = 1 the first Newton system that needs more than the start
+    misses its cap (the loosely forced first ones take fewer) and goes to
+    the factor, as does every later one, to the same steps: the systems
+    CG solved before it and the factorizations from it on are as many as
+    the systems of the solve with the default cap."""
     ball = family_ball(Z3, 14)
     seen = []
     real_cg = dirichlet._jacobi_cg
@@ -658,6 +773,7 @@ def test_later_cg_solves_are_capped_at_a_multiple_of_the_first(monkeypatch):
     cap = min(dirichlet.CG_MAXITER, dirichlet.CG_STALL * first)
     assert problem._system.route.cap == cap
     assert all(maxiter == cap and taken <= cap for maxiter, taken in later)
+    systems = len(seen)
 
     monkeypatch.setattr(dirichlet, "CG_STALL", 1)
     seen.clear()
@@ -667,7 +783,7 @@ def test_later_cg_solves_are_capped_at_a_multiple_of_the_first(monkeypatch):
     taken = [taken for _, taken in seen]
     assert len(taken) > 2 and taken[-1] is None
     assert all(t is not None and t <= first for t in taken[1:-1])
-    assert stalled._system.route.name == "factor" and len(calls) > rep_stalled.iterations
+    assert stalled._system.route.name == "factor" and len(taken) - 1 + len(calls) == systems
     assert [call["permc_spec"] for call in calls] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(calls) - 1)
     assert (rep_stalled.iterations, rep_stalled.converged) == (rep.iterations, rep.converged)
     assert rep_stalled.final_energy == pytest.approx(rep.final_energy, rel=1e-12)
