@@ -263,7 +263,6 @@ class _NewtonStep:
         # the interior slots whose arcs lead to the sphere: ``arcs`` lists
         # them reversed after the arcs of all interior slots
         self.to_sphere = np.flatnonzero(ball.adj.reshape(-1) >= ball.n_interior)
-        self.diffs: Optional[np.ndarray] = None  # those of the last correction
         # the position in ``free`` of each neighbour in ``nbrs``, -1 at clamps
         local = np.full(self.n_total, -1, dtype=np.int64)
         local[self.free] = np.arange(n_free)
@@ -295,7 +294,7 @@ class _NewtonStep:
         to the secant slope |d|^(p-2) of the majorizing quadratic (the
         reweighting of IRLS) and the system is solved again, to the same
         ``rtol``."""
-        self.diffs = d = u[self.nbrs] - u[self.free, None]
+        d = u[self.nbrs] - u[self.free, None]
         scale = float(np.max(np.abs(d), initial=0.0))
         if scale == 0.0:
             return np.zeros(self.n_free)
@@ -321,9 +320,7 @@ class _NewtonStep:
 
     def line_search(self, u: np.ndarray, step: np.ndarray, p: float) -> float:
         """The first alpha in 1, 1/2, 1/4, ... that lowers the energy along
-        step, or 0.0 if none of LINE_SEARCH_HALVINGS does; ``u`` is the field
-        of the last ``correction``, whose differences it reuses where every
-        interior vertex is free.
+        step, or 0.0 if none of LINE_SEARCH_HALVINGS does.
 
         Near the minimizer the energy change of a step drops below float64
         resolution. A trial whose energy is level with the start's within
@@ -342,7 +339,7 @@ class _NewtonStep:
 
         full = np.zeros(self.n_total)
         full[self.free] = step
-        d0 = self.diffs if self.n_free == n_interior else u[self.adj] - u[:n_interior, None]
+        d0 = u[self.adj] - u[:n_interior, None]
         dd = full[self.adj] - full[:n_interior, None]
         e0 = arc_sum(np.abs(d0) ** p)
         slope0 = None  # computed for the first trial that needs it
@@ -579,13 +576,12 @@ class _SparseRoute:
     the free vertices) _jacobi_cg gets the Schur complement of the black
     class and its right-hand side from ``split``, a _RedBlack, and the red
     values follow exactly. The residual of that system is the whole one's,
-    the red rows' being rounding; ``rtol`` measures it against the reduced
-    right-hand side, b_b + W^T D_r^-1 b_r, whose norm was from near 0 up to
-    1.23 times the whole one's on the systems of Z^3 R=14 and R=20 and Z^4
-    R=8 (p = 1.2 to 8). So the tolerances, the cap and the hand-over keep
-    their meaning, and every count is about half that of the whole system
-    (38 against 77 on the p = 2 start of Z^3 R=14). Elsewhere (a generator
-    word of even length, as in Z^3 + [x1 x2]) it gets the whole Laplacian.
+    the red rows' being rounding, and ``rtol`` measures it against the
+    whole right-hand side (the split's ``reference``). So the tolerances,
+    the cap and the hand-over keep their meaning, and every count is about
+    half that of the whole system (38 against 77 on the p = 2 start of Z^3
+    R=14). Elsewhere (a generator word of even length, as in Z^3 + [x1
+    x2]) it gets the whole Laplacian, as a _Whole.
     A CG solve fails if it meets a non-finite value or a diagonal entry
     below the smallest normal float, or passes its cap (Jacobi stalls on
     marked clamps at p <= 1.2): the route turns "factor" for good, drops
@@ -621,8 +617,7 @@ class _SparseRoute:
         matrix.data = _assemble(w, shift, self.slots, self.index, matrix.nnz)
         if self.name == "cg":
             if self.split is None:
-                # a symmetric CSC matrix read as CSR is itself, and CSR products are faster
-                system, b = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape), rhs
+                system, b = _Whole(matrix), rhs
             else:
                 system, b = self.split, self.split.reduce(matrix.data, rhs)
             solved = _jacobi_cg(system, b, self.cap or CG_MAXITER, rtol)
@@ -676,9 +671,10 @@ class _RedBlack:
     (``red_rows``, red x black, which hold D_r^-1 W) and of the black rows
     (``black_rows``, black x red, which hold -W^T), and the places in the
     Laplacian's ``data`` of those entries and of the diagonal; ``reduce``
-    only gathers values. Every product calls scipy's CSR kernel directly
-    (_csr_add): on Z^3 R=14 ``@`` adds 2.4 us of dispatch to each 8.8 us
-    product, a fifth of a reduced iteration."""
+    only gathers values, and keeps the whole right-hand side as the
+    ``reference`` of _jacobi_cg's tolerance. Every product calls scipy's
+    CSR kernel directly (_csr_add): on Z^3 R=14 ``@`` adds 2.4 us of
+    dispatch to each 8.8 us product, a fifth of a reduced iteration."""
 
     def __init__(self, pattern: sp.csc_matrix, parity: np.ndarray):
         n = parity.size
@@ -702,6 +698,7 @@ class _RedBlack:
         self.red_rows, self.red_places = block(is_red, self.red.size, self.black.size)
         self.black_rows, self.black_places = block(~is_red, self.black.size, self.red.size)
         self.t = np.empty(self.red.size)  # the red values of a product
+        self.reference: Optional[np.ndarray] = None  # the whole right-hand side
 
     def reduce(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Load the Laplacian entries ``data`` (in the pattern's places) and
@@ -714,6 +711,7 @@ class _RedBlack:
             red_rows.data = data[self.red_places] * np.repeat(-inv_red, np.diff(red_rows.indptr))
             black_rows.data = data[self.black_places]
             self.x_red = inv_red * rhs[self.red]  # D_r^-1 b_r
+            self.reference = rhs
             self.d_black = data[self.black_diag]
             self.s_diag = _csr_add(black_rows, inv_red, self.d_black.copy(), -np.square(black_rows.data))
             return _csr_add(black_rows, -self.x_red, rhs[self.black])
@@ -734,6 +732,24 @@ class _RedBlack:
         return x
 
 
+class _Whole:
+    """The operator of the "cg" route on the whole system: the symmetric
+    CSC ``matrix`` read as CSR, which it is, multiplied by scipy's CSR
+    kernel (_csr_add). Its ``reference`` is None: ``rtol`` is measured
+    against the right-hand side itself."""
+
+    reference = None
+
+    def __init__(self, matrix: sp.csc_matrix):
+        self.matrix = matrix
+
+    def diagonal(self) -> np.ndarray:
+        return self.matrix.diagonal()
+
+    def __matmul__(self, d: np.ndarray) -> np.ndarray:
+        return _csr_add(self.matrix, d, np.zeros(d.size))
+
+
 def _csr_add(a: sp.csr_matrix, x: np.ndarray, y: np.ndarray, data: Optional[np.ndarray] = None) -> np.ndarray:
     """y += a @ x, with ``data`` in place of ``a.data`` where given, by
     scipy's CSR kernel, without the dispatch of ``@``; returns y."""
@@ -746,14 +762,17 @@ def _out_of_memory(n_free: int) -> MemoryError:
     return MemoryError(f"out of memory factoring the Newton system of {n_free} free vertices")
 
 
-def _jacobi_cg(a, b: np.ndarray, maxiter: int, rtol: float) -> Optional[Tuple[np.ndarray, int]]:
-    """Solve the symmetric system of ``a`` (a CSR matrix, or an operator
-    with ``a.diagonal()`` and ``a @ d``) by conjugate gradients
-    preconditioned with its diagonal, from 0, until the residual is at most
-    ``rtol`` of |b| (2-norms; see "CG tolerance:" above). The solution and
-    the iterations taken. None if that takes more than ``maxiter``
-    iterations, if a diagonal entry is below the smallest normal float, or
-    if a curvature d^T A d or a residual is not finite and positive."""
+def _jacobi_cg(
+    a: Union[_Whole, _RedBlack], b: np.ndarray, maxiter: int, rtol: float
+) -> Optional[Tuple[np.ndarray, int]]:
+    """Solve the symmetric system of the operator ``a`` (a _Whole or a
+    _RedBlack: ``a.diagonal()``, ``a @ d`` and ``a.reference``) by
+    conjugate gradients preconditioned with its diagonal, from 0, until the
+    residual is at most ``rtol`` of |b|, or of |a.reference| where that is
+    given (2-norms; see "CG tolerance:" above). The solution and the
+    iterations taken. None if that takes more than ``maxiter`` iterations,
+    if a diagonal entry is below the smallest normal float, or if a
+    curvature d^T A d or a residual is not finite and positive."""
     diag = a.diagonal()
     top = np.max(np.abs(b), initial=0.0)
     if not (np.all(diag >= _TINY) and top < np.inf):
@@ -766,7 +785,10 @@ def _jacobi_cg(a, b: np.ndarray, maxiter: int, rtol: float) -> Optional[Tuple[np
     exponent = int(np.frexp(top)[1])
     r = np.ldexp(b, -exponent)
     inv_diag = 1.0 / diag
-    stop = rtol * rtol * (r @ r)
+    # a reduced system's residual is the whole one's: measure it against
+    # the whole right-hand side, scaled alike
+    reference = r if a.reference is None else np.ldexp(a.reference, -exponent)
+    stop = rtol * rtol * (reference @ reference)
     # overflow and division by 0 end in a non-finite curvature or residual,
     # which the loop checks
     with np.errstate(all="ignore"):
