@@ -690,6 +690,38 @@ def test_red_black_systems_match_the_factor(monkeypatch, spec, radius, marked, p
         assert np.max(np.abs((rhs - matrix @ x)[red])) <= 1e-14 * np.linalg.norm(rhs)
 
 
+def test_red_black_tolerance_is_relative_to_the_whole_right_hand_side(monkeypatch):
+    """``rtol`` bounds the residual of a reduced solve against the whole
+    right-hand side b, as on the whole system, not against the reduced one
+    b_S = b_b - A_br D_r^-1 b_r. A right-hand side whose b_S is 1e-6 |b| is
+    solved to rtol = 1e-4 in one CG iteration, to a whole residual within
+    rtol |b|; measured against |b_S| it would take as many as any other
+    system."""
+    problem = zero_sphere_problem(Z3, 14)
+    route = problem._system.route
+    red, black = route.split.red, route.split.black
+    w = np.ones(problem._system.nbrs.shape)
+    matrix = reference_laplacian(problem, w, 0.0)
+    rng = np.random.default_rng(5)
+    rhs = np.empty(problem.free.size)
+    rhs[red] = rng.uniform(-1, 1, red.size)
+    rhs[black] = matrix[black][:, red] @ (rhs[red] / matrix.diagonal()[red])  # b_S = 0
+    reduced = rng.uniform(-1, 1, black.size)
+    rhs[black] += 1e-6 * np.linalg.norm(rhs) / np.linalg.norm(reduced) * reduced
+    taken = []
+    real_cg = dirichlet._jacobi_cg
+
+    def counting(a, b, maxiter, rtol):
+        solved = real_cg(a, b, maxiter, rtol)
+        taken.append(None if solved is None else solved[1])
+        return solved
+
+    monkeypatch.setattr(dirichlet, "_jacobi_cg", counting)
+    x = route.solve(w, 0.0, rhs, 1e-4)
+    assert taken == [1] and route.name == "cg"
+    assert np.linalg.norm(rhs - matrix @ x) <= 1e-4 * np.linalg.norm(rhs)
+
+
 @pytest.mark.parametrize("spec,radius", [(Z3, 14), (Z4, 8)], ids=["Z3R14", "Z4R8"])
 def test_red_black_start_takes_half_the_iterations_of_plain_jacobi_cg(monkeypatch, spec, radius):
     """The p = 2 start, reduced to the black class, takes at most 55 % of
